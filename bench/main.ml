@@ -719,8 +719,8 @@ let profile ?(path = "BENCH_solver.json") () =
    replacing) the solver regression rows. *)
 
 let load ?(path = "BENCH_solver.json") ?(requests = 200) ?(pool = 4)
-    ?(queue = 64) ?(seed = 42) ?(chaos = false) ?(trace_sample = 0)
-    ?(tail_keep = 0) ?flight_dir ?(flight_buf = 4096) () =
+    ?(queue = 64) ?(seed = 42) ?(chaos = false) ?(tail_keep = 0) ?flight_dir
+    ?(flight_buf = 4096) () =
   header
     (Printf.sprintf
        "Service load: %d open-loop requests (mix qrd/arf/matmul/xml-import), \
@@ -754,7 +754,6 @@ let load ?(path = "BENCH_solver.json") ?(requests = 200) ?(pool = 4)
       seed;
       chaos = chaos_t;
       metrics = Some (Obs.Metrics.create ());
-      trace_sample;
       tail_keep;
       flight_dir;
       flight_buf;
@@ -875,7 +874,6 @@ let load ?(path = "BENCH_solver.json") ?(requests = 200) ?(pool = 4)
         ("fallbacks", num h.Serve.Service.fallbacks);
         ("revived", num h.Serve.Service.revived);
         ("tail_keep", num tail_keep);
-        ("trace_sample", num trace_sample);
         ( "flight_dir",
           match flight_dir with
           | Some d -> Obs.Json.Str d
@@ -1540,7 +1538,6 @@ let () =
   let seed, args = extract_opt "--seed" args in
   let lpath, args = extract_opt "--path" args in
   let csv, args = extract_opt "--csv" args in
-  let trace_sample, args = extract_opt "--trace-sample" args in
   let tail_keep, args = extract_opt "--tail-keep" args in
   let flight_dir, args = extract_opt "--flight-dir" args in
   let flight_buf, args = extract_opt "--flight-buf" args in
@@ -1573,8 +1570,8 @@ let () =
     | [ "load" ] ->
       load ?path:lpath ?requests:(iopt requests) ?pool:(iopt pool)
         ?queue:(iopt lqueue) ?seed:(iopt seed) ~chaos
-        ?trace_sample:(iopt trace_sample) ?tail_keep:(iopt tail_keep)
-        ?flight_dir ?flight_buf:(iopt flight_buf) ();
+        ?tail_keep:(iopt tail_keep) ?flight_dir ?flight_buf:(iopt flight_buf)
+        ();
       0
     | [ "cache" ] ->
       cache_bench ?path:lpath ?requests:(iopt requests) ?pool:(iopt pool)
@@ -1588,8 +1585,8 @@ let () =
          fig6 fig8 utilization dynamic ablations archsweep bechamel perfjson \
          profile compare robustness load cache history; options: --trace \
          FILE, --against PATH, --path FILE, --csv FILE, \
-         --requests/--pool/--queue/--seed N, --chaos, --trace-sample R, \
-         --tail-keep N, --flight-dir DIR, --flight-buf EVENTS)@."
+         --requests/--pool/--queue/--seed N, --chaos, --tail-keep N, \
+         --flight-dir DIR, --flight-buf EVENTS)@."
         (String.concat " " other);
       exit 2
   in

@@ -241,8 +241,8 @@ let schedule_cmd =
           | Ok cc -> Some cc
           | Error msg ->
             Format.eprintf "warning: ignoring cache file %s: %s@." path msg;
-            Some (Cache.create ~capacity))
-        | _ -> Some (Cache.create ~capacity)
+            Some (Cache.create ~capacity ()))
+        | _ -> Some (Cache.create ~capacity ())
       end
       else None
     in
@@ -720,8 +720,8 @@ let trace_diff_cmd =
    failures. *)
 let serve_cmd =
   let run pool queue budget grace retries backoff seed cache warm trace
-      metrics metrics_file stats_interval logfile trace_sample tail_keep
-      flight_dir flight_buf chaos_wedge =
+      metrics metrics_file stats_interval logfile tail_keep flight_dir
+      flight_buf chaos_wedge =
     with_obs ~other_data:[ ("mode", Obs.S "serve") ] ~trace ~metrics (fun () ->
         (* One live registry feeds the service instruments, the solver
            distributions and the exporter alike. *)
@@ -751,7 +751,6 @@ let serve_cmd =
             cache_capacity = cache;
             warm_start = warm;
             metrics = Some reg;
-            trace_sample;
             flight_dir;
             flight_buf;
             tail_keep;
@@ -900,17 +899,6 @@ let serve_cmd =
                 (timestamp, id, status, attempts, queue-wait / solve / \
                 validate / total latency) to $(docv).")
   in
-  let trace_sample_arg =
-    Arg.(value & opt int 0
-         & info [ "trace-sample" ] ~docv:"R"
-             ~doc:
-               "Head-sample the $(b,--trace) event stream: keep the full \
-                trace of one in $(docv) requests and suppress the rest, so \
-                tracing can stay on under production load.  0 or 1 traces \
-                every request.  Live metrics always cover all requests.  \
-                Superseded by $(b,--flight-dir), which records everything \
-                and decides retention at completion instead.")
-  in
   let flight_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "flight-dir" ] ~docv:"DIR"
@@ -959,8 +947,8 @@ let serve_cmd =
     Term.(const run $ pool_arg $ queue_arg $ sbudget_arg $ grace_arg
           $ retries_arg $ backoff_arg $ seed_arg $ cache_arg $ warm_arg
           $ trace_file_arg $ metrics_arg $ metrics_file_arg
-          $ stats_interval_arg $ log_arg $ trace_sample_arg $ tail_keep_arg
-          $ flight_dir_arg $ flight_buf_arg $ chaos_wedge_arg)
+          $ stats_interval_arg $ log_arg $ tail_keep_arg $ flight_dir_arg
+          $ flight_buf_arg $ chaos_wedge_arg)
 
 (* `eitc metrics-report` — render the latest snapshot of a
    `--metrics-file` JSONL stream as the same kind of tables `--metrics`

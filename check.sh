@@ -198,11 +198,12 @@ echo "check.sh: cache smoke OK (hit on second run, 0 props, makespan 168)"
 
 # Telemetry smoke: 8 requests plus an in-band stats probe through a
 # fully instrumented `eitc serve` — live-metrics snapshots (JSONL +
-# Prometheus), a structured request log, and 1-in-4 head-sampled
-# tracing.  The snapshot must carry quantiles, `eitc metrics-report`
-# must render it, the stats probe must be answered inline, every log
-# line must be a full response record, and the sampled trace must
-# still pass the repo's own structural checker.
+# Prometheus), a structured request log, and a full trace.  The
+# snapshot must carry quantiles, the Prometheus file must count all 8
+# submissions, `eitc metrics-report` must render the snapshot, the
+# stats probe must be answered inline, every log line must be a full
+# response record, and the trace must hold every request's span and
+# pass the repo's own structural checker.
 mfile=$(mktemp /tmp/eitc-metrics.XXXXXX.jsonl)
 tfile=$(mktemp /tmp/eitc-strace.XXXXXX.json)
 lfile=$(mktemp /tmp/eitc-reqlog.XXXXXX.jsonl)
@@ -212,7 +213,7 @@ tele_out=$( { for i in 0 1 2 3 4 5 6 7; do
   printf '{"stats":true,"id":"probe"}\n'
   } | "$EITC" serve --pool 2 --queue 16 \
         --metrics-file "$mfile" --stats-interval 100 \
-        --trace "$tfile" --trace-sample 4 --log "$lfile") || {
+        --trace "$tfile" --log "$lfile") || {
   echo "check.sh: instrumented eitc serve exited non-zero" >&2
   echo "$tele_out" >&2
   rm -f "$mfile" "$mfile.prom" "$tfile" "$lfile"
@@ -230,11 +231,12 @@ esac
 grep -q '"p99"' "$mfile" || fail_tele "metrics snapshot lacks quantiles"
 grep -q '"serve.total_ms"' "$mfile" || fail_tele "metrics snapshot lacks serve.total_ms"
 grep -q 'quantile=' "$mfile.prom" || fail_tele "prometheus file lacks quantile samples"
+grep -q '^serve_submitted 8$' "$mfile.prom" || fail_tele "prometheus file does not count 8 submissions"
 "$EITC" metrics-report "$mfile" > /dev/null || fail_tele "metrics-report rejected the snapshot"
-"$EITC" trace-check "$tfile" || fail_tele "sampled trace failed validation"
-sampled=$(grep -o '"request:t[0-9]*"' "$tfile" | sort -u | wc -l)
-if [ "$sampled" -ne 2 ]; then
-  fail_tele "1-in-4 sampling kept $sampled of 8 request traces, expected 2"
+"$EITC" trace-check "$tfile" || fail_tele "trace failed validation"
+traced=$(grep -o '"request:t[0-9]*"' "$tfile" | sort -u | wc -l)
+if [ "$traced" -ne 8 ]; then
+  fail_tele "trace holds $traced of 8 request spans"
 fi
 loglines=$(grep -c '"total_ms"' "$lfile")
 if [ "$loglines" -ne 8 ]; then
@@ -242,7 +244,7 @@ if [ "$loglines" -ne 8 ]; then
 fi
 grep -q '"ts_unix"' "$lfile" || fail_tele "request log lines lack timestamps"
 rm -f "$mfile" "$mfile.prom" "$tfile" "$lfile"
-echo "check.sh: telemetry smoke OK (snapshot + prom + report, stats probe, 2/8 sampled traces, 8 log records)"
+echo "check.sh: telemetry smoke OK (snapshot + prom + report, stats probe, 8/8 traced requests, 8 log records)"
 
 # Postmortem smoke: a deterministically wedged request through a
 # flight-recorder-enabled serve — the watchdog's wedge verdict must

@@ -27,14 +27,15 @@ type t = {
   mutable tail : cell option; (* least recently used *)
   mutable size : int;
   hints : (string, int) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable stores : int;
+  c_hits : Obs.Metrics.counter;
+  c_misses : Obs.Metrics.counter;
+  c_evictions : Obs.Metrics.counter;
+  c_stores : Obs.Metrics.counter;
   m : Mutex.t;
 }
 
-let create ~capacity =
+let create ?(metrics = Obs.Metrics.create ()) ~capacity () =
+  let c name = Obs.Metrics.counter metrics ("cache." ^ name) in
   {
     cap = capacity;
     tbl = Hashtbl.create 64;
@@ -42,10 +43,10 @@ let create ~capacity =
     tail = None;
     size = 0;
     hints = Hashtbl.create 16;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    stores = 0;
+    c_hits = c "hits";
+    c_misses = c "misses";
+    c_evictions = c "evictions";
+    c_stores = c "stores";
     m = Mutex.create ();
   }
 
@@ -67,18 +68,12 @@ let push_front t c =
   (match t.head with Some h -> h.prev <- Some c | None -> t.tail <- Some c);
   t.head <- Some c
 
-(* Called under the cache mutex; Obs serializes internally and never
-   calls back into the cache, so the lock order is safe. *)
-let obs_lookup t name =
-  if Obs.enabled () then begin
-    Obs.instant ~cat:"cache" name;
-    let total = t.hits + t.misses in
-    let rate =
-      if total = 0 then 0. else float_of_int t.hits /. float_of_int total
-    in
-    Obs.counter ~cat:"cache" "cache.hit-rate"
-      [ ("hits", Obs.I t.hits); ("misses", Obs.I t.misses); ("rate", Obs.F rate) ]
-  end
+(* Count one event and emit its instant.  Called under the cache mutex;
+   Obs serializes internally and never calls back into the cache, so
+   the lock order is safe. *)
+let note c name =
+  Obs.Metrics.incr c;
+  if Obs.enabled () then Obs.instant ~cat:"cache" name
 
 let find t k =
   locked t (fun () ->
@@ -86,27 +81,15 @@ let find t k =
       | Some c ->
         unlink t c;
         push_front t c;
-        t.hits <- t.hits + 1;
-        obs_lookup t "cache.hit";
+        note t.c_hits "cache.hit";
         Some c.pl
       | None ->
-        t.misses <- t.misses + 1;
-        obs_lookup t "cache.miss";
+        note t.c_misses "cache.miss";
         None)
 
-let evict_excess t =
-  while t.size > t.cap do
-    match t.tail with
-    | None -> t.size <- 0
-    | Some c ->
-      unlink t c;
-      Hashtbl.remove t.tbl (Key.repr c.key);
-      t.size <- t.size - 1;
-      t.evictions <- t.evictions + 1;
-      if Obs.enabled () then Obs.instant ~cat:"cache" "cache.evict"
-  done
-
-let store_unlocked t k pl =
+(* [count:false] is [load]'s path: restoring a saved cache is neither a
+   store nor an eviction. *)
+let insert ~count t k pl =
   if t.cap > 0 then begin
     (match Hashtbl.find_opt t.tbl (Key.repr k) with
     | Some c ->
@@ -118,11 +101,19 @@ let store_unlocked t k pl =
       Hashtbl.replace t.tbl (Key.repr k) c;
       push_front t c;
       t.size <- t.size + 1);
-    t.stores <- t.stores + 1;
-    evict_excess t
+    if count then Obs.Metrics.incr t.c_stores;
+    while t.size > t.cap do
+      match t.tail with
+      | None -> t.size <- 0
+      | Some c ->
+        unlink t c;
+        Hashtbl.remove t.tbl (Key.repr c.key);
+        t.size <- t.size - 1;
+        if count then note t.c_evictions "cache.evict"
+    done
   end
 
-let store t k pl = locked t (fun () -> store_unlocked t k pl)
+let store t k pl = locked t (fun () -> insert ~count:true t k pl)
 
 let remove t k =
   locked t (fun () ->
@@ -136,9 +127,13 @@ let remove t k =
 let length t = locked t (fun () -> t.size)
 
 let stats t =
-  locked t (fun () ->
-      { hits = t.hits; misses = t.misses; evictions = t.evictions;
-        stores = t.stores })
+  let v = Obs.Metrics.counter_value in
+  {
+    hits = v t.c_hits;
+    misses = v t.c_misses;
+    evictions = v t.c_evictions;
+    stores = v t.c_stores;
+  }
 
 (* ------------------------------------------------------------------ *)
 
@@ -238,7 +233,7 @@ let load ~capacity path =
   | Ok doc -> (
     match (J.member "entries" doc, J.member "hints" doc) with
     | Some (J.Arr entries), Some (J.Arr hints) ->
-      let t = create ~capacity in
+      let t = create ~capacity () in
       (* Entries were saved most-recent-first; inserting in reverse
          restores both the recency order and, beyond capacity, drops
          exactly the oldest ones. *)
@@ -246,11 +241,9 @@ let load ~capacity path =
         (fun e ->
           match (J.member "repr" e, payload_of_json e) with
           | Some (J.Str repr), Some pl ->
-            store_unlocked t (Key.of_repr repr) pl;
-            t.stores <- t.stores - 1 (* loads are not stores *)
+            insert ~count:false t (Key.of_repr repr) pl
           | _ -> ())
         (List.rev entries);
-      t.evictions <- 0;
       List.iter
         (function
           | J.Arr [ J.Str shape; J.Num mk ] ->

@@ -27,28 +27,33 @@ type t
 
 type stats = { hits : int; misses : int; evictions : int; stores : int }
 
-val create : capacity:int -> t
+val create : ?metrics:Obs.Metrics.registry -> capacity:int -> unit -> t
 (** [capacity <= 0] disables storage: every lookup misses, nothing is
-    retained. *)
+    retained.  The cache counts into the [cache.hits] / [cache.misses]
+    / [cache.evictions] / [cache.stores] counters of [metrics]
+    (default: a private registry) — the parameter chooses where counts
+    are stored, not what is counted. *)
 
 val capacity : t -> int
 
 val find : t -> Key.t -> payload option
 (** Bumps the entry to most-recently-used; counts a hit or a miss and
-    emits a [cache.hit]/[cache.miss] instant plus the [cache.hit-rate]
-    counter when an {!Obs} sink is attached. *)
+    emits a [cache.hit]/[cache.miss] instant when an {!Obs} sink is
+    attached. *)
 
 val store : t -> Key.t -> payload -> unit
-(** Insert (or refresh) at most-recently-used; evicts the
-    least-recently-used entry beyond [capacity] (counted, and emitted
-    as a [cache.evict] instant). *)
+(** Insert (or refresh) at most-recently-used, counted as a store;
+    evicts the least-recently-used entry beyond [capacity] (counted,
+    and emitted as a [cache.evict] instant). *)
 
 val remove : t -> Key.t -> unit
 (** Drop an entry — used when a cached schedule fails re-validation on
     hit (a corrupt persisted file, a changed validator). *)
 
 val length : t -> int
+
 val stats : t -> stats
+(** The cache's four counters, read from its registry. *)
 
 (** {1 Warm-start hints}
 
@@ -64,7 +69,9 @@ val hint : t -> shape:string -> int option
 
     A printable JSON snapshot, so a CLI invocation can carry its cache
     across processes ([eitc schedule --cache-file]).  Entries are
-    written most-recent-first and reloaded preserving recency. *)
+    written most-recent-first and reloaded preserving recency; a
+    reload counts neither stores nor evictions, so a loaded cache
+    starts with all counters at zero. *)
 
 val save : t -> string -> unit
 val load : capacity:int -> string -> (t, string) result

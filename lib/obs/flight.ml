@@ -1,14 +1,16 @@
 (* Tail-based flight recorder.
 
-   Head sampling ([Obs.with_suppressed], `--trace-sample`) decides
-   *before* a request runs whether its trace is kept — so the traces
-   that survive are almost never the ones behind an incident.  The
-   flight recorder inverts that: every event is recorded cheaply into a
-   preallocated per-track ring buffer (no serialization, no I/O, one
-   short lock), and the *completion* path decides what to do with the
-   ring — dump it as a self-contained JSONL black box (an error, a
-   wedge, a tail-latency outlier), or reset it without ever having
-   serialized a byte.
+   Deciding *before* a request runs whether its trace is kept means
+   the traces that survive are almost never the ones behind an
+   incident.  The flight recorder decides afterwards: every event is
+   recorded cheaply into a preallocated per-track ring buffer (no
+   serialization, no I/O, one short lock), and the *completion* path
+   decides what to do with the ring — dump it as a self-contained JSONL
+   black box (an error, a wedge, a tail-latency outlier, a 1-in-N
+   healthy slice), or reset it without ever having serialized a byte.
+   The kept / dropped / dumped tallies are [flight.*] counters in a
+   [Metrics] registry, so the service's health view, its snapshots and
+   Prometheus read one store.
 
    Rings are keyed by event [tid] (the service runs one request per
    worker track at a time, tid = 1000 + slot), each a fixed-capacity
@@ -45,9 +47,9 @@ type t = {
   capacity : int;
   dir : string option;
   rings : (int, ring) Hashtbl.t;
-  mutable n_kept : int;
-  mutable n_dropped : int;
-  mutable n_dumped : int;
+  c_kept : Metrics.counter;
+  c_dropped : Metrics.counter;
+  c_dumped : Metrics.counter;
   mutable n_seq : int;  (* dump-file uniquifier *)
 }
 
@@ -61,16 +63,16 @@ let rec mkdir_p path =
     try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let create ?(capacity = 4096) ?dir () =
+let create ?(metrics = Metrics.create ()) ?(capacity = 4096) ?dir () =
   Option.iter mkdir_p dir;
   {
     m = Mutex.create ();
     capacity = max 1 capacity;
     dir;
     rings = Hashtbl.create 8;
-    n_kept = 0;
-    n_dropped = 0;
-    n_dumped = 0;
+    c_kept = Metrics.counter metrics "flight.kept";
+    c_dropped = Metrics.counter metrics "flight.dropped";
+    c_dumped = Metrics.counter metrics "flight.dumped";
     n_seq = 0;
   }
 
@@ -103,8 +105,8 @@ let start t ~tid =
 let drop t ~tid =
   Mutex.lock t.m;
   (match Hashtbl.find_opt t.rings tid with Some r -> reset r | None -> ());
-  t.n_dropped <- t.n_dropped + 1;
-  Mutex.unlock t.m
+  Mutex.unlock t.m;
+  Metrics.incr t.c_dropped
 
 (* Oldest-to-newest snapshot; caller holds the lock. *)
 let snapshot_locked t r =
@@ -149,9 +151,7 @@ let write_dump t ~seq ~reason ~id ~meta ~overflow events =
                Out_channel.output_string oc (E.jsonl_line ev);
                Out_channel.output_char oc '\n')
              events);
-       Mutex.lock t.m;
-       t.n_dumped <- t.n_dumped + 1;
-       Mutex.unlock t.m;
+       Metrics.incr t.c_dumped;
        Some path
      with Sys_error _ -> None)
 
@@ -166,10 +166,10 @@ let retain t ~tid ~reason ~id ~meta =
       (evs, ov)
     | None -> ([], 0)
   in
-  t.n_kept <- t.n_kept + 1;
   let seq = t.n_seq in
   t.n_seq <- seq + 1;
   Mutex.unlock t.m;
+  Metrics.incr t.c_kept;
   write_dump t ~seq ~reason ~id ~meta ~overflow events
 
 (* One black box over every live ring — the daemon-fatal path, where
@@ -185,15 +185,16 @@ let dump_all t ~reason ~meta =
   in
   let seq = t.n_seq in
   t.n_seq <- seq + 1;
-  t.n_kept <- t.n_kept + 1;
   Mutex.unlock t.m;
+  Metrics.incr t.c_kept;
   write_dump t ~seq ~reason ~id:"daemon" ~meta ~overflow:0 events
 
 let stats t =
-  Mutex.lock t.m;
-  let s = { kept = t.n_kept; dropped = t.n_dropped; dumped = t.n_dumped } in
-  Mutex.unlock t.m;
-  s
+  {
+    kept = Metrics.counter_value t.c_kept;
+    dropped = Metrics.counter_value t.c_dropped;
+    dumped = Metrics.counter_value t.c_dumped;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Read side: load dumps back for `eitc postmortem`.                   *)

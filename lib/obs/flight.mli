@@ -3,12 +3,13 @@
     {e completion}, and dump the interesting rings as self-contained
     JSONL black boxes.
 
-    This is the inverse of head sampling ([Obs.with_suppressed]): the
-    keep/drop decision moves from admission time — when nothing is
-    known about the request — to completion time, when its status,
-    latency and attempt history are.  A dropped request never
-    serializes a byte; a retained one costs one file write of at most
-    [capacity] events.
+    The keep/drop decision is made at completion time, when the
+    request's status, latency and attempt history are known — not at
+    admission, when nothing is.  A dropped request never serializes a
+    byte; a retained one costs one file write of at most [capacity]
+    events.  The tallies live in a {!Metrics} registry as the
+    [flight.kept] / [flight.dropped] / [flight.dumped] counters;
+    {!stats} reads them back.
 
     Users normally reach this module as [Obs.Flight], which adds the
     [sink] glue tying a recorder into the Obs dispatch path.
@@ -27,11 +28,14 @@ type stats = {
   dumped : int;   (** black-box files actually written *)
 }
 
-val create : ?capacity:int -> ?dir:string -> unit -> t
+val create :
+  ?metrics:Metrics.registry -> ?capacity:int -> ?dir:string -> unit -> t
 (** A recorder with per-track rings of [capacity] events (default
     4096, min 1).  [dir] is where black boxes land — it is created if
     missing; without it, retention still counts and resets rings but
-    writes nothing (and {!retain} returns [None]). *)
+    writes nothing (and {!retain} returns [None]).  [metrics] is the
+    registry that holds the [flight.*] counters (default: a private
+    one); it chooses where counts are stored, not what is counted. *)
 
 val record : t -> Obs_event.event -> unit
 (** Append to the ring of the event's [tid], overwriting the oldest
@@ -66,6 +70,7 @@ val dump_all :
     order, as one dump with id ["daemon"].  Rings are left intact. *)
 
 val stats : t -> stats
+(** The recorder's [flight.*] counters. *)
 
 (** {1 Reading dumps back} *)
 

@@ -13,14 +13,15 @@
    adding tables, so per-domain histograms can be combined exactly.
 
    Locking: one mutex per histogram / SLO window, held for a few array
-   and table writes.  Counters and gauges are bare atomics.  The
-   registry mutex only guards instrument creation and snapshot
-   enumeration, never the record paths. *)
+   and table writes.  Counters and gauges are bare atomics that always
+   count: the registry's enabled flag gates only the instruments that
+   lock.  The registry mutex only guards instrument creation and
+   snapshot enumeration, never the record paths. *)
 
 module J = Obs_json
 
-type counter = { c_on : bool Atomic.t; c_v : int Atomic.t }
-type gauge = { g_on : bool Atomic.t; g_v : float Atomic.t }
+type counter = int Atomic.t
+type gauge = float Atomic.t
 
 type histogram = {
   h_on : bool Atomic.t;
@@ -106,21 +107,22 @@ let intern r name make select =
 
 let counter r name =
   intern r name
-    (fun () -> Counter { c_on = r.r_on; c_v = Atomic.make 0 })
+    (fun () -> Counter (Atomic.make 0))
     (function Counter c -> Some c | _ -> None)
 
-let incr ?(by = 1) c =
-  if Atomic.get c.c_on then ignore (Atomic.fetch_and_add c.c_v by)
-
-let counter_value c = Atomic.get c.c_v
+(* A fetch-and-add costs about what the flag load it would save costs,
+   so counters and gauges ignore the enabled flag: an embedded service
+   with a disabled registry still counts. *)
+let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
+let counter_value c = Atomic.get c
 
 let gauge r name =
   intern r name
-    (fun () -> Gauge { g_on = r.r_on; g_v = Atomic.make 0. })
+    (fun () -> Gauge (Atomic.make 0.))
     (function Gauge g -> Some g | _ -> None)
 
-let set_gauge g v = if Atomic.get g.g_on then Atomic.set g.g_v v
-let gauge_value g = Atomic.get g.g_v
+let set_gauge g v = Atomic.set g v
+let gauge_value g = Atomic.get g
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)

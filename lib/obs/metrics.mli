@@ -15,9 +15,12 @@
     request, never inside the solver's hot loop).  Increments are never
     lost: concurrent updates from N domains sum exactly.
 
-    Cost when disabled: each registry carries an enabled flag; with it
-    off, every record operation is one atomic load and allocates
-    nothing (pinned by the t_obs zero-allocation test). *)
+    Counters and gauges always count.  Each registry carries an enabled
+    flag that gates only the instruments that lock — histograms, SLO
+    windows and exemplars: with it off, each of those records is one
+    atomic load.  A counter increment is one fetch-and-add, enabled or
+    not.  No record operation allocates (pinned by the t_obs
+    zero-allocation test). *)
 
 type registry
 
@@ -31,6 +34,9 @@ val default : registry
     per solve and nothing more. *)
 
 val set_enabled : registry -> bool -> unit
+(** Turn the locking instruments (histograms, SLO windows, exemplars)
+    on or off; counters and gauges are unaffected. *)
+
 val is_enabled : registry -> bool
 
 val reset : registry -> unit
@@ -47,12 +53,17 @@ val counter : registry -> string -> counter
     instrument. *)
 
 val incr : ?by:int -> counter -> unit
+(** One fetch-and-add, whether or not the registry is enabled. *)
+
 val counter_value : counter -> int
 
 type gauge
 
 val gauge : registry -> string -> gauge
+
 val set_gauge : gauge -> float -> unit
+(** One atomic store, whether or not the registry is enabled. *)
+
 val gauge_value : gauge -> float
 
 (** {1 Histograms}

@@ -55,21 +55,7 @@ let sinks : (handle * sink) list ref = ref []
 let next_handle = ref 0
 let live = Atomic.make false
 let epoch = ref 0.
-
-(* Head-sampled tracing: a domain can suppress its own emission (e.g.
-   the service runs an unsampled request's solve under
-   [with_suppressed]) while sinks stay attached for everyone else.
-   The flag is domain-local state, so it never races; the disabled
-   fast path ([live = false]) short-circuits before touching it, so
-   "no sink attached" still costs exactly one atomic load. *)
-let suppress_key = Domain.DLS.new_key (fun () -> false)
-
-let enabled () = Atomic.get live && not (Domain.DLS.get suppress_key)
-
-let with_suppressed f =
-  let old = Domain.DLS.get suppress_key in
-  Domain.DLS.set suppress_key true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set suppress_key old) f
+let enabled () = Atomic.get live
 
 let now_us () = (Unix.gettimeofday () -. !epoch) *. 1e6
 

@@ -55,17 +55,8 @@ val with_sink : sink -> (unit -> 'a) -> 'a
 (** [attach], run, [detach] (exception-safe). *)
 
 val enabled : unit -> bool
-(** Whether at least one sink is attached {e and} the calling domain is
-    not suppressed — the hot-path guard.  With no sink attached this is
-    a single atomic load. *)
-
-val with_suppressed : (unit -> 'a) -> 'a
-(** Run [f] with this domain's emission suppressed: every helper above
-    becomes a no-op on this domain while sinks stay attached for
-    everyone else.  Nestable and exception-safe.  This is the
-    head-sampling primitive: the service traces 1-in-N requests by
-    running the rest under suppression.  Note: domains spawned inside
-    [f] (a portfolio solve) do {e not} inherit the suppression. *)
+(** Whether at least one sink is attached — the hot-path guard, a
+    single atomic load. *)
 
 val now_us : unit -> float
 (** Microseconds since the trace epoch. *)
@@ -348,7 +339,9 @@ module Metrics = Metrics
     into preallocated per-track ring buffers; the request-completion
     path calls {!Flight.retain} (dump the ring as a JSONL black box —
     errors, wedges, tail-latency outliers) or {!Flight.drop} (reset it
-    without serializing anything).  The read side ({!Flight.load_dump},
+    without serializing anything).  The kept / dropped / dumped tallies
+    are the [flight.*] counters of the registry passed to
+    {!Flight.create}.  The read side ({!Flight.load_dump},
     {!Flight.trace_of_dump}) feeds dumps back through {!Analyze} for
     [eitc postmortem].  See flight.mli for the full story. *)
 
@@ -357,7 +350,9 @@ module Flight : sig
 
   type stats = Flight.stats = { kept : int; dropped : int; dumped : int }
 
-  val create : ?capacity:int -> ?dir:string -> unit -> t
+  val create :
+    ?metrics:Metrics.registry -> ?capacity:int -> ?dir:string -> unit -> t
+
   val sink : t -> sink
   (** The recorder as an ordinary sink: [Obs.attach (Obs.Flight.sink fl)]. *)
 

@@ -38,9 +38,7 @@ let record_metrics metrics (o : outcome) =
       (float_of_int o.stats.Fd.Search.propagations);
     Obs.Metrics.observe (h "solve.time_ms") o.stats.Fd.Search.time_ms;
     Obs.Metrics.observe (h "solve.validate_ms") o.validate_ms;
-    Obs.Metrics.incr (Obs.Metrics.counter reg "solve.count");
-    if o.from_cache then
-      Obs.Metrics.incr (Obs.Metrics.counter reg "solve.cache_hits")
+    Obs.Metrics.incr (Obs.Metrics.counter reg "solve.count")
   end;
   o
 

@@ -122,9 +122,10 @@ val run :
 
     [metrics] receives one observation per call into the
     [solve.nodes] / [solve.propagations] / [solve.time_ms] /
-    [solve.validate_ms] histograms and bumps [solve.count] (plus
-    [solve.cache_hits] on a replay); it is also threaded into the
-    sequential engine's own [search.*] instruments.  Defaults to
+    [solve.validate_ms] histograms and bumps [solve.count] (cache
+    replays are counted by the cache's own [cache.hits]); it is also
+    threaded into the sequential engine's own [search.*] instruments.
+    Defaults to
     {!Obs.Metrics.default}, which is disabled unless the process
     enabled it — a standalone solve then pays one atomic load. *)
 

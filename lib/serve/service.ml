@@ -59,7 +59,6 @@ type config = {
   cache_capacity : int;
   warm_start : bool;
   metrics : Obs.Metrics.registry option;
-  trace_sample : int;
   flight_dir : string option;
   flight_buf : int;
   tail_keep : int;
@@ -79,7 +78,6 @@ let default_config =
     cache_capacity = 0;
     warm_start = false;
     metrics = None;
-    trace_sample = 0;
     flight_dir = None;
     flight_buf = 4096;
     tail_keep = 0;
@@ -146,9 +144,6 @@ type job = {
   sw : Fd.Deadline.switch;
   t_admit : float;
   tk : ticket;
-  sampled : bool;
-      (* head sampling: whether this request's trace events are kept
-         ([trace_sample <= 1] keeps everything) *)
 }
 
 type health = {
@@ -176,19 +171,9 @@ type health = {
   slo : Obs.Metrics.slo_stats;
 }
 
-type counters = {
-  c_submitted : int Atomic.t;
-  c_completed : int Atomic.t;
-  c_shed : int Atomic.t;
-  c_expired : int Atomic.t;
-  c_wedged : int Atomic.t;
-  c_retries : int Atomic.t;
-  c_fallbacks : int Atomic.t;
-  c_invalid : int Atomic.t;
-}
-
 (* Live-metrics instruments, interned once at [create] so the
-   per-request path never takes the registry lookup lock. *)
+   per-request path never takes the registry lookup lock.  The counters
+   are the service's only request tallies: {!health} reads them back. *)
 type instruments = {
   reg : Obs.Metrics.registry;
   h_queue : Obs.Metrics.histogram;
@@ -198,9 +183,20 @@ type instruments = {
   h_attempts : Obs.Metrics.histogram;
   s_slo : Obs.Metrics.slo;
   g_depth : Obs.Metrics.gauge;
+  c_submitted : Obs.Metrics.counter;
+  c_retries : Obs.Metrics.counter;
+  c_fallbacks : Obs.Metrics.counter;
+  c_status : (string * Obs.Metrics.counter) list;
+      (* [serve.status.<status>], one per {!statuses} entry *)
 }
 
+(* Every value {!status_string} returns. *)
+let statuses =
+  [ "optimal"; "feasible_timeout"; "infeasible"; "crashed";
+    "rejected_overload"; "expired"; "wedged"; "error" ]
+
 let make_instruments reg =
+  let counter name = Obs.Metrics.counter reg name in
   {
     reg;
     h_queue = Obs.Metrics.histogram reg "serve.queue_wait_ms";
@@ -210,6 +206,10 @@ let make_instruments reg =
     h_attempts = Obs.Metrics.histogram reg "serve.attempts";
     s_slo = Obs.Metrics.slo reg "serve.slo";
     g_depth = Obs.Metrics.gauge reg "serve.queue_depth";
+    c_submitted = counter "serve.submitted";
+    c_retries = counter "serve.retries";
+    c_fallbacks = counter "serve.fallbacks";
+    c_status = List.map (fun s -> (s, counter ("serve.status." ^ s))) statuses;
   }
 
 (* What a worker (and the watchdog) needs: built before the pool so the
@@ -217,7 +217,6 @@ let make_instruments reg =
 type ctx = {
   cfg : config;
   kernels : (string * Eit_dsl.Ir.t) list;
-  cnt : counters;
   q : job Queue.t;
   cache : Cache.t option;
       (* one shared solution cache for the whole service (the Cache
@@ -433,9 +432,10 @@ let flight_meta ctx (job : job) resp =
     ]
 
 (* Deliver [resp]; true iff this call won the ticket.  The winner —
-   and only the winner — feeds the live-metrics instruments, so every
-   histogram holds exactly one observation per completed request and
-   [serve.total_ms]'s count equals [completed] in {!health}.  The
+   and only the winner — bumps the request's [serve.status.*] counter
+   and feeds the histograms, so every completed request is counted
+   exactly once and [serve.total_ms]'s count equals [completed] in
+   {!health} (when the registry is enabled).  The
    winner also settles the flight ring: retain (and link the dump as
    an exemplar on the latency histogram) or drop — so every completed
    request is counted exactly once as kept or dropped.  The winner is
@@ -446,8 +446,8 @@ let flight_meta ctx (job : job) resp =
 let complete ctx job resp =
   let won = claim job.tk in
   if won then begin
-    Atomic.incr ctx.cnt.c_completed;
     let m = ctx.mx in
+    Obs.Metrics.incr (List.assoc (status_string resp) m.c_status);
     Obs.Metrics.observe m.h_queue resp.wait_ms;
     Obs.Metrics.observe m.h_total resp.total_ms;
     Obs.Metrics.observe m.h_attempts (float_of_int resp.attempts);
@@ -469,8 +469,6 @@ let complete ctx job resp =
       | Some d -> resp.total_ms <= d
     in
     Obs.Metrics.slo_record m.s_slo ~ok ~deadline_met;
-    Obs.Metrics.incr
-      (Obs.Metrics.counter m.reg ("serve.status." ^ status_string resp));
     (match ctx.flight with
     | None -> ()
     | Some fl -> (
@@ -555,28 +553,13 @@ let execute ctx ~slot job =
   | None -> ());
   Fd.Deadline.beat job.sw;
   if Fd.Deadline.expired job.dl then begin
-    Atomic.incr ctx.cnt.c_expired;
-    if job.sampled then obs_instant "serve.expire" job.jr.id;
+    obs_instant "serve.expire" job.jr.id;
     finish ~attempts:0 Expired
   end
   else
     match (resolve_graph ctx.kernels job.jr.workload, resolve_arch job.jr) with
-    | Error msg, _ | _, Error msg ->
-      Atomic.incr ctx.cnt.c_invalid;
-      finish ~attempts:0 (Invalid msg)
+    | Error msg, _ | _, Error msg -> finish ~attempts:0 (Invalid msg)
     | Ok g, Ok arch ->
-      (* Head sampling: an unsampled request runs with this domain's
-         trace emission suppressed (metrics still record — they are
-         aggregates, not events), so [--trace] plus [--trace-sample N]
-         keeps 1-in-N full request traces at production load.  Caveat:
-         portfolio domains spawned by the solver do not inherit the
-         suppression.
-
-         A flight recorder supersedes that blind suppression: any
-         request can turn out to be the interesting one, so with
-         tail retention on, every request emits — into the ring —
-         and the completion path decides what survives. *)
-      let body () =
       Obs.span ~cat:"serve" ~tid
         ~args:[ ("request_id", Obs.S job.jr.id) ]
         ("request:" ^ job.jr.id)
@@ -616,7 +599,7 @@ let execute ctx ~slot job =
               in
               if not fits then (o, k)
               else begin
-                Atomic.incr ctx.cnt.c_retries;
+                Obs.Metrics.incr ctx.mx.c_retries;
                 obs_instant "serve.retry" job.jr.id;
                 backoff_sleep job.sw pause;
                 if Fd.Deadline.cancelled job.sw then (o, k)
@@ -659,12 +642,9 @@ let execute ctx ~slot job =
           if
             o.Sched.Solve.engine = Sched.Solve.Fallback
             && o.Sched.Solve.schedule <> None
-          then Atomic.incr ctx.cnt.c_fallbacks;
+          then Obs.Metrics.incr ctx.mx.c_fallbacks;
           finish ~attempts
             (Solved (solved_of_outcome ~solve_ms:(ms_since t0) o)))
-      in
-      if job.sampled || Option.is_some ctx.flight then body ()
-      else Obs.with_suppressed body
 
 let worker_body ctx ~slot ~alive ~cell =
   if Obs.enabled () then
@@ -709,7 +689,7 @@ let worker_body ctx ~slot ~alive ~cell =
 
 (* The supervisor loop: expire requests still queued past their
    deadline (no worker burnt), declare no-poll-progress workers wedged
-   — cancel their switch, answer the request, revive the slot — and
+   — answer the request, revive the slot, cancel the switch — and
    sample the queue depth for the trace. *)
 let watchdog ctx pool stop =
   while not (Atomic.get stop) do
@@ -717,8 +697,7 @@ let watchdog ctx pool stop =
     let dead = Queue.drain_if ctx.q (fun j -> Fd.Deadline.expired j.dl) in
     List.iter
       (fun j ->
-        Atomic.incr ctx.cnt.c_expired;
-        if j.sampled then obs_instant "serve.expire" j.jr.id;
+        obs_instant "serve.expire" j.jr.id;
         ignore
           (complete ctx j
              {
@@ -736,8 +715,6 @@ let watchdog ctx pool stop =
         | Some j
           when (not (Fd.Deadline.cancelled j.sw))
                && Fd.Deadline.idle_ms j.sw > ctx.cfg.grace_ms ->
-          Fd.Deadline.cancel ~reason:"watchdog" j.sw;
-          if j.sampled then obs_instant "serve.wedge" j.jr.id;
           let resp =
             {
               r_id = j.jr.id;
@@ -752,12 +729,18 @@ let watchdog ctx pool stop =
               worker = slot;
             }
           in
-          (* Revive only if this verdict won the ticket: losing the race
-             means the worker just finished on its own — it is not
-             wedged, and it will pick the next job up normally. *)
+          (* Claim before cancelling: the cancel releases the wedged
+             attempt through its escape predicate, and a released
+             worker that answered first would turn the wedge into an
+             uncounted [crashed] reply on an unrevived slot.  Losing
+             the claim means the worker finished on its own — it is
+             not wedged.  Reviving before the cancel retires the old
+             worker before it is released, so it never picks up
+             another job. *)
           if complete ctx j resp then begin
-            Atomic.incr ctx.cnt.c_wedged;
-            Pool.revive pool slot
+            obs_instant "serve.wedge" j.jr.id;
+            Pool.revive pool slot;
+            Fd.Deadline.cancel ~reason:"watchdog" j.sw
           end
         | _ -> ())
       (Pool.cells pool);
@@ -770,43 +753,32 @@ let watchdog ctx pool stop =
 (* ------------------------------------------------------------------ *)
 
 let create ?(config = default_config) () =
-  let cnt =
-    {
-      c_submitted = Atomic.make 0;
-      c_completed = Atomic.make 0;
-      c_shed = Atomic.make 0;
-      c_expired = Atomic.make 0;
-      c_wedged = Atomic.make 0;
-      c_retries = Atomic.make 0;
-      c_fallbacks = Atomic.make 0;
-      c_invalid = Atomic.make 0;
-    }
+  (* The caller's registry, or a private one with histograms and SLO
+     windows *disabled*: an embedded service with [metrics = None]
+     still counts but takes no instrument lock, which perturbs nothing
+     (the chaos soak's fault sites depend on that). *)
+  let metrics =
+    match config.metrics with
+    | Some r -> r
+    | None -> Obs.Metrics.create ~enabled:false ()
   in
   let flight =
     Option.map
-      (fun dir -> Obs.Flight.create ~capacity:config.flight_buf ~dir ())
+      (fun dir ->
+        Obs.Flight.create ~metrics ~capacity:config.flight_buf ~dir ())
       config.flight_dir
   in
   let ctx =
     {
       cfg = config;
       kernels = compile_kernels ();
-      cnt;
       q = Queue.create ~capacity:config.queue;
       flight;
       cache =
         (if config.cache_capacity > 0 then
-           Some (Cache.create ~capacity:config.cache_capacity)
+           Some (Cache.create ~metrics ~capacity:config.cache_capacity ())
          else None);
-      mx =
-        (* the caller's registry, or a private *disabled* one: an
-           embedded service with [metrics = None] pays one atomic load
-           per record and perturbs nothing (the chaos soak's fault
-           sites depend on that); pass [Some reg] to aggregate. *)
-        make_instruments
-          (match config.metrics with
-          | Some r -> r
-          | None -> Obs.Metrics.create ~enabled:false ());
+      mx = make_instruments metrics;
     }
   in
   (* The recorder is an ordinary sink: attaching it turns event
@@ -828,7 +800,7 @@ let create ?(config = default_config) () =
   }
 
 let submit ?on_complete t req =
-  Atomic.incr t.ctx.cnt.c_submitted;
+  Obs.Metrics.incr t.ctx.mx.c_submitted;
   let tk =
     {
       tm = Mutex.create ();
@@ -847,16 +819,12 @@ let submit ?on_complete t req =
       sw
   in
   let seq = Atomic.fetch_and_add t.seq 1 in
-  let sampled =
-    t.ctx.cfg.trace_sample <= 1 || seq mod t.ctx.cfg.trace_sample = 0
-  in
-  let job = { jr = req; seq; dl; sw; t_admit = now (); tk; sampled } in
-  if sampled then obs_instant "serve.admit" req.id;
+  let job = { jr = req; seq; dl; sw; t_admit = now (); tk } in
+  obs_instant "serve.admit" req.id;
   (match Queue.push t.ctx.q job with
   | `Ok -> ()
   | `Full | `Closed ->
-    Atomic.incr t.ctx.cnt.c_shed;
-    if sampled then obs_instant "serve.shed" req.id;
+    obs_instant "serve.shed" req.id;
     ignore
       (complete t.ctx job
          {
@@ -869,7 +837,12 @@ let submit ?on_complete t req =
          }));
   tk
 
+let status_count m s = Obs.Metrics.counter_value (List.assoc s m.c_status)
+
+(* A view over the registry: every counter below is an instrument in
+   [metrics t], so health, snapshots and Prometheus agree. *)
 let health t =
+  let m = t.ctx.mx in
   let cs =
     match t.ctx.cache with
     | Some c -> Cache.stats c
@@ -885,24 +858,27 @@ let health t =
     queue_depth = Queue.length t.ctx.q;
     revived = Pool.revived t.pool;
     zombies = Pool.zombie_count t.pool;
-    submitted = Atomic.get t.ctx.cnt.c_submitted;
-    completed = Atomic.get t.ctx.cnt.c_completed;
-    shed = Atomic.get t.ctx.cnt.c_shed;
-    expired = Atomic.get t.ctx.cnt.c_expired;
-    wedged = Atomic.get t.ctx.cnt.c_wedged;
-    retries = Atomic.get t.ctx.cnt.c_retries;
-    fallbacks = Atomic.get t.ctx.cnt.c_fallbacks;
-    invalid = Atomic.get t.ctx.cnt.c_invalid;
+    submitted = Obs.Metrics.counter_value m.c_submitted;
+    completed =
+      List.fold_left
+        (fun n (_, c) -> n + Obs.Metrics.counter_value c)
+        0 m.c_status;
+    shed = status_count m "rejected_overload";
+    expired = status_count m "expired";
+    wedged = status_count m "wedged";
+    retries = Obs.Metrics.counter_value m.c_retries;
+    fallbacks = Obs.Metrics.counter_value m.c_fallbacks;
+    invalid = status_count m "error";
     cache_hits = cs.Cache.hits;
     cache_misses = cs.Cache.misses;
     cache_evictions = cs.Cache.evictions;
     flight_kept = fs.Obs.Flight.kept;
     flight_dropped = fs.Obs.Flight.dropped;
     flight_dumped = fs.Obs.Flight.dumped;
-    lat_total = Obs.Metrics.hstats t.ctx.mx.h_total;
-    lat_queue = Obs.Metrics.hstats t.ctx.mx.h_queue;
-    lat_solve = Obs.Metrics.hstats t.ctx.mx.h_solve;
-    slo = Obs.Metrics.slo_stats t.ctx.mx.s_slo;
+    lat_total = Obs.Metrics.hstats m.h_total;
+    lat_queue = Obs.Metrics.hstats m.h_queue;
+    lat_solve = Obs.Metrics.hstats m.h_solve;
+    slo = Obs.Metrics.slo_stats m.s_slo;
   }
 
 let metrics t = t.ctx.mx.reg
@@ -915,18 +891,19 @@ let flight_dump_all t ~reason =
   | None -> None
   | Some fl ->
     let module J = Obs.Json in
-    let num a = J.Num (float_of_int (Atomic.get a)) in
+    let num i = J.Num (float_of_int i) in
+    let h = health t in
     Obs.Flight.dump_all fl ~reason
       ~meta:
         [
-          ("submitted", num t.ctx.cnt.c_submitted);
-          ("completed", num t.ctx.cnt.c_completed);
-          ("shed", num t.ctx.cnt.c_shed);
-          ("expired", num t.ctx.cnt.c_expired);
-          ("wedged", num t.ctx.cnt.c_wedged);
-          ("pool", J.Num (float_of_int t.ctx.cfg.pool));
-          ("queue", J.Num (float_of_int t.ctx.cfg.queue));
-          ("seed", J.Num (float_of_int t.ctx.cfg.seed));
+          ("submitted", num h.submitted);
+          ("completed", num h.completed);
+          ("shed", num h.shed);
+          ("expired", num h.expired);
+          ("wedged", num h.wedged);
+          ("pool", num t.ctx.cfg.pool);
+          ("queue", num t.ctx.cfg.queue);
+          ("seed", num t.ctx.cfg.seed);
         ]
 
 let shutdown t =

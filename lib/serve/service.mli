@@ -119,21 +119,14 @@ type config = {
                                 the same graph shape (default off);
                                 sound — see {!Sched.Solve.run} *)
   metrics : Obs.Metrics.registry option;
-      (** the live-metrics registry the service feeds; [None] (default)
-          creates a private {e disabled} registry — every record is one
-          atomic-load no-op, so an embedded service pays nothing and
-          {!health}'s latency/SLO aggregates read as zero.  Pass an
-          enabled registry ([Obs.Metrics.create ()]) to turn the
-          aggregates on, as [eitc serve] and [bench load] do. *)
-  trace_sample : int;
-      (** head sampling for [Obs] traces: keep the full event trace of
-          1-in-N requests (by admission sequence) and suppress the
-          rest; [<= 1] (default [0]) traces every request.  Live
-          metrics are unaffected — they aggregate all requests.
-          Superseded by the flight recorder: with [flight_dir] set,
-          every request emits (into the ring) and retention is decided
-          at completion instead — note a [--trace] file will then
-          contain all requests. *)
+      (** the live-metrics registry the service feeds — its request,
+          cache and flight counters and its latency/SLO instruments.
+          [None] (default) creates a private registry whose histograms
+          and SLO windows are {e disabled} (one atomic load per record,
+          {!health}'s latency/SLO aggregates read as zero) while its
+          counters still count.  Pass an enabled registry
+          ([Obs.Metrics.create ()]) to turn the aggregates on, as
+          [eitc serve] and [bench load] do. *)
   flight_dir : string option;
       (** tail-based flight recorder: when set, every request records
           its full event stream into a preallocated per-worker ring
@@ -173,27 +166,37 @@ val await : ticket -> response
 
 val peek : ticket -> response option
 
+(** A view over the service's registry ({!metrics}): every counter
+    field reads an [Obs.Metrics] counter, so [health], the [stats]
+    wire reply, snapshots and Prometheus print the same numbers.
+    Counters count even with [metrics = None]. *)
 type health = {
   alive : int;       (** live current-generation workers *)
   queue_depth : int;
   revived : int;     (** worker revivals performed *)
   zombies : int;     (** superseded workers not yet joined *)
-  submitted : int;
-  completed : int;   (** responses delivered (all kinds) *)
-  shed : int;
-  expired : int;
-  wedged : int;
-  retries : int;     (** retry attempts performed *)
-  fallbacks : int;   (** responses rescued by the heuristic fallback *)
-  invalid : int;
-  cache_hits : int;      (** solution-cache hits (0 when disabled) *)
+  submitted : int;   (** [serve.submitted] *)
+  completed : int;   (** responses delivered (all kinds): the sum of the
+                         [serve.status.<status>] counters *)
+  shed : int;        (** [serve.status.rejected_overload] *)
+  expired : int;     (** [serve.status.expired] *)
+  wedged : int;      (** [serve.status.wedged] *)
+  retries : int;     (** retry attempts performed: [serve.retries] *)
+  fallbacks : int;   (** responses rescued by the heuristic fallback:
+                         [serve.fallbacks] *)
+  invalid : int;     (** [serve.status.error] *)
+  cache_hits : int;      (** [cache.hits] (0 when the cache is disabled;
+                             likewise [cache.misses] / [cache.evictions]) *)
   cache_misses : int;
   cache_evictions : int;
-  flight_kept : int;     (** completions whose trace was retained
-                             (0 when the flight recorder is off);
-                             [flight_kept + flight_dropped = completed] *)
-  flight_dropped : int;  (** completions reset without serialization *)
-  flight_dumped : int;   (** black-box files written under [flight_dir] *)
+  flight_kept : int;     (** [flight.kept]: completions whose trace was
+                             retained (0 when the flight recorder is
+                             off); [flight_kept + flight_dropped =
+                             completed] *)
+  flight_dropped : int;  (** [flight.dropped]: completions reset without
+                             serialization *)
+  flight_dumped : int;   (** [flight.dumped]: black-box files written
+                             under [flight_dir] *)
   lat_total : Obs.Metrics.hstats;
       (** end-to-end latency distribution (admission -> response, all
           reply kinds) — quantiles carry the histogram's relative-error

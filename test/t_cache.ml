@@ -273,7 +273,7 @@ let differential_hit_replays_cold =
     (QCheck2.Test.make ~name:"cache hit replays the cold solve exactly"
        ~count:60 gen_recipe (fun r ->
          let g = build r in
-         let cache = Cache.create ~capacity:8 in
+         let cache = Cache.create ~capacity:8 () in
          let cold = solve ~cache g in
          match cold.Sched.Solve.status with
          | Sched.Solve.Optimal ->
@@ -300,7 +300,7 @@ let test_isomorphic_request_hits () =
     recipe_of_raw (2, 1, [ (0, 0, 1); (3, 2, 1); (4, 0, 0) ])
   in
   let a = build r and b = build ~shuffle:true r in
-  let cache = Cache.create ~capacity:4 in
+  let cache = Cache.create ~capacity:4 () in
   let cold = solve ~cache a in
   let hit = solve ~cache b in
   Alcotest.(check bool) "cold optimal" true
@@ -345,7 +345,7 @@ let test_warm_edited_arch_same_optimum () =
   let g = qrd_ir () in
   let edited = Arch.with_slots Arch.default 20 in
   let cold = solve ~arch:edited g in
-  let cache = Cache.create ~capacity:4 in
+  let cache = Cache.create ~capacity:4 () in
   ignore (solve ~cache ~warm:true g); (* records the shape hint (168) *)
   let warm = solve ~cache ~warm:true ~arch:edited g in
   Alcotest.(check bool) "cold optimal" true
@@ -409,7 +409,7 @@ let test_warm_on_infeasible_instance () =
 
 let test_timeout_never_stored () =
   let g = qrd_ir () in
-  let cache = Cache.create ~capacity:4 in
+  let cache = Cache.create ~capacity:4 () in
   let o =
     Sched.Solve.run ~budget:(Fd.Search.node_budget 1) ~cache g
   in
@@ -426,7 +426,7 @@ let test_timeout_never_stored () =
 
 let test_chaos_never_touches_cache () =
   let g = qrd_ir () in
-  let cache = Cache.create ~capacity:4 in
+  let cache = Cache.create ~capacity:4 () in
   ignore (solve ~cache g); (* a clean entry is present *)
   Alcotest.(check int) "one entry" 1 (Cache.length cache);
   let chaos = Fd.Chaos.create ~seed:7 () in
@@ -448,7 +448,7 @@ let test_infeasible_proof_is_cached () =
        (List.hd inputs) (List.tl inputs));
   let g = Dsl.graph ctx in
   let arch = Arch.with_slots Arch.default 2 in
-  let cache = Cache.create ~capacity:4 in
+  let cache = Cache.create ~capacity:4 () in
   let cold = solve ~arch ~cache g in
   if cold.Sched.Solve.status = Sched.Solve.Infeasible then begin
     let hit = solve ~arch ~cache g in
@@ -464,7 +464,7 @@ let test_infeasible_proof_is_cached () =
 
 let test_lru_eviction_and_counters () =
   let g = qrd_ir () in
-  let cache = Cache.create ~capacity:2 in
+  let cache = Cache.create ~capacity:2 () in
   let arches =
     [ Arch.default; Arch.with_slots Arch.default 20;
       Arch.with_slots Arch.default 30 ]
@@ -483,14 +483,14 @@ let test_lru_eviction_and_counters () =
 
 let test_capacity_zero_disables () =
   let g = qrd_ir () in
-  let cache = Cache.create ~capacity:0 in
+  let cache = Cache.create ~capacity:0 () in
   ignore (solve ~cache g);
   ignore (solve ~cache g);
   Alcotest.(check int) "nothing retained" 0 (Cache.length cache)
 
 let test_hint_noted () =
   let g = qrd_ir () in
-  let cache = Cache.create ~capacity:4 in
+  let cache = Cache.create ~capacity:4 () in
   ignore (solve ~cache g);
   Alcotest.(check (option int)) "shape hint records the optimum" (Some 168)
     (Cache.hint cache ~shape:(K.shape_digest g))
@@ -499,7 +499,7 @@ let test_hint_noted () =
 
 let test_persistence_roundtrip () =
   let g = qrd_ir () in
-  let cache = Cache.create ~capacity:4 in
+  let cache = Cache.create ~capacity:4 () in
   ignore (solve ~cache g);
   let path = Filename.temp_file "eitc_cache" ".json" in
   Fun.protect
@@ -511,6 +511,9 @@ let test_persistence_roundtrip () =
       | Ok loaded ->
         Alcotest.(check int) "entry survives the round trip" 1
           (Cache.length loaded);
+        let s = Cache.stats loaded in
+        Alcotest.(check (list int)) "a reload counts nothing" [ 0; 0; 0; 0 ]
+          [ s.Cache.hits; s.Cache.misses; s.Cache.evictions; s.Cache.stores ];
         Alcotest.(check (option int)) "hint survives the round trip"
           (Some 168)
           (Cache.hint loaded ~shape:(K.shape_digest g));

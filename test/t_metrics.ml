@@ -187,6 +187,8 @@ let test_zero_bucket () =
 
 (* ----------------------- registry semantics ------------------------ *)
 
+(* The enabled flag gates only the locking instruments: counters and
+   gauges always count, so a disabled registry still tallies. *)
 let test_disabled_noop () =
   let r = M.create ~enabled:false () in
   let c = M.counter r "c" in
@@ -195,18 +197,21 @@ let test_disabled_noop () =
   let s = M.slo r "s" in
   M.incr c;
   M.observe h 1.;
+  M.exemplar h 1. "trace";
   M.set_gauge g 9.;
   M.slo_record s ~ok:false ~deadline_met:false;
-  Alcotest.(check int) "counter untouched" 0 (M.counter_value c);
+  Alcotest.(check int) "counter counts while disabled" 1 (M.counter_value c);
+  Alcotest.(check (float 0.)) "gauge set while disabled" 9. (M.gauge_value g);
   Alcotest.(check int) "histogram untouched" 0 (M.hstats h).M.count;
-  Alcotest.(check (float 0.)) "gauge untouched" 0. (M.gauge_value g);
+  Alcotest.(check int) "no exemplar" 0 (List.length (M.exemplars h));
   Alcotest.(check int) "slo untouched" 0 (M.slo_stats s).M.total;
   M.set_enabled r true;
   M.incr c;
   M.observe h 1.;
-  Alcotest.(check int) "enable flips existing instruments" 1
-    (M.counter_value c);
-  Alcotest.(check int) "histogram records once enabled" 1 (M.hstats h).M.count
+  M.slo_record s ~ok:true ~deadline_met:true;
+  Alcotest.(check int) "counter unaffected by the flag" 2 (M.counter_value c);
+  Alcotest.(check int) "histogram records once enabled" 1 (M.hstats h).M.count;
+  Alcotest.(check int) "slo records once enabled" 1 (M.slo_stats s).M.total
 
 let test_kind_clash () =
   let r = fresh () in

@@ -486,7 +486,6 @@ let test_chaos_soak () =
       cache_capacity = 0;
       warm_start = false;
       metrics = None;
-      trace_sample = 0;
       flight_dir = Some flight_dir;
       flight_buf = 512;
       tail_keep = 0;
@@ -563,6 +562,14 @@ let test_chaos_soak () =
                  wedge_faults)))
         true
         (h.S.wedged >= 2 && h.S.revived = h.S.wedged);
+      (* the watchdog claims before it cancels, so a released wedge
+         can never answer its own request first *)
+      List.iter
+        (fun (r : S.response) ->
+          if r.S.r_id = "s010" || r.S.r_id = "s100" then
+            Alcotest.(check string) (r.S.r_id ^ " answered by the watchdog")
+              "wedged" (S.status_string r))
+        !resps;
       Alcotest.(check bool)
         (Printf.sprintf "faults were actually injected (%d)"
            (List.length (Fd.Chaos.faults chaos)))
@@ -729,6 +736,117 @@ let test_crashed_attempt_never_populates_cache () =
       Alcotest.(check int) "cache never consulted under chaos" 0
         h.S.cache_misses)
 
+(* ------------------------ health = registry -------------------------- *)
+
+(* [health] is a view over the service's registry: after a mixed
+   session each of its 14 counter fields equals the same counter in the
+   JSON snapshot and in the Prometheus text — whether the caller passed
+   an enabled registry or left [metrics = None]. *)
+let test_health_is_the_registry metrics () =
+  let flight_dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "eitc-t-serve-health-%d" (Unix.getpid ()))
+  in
+  let config =
+    {
+      base_config with
+      S.pool = 1;
+      queue = 1;
+      cache_capacity = 8;
+      metrics;
+      flight_dir = Some flight_dir;
+    }
+  in
+  let svc = S.create ~config () in
+  let answer tk = ignore (await_or_fail tk) in
+  (* optimal, its cached repeat, an invalid kernel, a zero-budget
+     fallback — one at a time, so none is shed *)
+  List.iter
+    (fun r -> answer (S.submit svc r))
+    [
+      S.request ~id:"opt" ~budget_ms:10_000. (S.Kernel "qrd");
+      S.request ~id:"hit" ~budget_ms:10_000. (S.Kernel "qrd");
+      S.request ~id:"bad" (S.Kernel "no-such-kernel");
+      S.request ~id:"fb" ~budget_ms:0. (S.Kernel "arf");
+    ];
+  (* a burst on 1 worker and 1 queue slot: at most two are admitted *)
+  List.iter answer
+    (List.init 6 (fun i ->
+         S.submit svc
+           (S.request ~id:(Printf.sprintf "b%d" i) ~budget_ms:200.
+              (S.Kernel "matmul"))));
+  S.shutdown svc;
+  let h = S.health svc in
+  let reg = S.metrics svc in
+  let snap =
+    match Obs.Json.member "counters" (Obs.Metrics.snapshot_json reg) with
+    | Some c -> c
+    | None -> Alcotest.fail "snapshot lacks counters"
+  in
+  let prom = String.split_on_char '\n' (Obs.Metrics.prometheus reg) in
+  let snap_counter name =
+    match Obs.Json.member name snap with
+    | Some (Obs.Json.Num f) -> int_of_float f
+    | _ -> Alcotest.failf "snapshot lacks counter %s" name
+  in
+  let prom_counter name =
+    let key = String.map (function '.' -> '_' | c -> c) name ^ " " in
+    let n = String.length key in
+    match
+      List.find_opt
+        (fun l -> String.length l > n && String.sub l 0 n = key)
+        prom
+    with
+    | Some l -> int_of_string (String.sub l n (String.length l - n))
+    | None -> Alcotest.failf "prometheus text lacks counter %s" name
+  in
+  List.iter
+    (fun (field, v, name) ->
+      Alcotest.(check int) (field ^ " = snapshot " ^ name) v (snap_counter name);
+      Alcotest.(check int) (field ^ " = prometheus " ^ name) v
+        (prom_counter name))
+    [
+      ("submitted", h.S.submitted, "serve.submitted");
+      ("shed", h.S.shed, "serve.status.rejected_overload");
+      ("expired", h.S.expired, "serve.status.expired");
+      ("wedged", h.S.wedged, "serve.status.wedged");
+      ("retries", h.S.retries, "serve.retries");
+      ("fallbacks", h.S.fallbacks, "serve.fallbacks");
+      ("invalid", h.S.invalid, "serve.status.error");
+      ("cache_hits", h.S.cache_hits, "cache.hits");
+      ("cache_misses", h.S.cache_misses, "cache.misses");
+      ("cache_evictions", h.S.cache_evictions, "cache.evictions");
+      ("flight_kept", h.S.flight_kept, "flight.kept");
+      ("flight_dropped", h.S.flight_dropped, "flight.dropped");
+      ("flight_dumped", h.S.flight_dumped, "flight.dumped");
+    ];
+  let sum_status counter =
+    List.fold_left
+      (fun n s -> n + counter ("serve.status." ^ s))
+      0
+      [ "optimal"; "feasible_timeout"; "infeasible"; "crashed";
+        "rejected_overload"; "expired"; "wedged"; "error" ]
+  in
+  Alcotest.(check int) "completed = sum of snapshot serve.status.*"
+    h.S.completed (sum_status snap_counter);
+  Alcotest.(check int) "completed = sum of prometheus serve_status_*"
+    h.S.completed (sum_status prom_counter);
+  Alcotest.(check int) "kept + dropped = completed" h.S.completed
+    (h.S.flight_kept + h.S.flight_dropped);
+  (* the session exercised what it claims to *)
+  Alcotest.(check int) "all submitted" 10 h.S.submitted;
+  Alcotest.(check int) "all completed" 10 h.S.completed;
+  Alcotest.(check int) "one invalid" 1 h.S.invalid;
+  Alcotest.(check bool) "burst shed" true (h.S.shed >= 4);
+  Alcotest.(check bool) "repeat hit the cache" true (h.S.cache_hits >= 1);
+  Alcotest.(check bool) "zero budget fell back" true (h.S.fallbacks >= 1);
+  let dumps = Obs.Flight.dump_files flight_dir in
+  Alcotest.(check int) "one dump per kept trace" h.S.flight_kept
+    (List.length dumps);
+  List.iter Sys.remove dumps;
+  if Sys.file_exists flight_dir then Sys.rmdir flight_dir
+
 (* after shutdown, submission is answered (shed), never hung *)
 let test_submit_after_shutdown () =
   let svc = S.create ~config:{ base_config with S.pool = 1 } () in
@@ -767,4 +885,8 @@ let suite =
       test_crashed_attempt_never_populates_cache;
     Alcotest.test_case "submit after shutdown is shed" `Quick
       test_submit_after_shutdown;
+    Alcotest.test_case "health = registry (metrics = None)" `Quick
+      (test_health_is_the_registry None);
+    Alcotest.test_case "health = registry (enabled registry)" `Quick
+      (test_health_is_the_registry (Some (Obs.Metrics.create ())));
   ]
