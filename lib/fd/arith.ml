@@ -15,8 +15,12 @@ let lt s x y = leq_offset s x 1 y
 
 let eq_offset s x c y =
   let prop st =
-    update st y (Dom.shift c (dom x));
-    update st x (Dom.shift (-c) (dom y));
+    (* once y = x + c holds exactly, both updates below are no-ops:
+       skip them rather than build the shifted domains *)
+    if not (Dom.equal_shift c (dom x) (dom y)) then begin
+      update st y (Dom.shift c (dom x));
+      update st x (Dom.shift (-c) (dom y))
+    end;
     (* both domains are now equal (mod the shift), so one fixed side
        fixes the other: the equality can never prune again *)
     if is_fixed x then entail_now st

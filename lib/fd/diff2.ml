@@ -16,7 +16,7 @@ let check rects =
 
 (* Must the two intervals [o1, o1+l1) and [o2, o2+l2) intersect under
    every assignment?  Requires strictly positive minimal lengths. *)
-let must_overlap (o1, l1) (o2, l2) =
+let must_overlap o1 l1 o2 l2 =
   vmin l1 > 0 && vmin l2 > 0
   && vmax o1 < vmin o2 + vmin l2
   && vmax o2 < vmin o1 + vmin l1
@@ -29,7 +29,7 @@ let must_overlap (o1, l1) (o2, l2) =
    — a zero-length rectangle (the tests exercise them; live data never
    produces one) overlaps nothing wherever it sits.  When exactly one
    disjunct stays feasible it is enforced; with none, fail. *)
-let separate st (oi, li) (oj, lj) =
+let separate st oi li oj lj =
   let i_before = vmin oi + vmin li <= vmax oj in
   let j_before = vmin oj + vmin lj <= vmax oi in
   let i_empty = Dom.mem 0 (dom li) in
@@ -61,10 +61,10 @@ let post s rects =
       List.iter
         (fun r' ->
           let prop st =
-            if must_overlap (r.ox, r.lx) (r'.ox, r'.lx) then
-              separate st (r.oy, r.ly) (r'.oy, r'.ly);
-            if must_overlap (r.oy, r.ly) (r'.oy, r'.ly) then
-              separate st (r.ox, r.lx) (r'.ox, r'.lx)
+            if must_overlap r.ox r.lx r'.ox r'.lx then
+              separate st r.oy r.ly r'.oy r'.ly;
+            if must_overlap r.oy r.ly r'.oy r'.ly then
+              separate st r.ox r.lx r'.ox r'.lx
           in
           let watches =
             [ r.ox; r.oy; r.lx; r.ly; r'.ox; r'.oy; r'.lx; r'.ly ]

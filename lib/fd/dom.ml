@@ -55,14 +55,11 @@ let is_empty d = d.sz = 0
 
 let is_singleton d = d.sz = 1
 
-let mem v d =
-  if v < d.lo || v > d.hi then false
-  else
-    let rec go = function
-      | [] -> false
-      | (lo, hi) :: rest -> if v < lo then false else v <= hi || go rest
-    in
-    go d.ivs
+let rec mem_ivs v = function
+  | [] -> false
+  | (lo, hi) :: rest -> if v < lo then false else v <= hi || mem_ivs v rest
+
+let mem v d = v >= d.lo && v <= d.hi && mem_ivs v d.ivs
 
 let min d = if d.sz = 0 then raise Empty_domain else d.lo
 
@@ -83,7 +80,7 @@ let to_list d =
   List.concat_map (fun (lo, hi) -> List.init (hi - lo + 1) (fun i -> lo + i)) d.ivs
 
 let remove v d =
-  if v < d.lo || v > d.hi then d
+  if not (mem v d) then d
   else
     let rec go = function
       | [] -> []
@@ -137,10 +134,25 @@ let remove_interval rlo rhi d =
   in
   if rlo > rhi || rhi < d.lo || rlo > d.hi then d else mk (go rlo rhi d.ivs)
 
+(* [subset_ivs a b]: every interval of [a] lies inside one interval of
+   [b] (intervals are maximal, so one suffices).  No allocation. *)
+let rec subset_ivs a b =
+  match (a, b) with
+  | [], _ -> true
+  | _, [] -> false
+  | (l1, h1) :: ra, (l2, h2) :: rb ->
+    if h2 < l1 then subset_ivs a rb else l2 <= l1 && h1 <= h2 && subset_ivs ra b
+
+let subset a b =
+  a.sz = 0 || (a.sz <= b.sz && a.lo >= b.lo && a.hi <= b.hi && subset_ivs a.ivs b.ivs)
+
 let inter (a : t) (b : t) : t =
-  (* Fast paths: disjoint ranges, and the ubiquitous single-interval /
-     single-interval case (bounds reasoning), which needs no list walk. *)
+  (* Fast paths: disjoint ranges, and an argument that is already the
+     result, returned as is so that a store update that prunes nothing
+     allocates nothing (and [equal] answers by [==]). *)
   if a.sz = 0 || b.sz = 0 || a.hi < b.lo || b.hi < a.lo then empty
+  else if a == b || subset a b then a
+  else if subset b a then b
   else
     match (a.ivs, b.ivs) with
     | [ _ ], [ _ ] -> interval (Stdlib.max a.lo b.lo) (Stdlib.min a.hi b.hi)
@@ -158,6 +170,28 @@ let inter (a : t) (b : t) : t =
           if lo <= hi then (lo, hi) :: tail else tail
       in
       mk (go a.ivs b.ivs)
+
+let rec disjoint_ivs a b =
+  match (a, b) with
+  | [], _ | _, [] -> true
+  | (l1, h1) :: ra, (l2, h2) :: rb ->
+    if h1 < l2 then disjoint_ivs ra b
+    else if h2 < l1 then disjoint_ivs a rb
+    else false
+
+let disjoint a b =
+  a.sz = 0 || b.sz = 0 || a.hi < b.lo || b.hi < a.lo || disjoint_ivs a.ivs b.ivs
+
+let rec equal_shift_ivs k a b =
+  match (a, b) with
+  | [], [] -> true
+  | (l1, h1) :: ra, (l2, h2) :: rb ->
+    l1 + k = l2 && h1 + k = h2 && equal_shift_ivs k ra rb
+  | _ -> false
+
+let equal_shift k a b =
+  a.sz = b.sz
+  && (a.sz = 0 || (a.lo + k = b.lo && a.hi + k = b.hi && equal_shift_ivs k a.ivs b.ivs))
 
 let union a b = normalize (a.ivs @ b.ivs)
 
@@ -201,39 +235,49 @@ let fold f acc d =
       !r)
     acc d.ivs
 
+(* The first value of [v..hi] and then of [rest] that [p] rejects.
+   Allocates only when it finds one. *)
+let rec first_reject p v hi rest =
+  if v > hi then
+    match rest with [] -> None | (lo, hi) :: rest -> first_reject p lo hi rest
+  else if p v then first_reject p (v + 1) hi rest
+  else Some v
+
 let for_all p d =
-  List.for_all
-    (fun (lo, hi) ->
-      let rec go v = v > hi || (p v && go (v + 1)) in
-      go lo)
-    d.ivs
+  match d.ivs with
+  | [] -> true
+  | (lo, hi) :: rest -> Option.is_none (first_reject p lo hi rest)
 
 let exists p d = not (for_all (fun v -> not (p v)) d)
 
+(* Maximal runs of accepted values of [v..hi], newest first onto [acc];
+   [start] is the first value of the open run when [in_run]. *)
+let rec runs p v hi in_run start acc =
+  if v > hi then if in_run then (start, hi) :: acc else acc
+  else if p v then runs p (v + 1) hi true (if in_run then start else v) acc
+  else runs p (v + 1) hi false 0 (if in_run then (start, v - 1) :: acc else acc)
+
+(* Keep the intervals below the first rejected value [r] whole, cut the
+   one holding [r] there, and filter the rest run by run. *)
+let rec filter_from p r acc = function
+  | [] -> acc
+  | (lo, hi) :: rest when hi < r -> filter_from p r ((lo, hi) :: acc) rest
+  | (lo, hi) :: rest ->
+    let acc = if lo < r then (lo, r - 1) :: acc else acc in
+    List.fold_left
+      (fun acc (lo, hi) -> runs p lo hi false 0 acc)
+      (runs p (r + 1) hi false 0 acc) rest
+
 (* Filter interval-wise: emit maximal runs of accepted values directly,
-   without materializing the value list or re-sorting. *)
+   without materializing the value list or re-sorting.  A domain [p]
+   accepts entirely is returned as is, without allocating. *)
 let filter p d =
-  let out = ref [] in
-  let emit s e = out := (s, e) :: !out in
-  List.iter
-    (fun (lo, hi) ->
-      let run = ref lo in
-      let in_run = ref false in
-      for v = lo to hi do
-        if p v then begin
-          if not !in_run then begin
-            run := v;
-            in_run := true
-          end
-        end
-        else if !in_run then begin
-          emit !run (v - 1);
-          in_run := false
-        end
-      done;
-      if !in_run then emit !run hi)
-    d.ivs;
-  mk (List.rev !out)
+  match d.ivs with
+  | [] -> d
+  | (lo, hi) :: rest -> (
+    match first_reject p lo hi rest with
+    | None -> d
+    | Some r -> mk (List.rev (filter_from p r [] d.ivs)))
 
 (* Closest member to [target]; ties go to the smaller value.  Walks the
    interval list (O(#intervals)), never the values. *)

@@ -75,7 +75,7 @@ val to_list : t -> int list
 (** {1 Pruning operations} *)
 
 val remove : int -> t -> t
-(** Remove one value. *)
+(** Remove one value; [remove v d] is [d] itself when [v] is not in [d]. *)
 
 val remove_below : int -> t -> t
 (** [remove_below b d] keeps values [>= b]. *)
@@ -87,11 +87,19 @@ val remove_interval : int -> int -> t -> t
 (** [remove_interval lo hi d] removes all values in [lo..hi]. *)
 
 val inter : t -> t -> t
+(** [inter a b] is [a] itself (physically) when [a] is a subset of [b],
+    and [b] itself when [b] is a subset of [a]: an intersection that
+    removes nothing allocates nothing. *)
+
 val union : t -> t -> t
 val diff : t -> t -> t
 
 val shift : int -> t -> t
 (** [shift k d] is [{v + k | v in d}]. *)
+
+val equal_shift : int -> t -> t -> bool
+(** [equal_shift k a b] iff [b] equals [shift k a], without building
+    it. *)
 
 val neg : t -> t
 (** [neg d] is [{-v | v in d}]. *)
@@ -103,6 +111,11 @@ val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 val for_all : (int -> bool) -> t -> bool
 val exists : (int -> bool) -> t -> bool
 val filter : (int -> bool) -> t -> t
+(** [filter p d] is [d] itself (physically, no allocation) when [p]
+    accepts every value of [d]. *)
+
+val disjoint : t -> t -> bool
+(** [disjoint a b] iff [inter a b] is empty, without building it. *)
 
 val map_monotone : (int -> int) -> t -> t
 (** [map_monotone f d] is the exact image of [d] under a (non-strictly)

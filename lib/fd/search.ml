@@ -60,10 +60,10 @@ let rt_of_phase ph =
 
 (* Scan the active prefix once: compact newly-fixed variables out and
    return the best variable under [key] (smaller is better, ties to the
-   smallest original index). *)
+   smallest original index).  The lexicographic (key, index) order is
+   compared on two ints, so the scan allocates only its result. *)
 let scan_best rp key =
-  let best = ref None in
-  let best_key = ref (max_int, max_int) in
+  let best = ref (-1) and best_k = ref max_int and best_o = ref max_int in
   let i = ref 0 in
   while !i < rp.n_active do
     let v = rp.arr.(!i) in
@@ -77,15 +77,18 @@ let scan_best rp key =
       rp.n_active <- last
     end
     else begin
-      let k = (key v, rp.orig.(!i)) in
-      if k < !best_key then begin
-        best_key := k;
-        best := Some v
+      let k = key v and o = rp.orig.(!i) in
+      if k < !best_k || (k = !best_k && o < !best_o) then begin
+        best_k := k;
+        best_o := o;
+        best := !i
       end;
       incr i
     end
   done;
-  !best
+  (* compaction only swaps positions at or after the scan point, so
+     the recorded position still holds the best variable *)
+  if !best < 0 then None else Some rp.arr.(!best)
 
 let rt_select rp =
   match rp.sel with

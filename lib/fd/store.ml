@@ -61,9 +61,9 @@ and t = {
   mutable hook : (t -> string -> unit) option;
       (* instrumentation, run before every propagator execution (fault
          injection, tracing); receives the propagator's name *)
-  mutable running : propagator option;
-      (* the propagator currently executing, so [commit] can attribute
-         prunes to it *)
+  mutable running : propagator;
+      (* the propagator currently executing ([idle] between executions),
+         so [commit] can attribute prunes to it *)
   mutable timed : bool;
       (* clock every execution into [time_s]; off by default — reading
          the clock (and boxing the float) is not free on the hot path *)
@@ -92,6 +92,13 @@ let prio_arith = 0
 let prio_channel = 1
 let prio_global = n_priorities - 1
 
+(* The [running] value between executions: a sentinel rather than an
+   option, so starting an execution allocates nothing.  Never mutated. *)
+let idle =
+  { pid = -1; pname = ""; prio = 0; exec = ignore; psubs = []; queued = false;
+    entailed = true; runs = 0; wakes = 0; prunes = 0; entails = 0;
+    time_s = 0. }
+
 let create () =
   {
     vars = [];
@@ -107,7 +114,7 @@ let create () =
     poll = None;
     poll_countdown = poll_period;
     hook = None;
-    running = None;
+    running = idle;
     timed = false;
     generation = 0;
     entail_on = true;
@@ -176,9 +183,7 @@ let commit s v d' =
   if Dom.is_empty d' then raise (Fail (v.vname ^ ": empty domain"));
   let old = v.vdom in
   if not (Dom.equal d' old) then begin
-    (match s.running with
-    | Some p -> p.prunes <- p.prunes + 1
-    | None -> ());
+    if s.running != idle then s.running.prunes <- s.running.prunes + 1;
     s.trail <- Dom_change (v, old) :: s.trail;
     v.vdom <- d';
     let bounds = Dom.min d' <> Dom.min old || Dom.max d' <> Dom.max old in
@@ -258,8 +263,7 @@ let entail s p =
     s.trail <- Entailment p :: s.trail
   end
 
-let entail_now s =
-  match s.running with Some p -> entail s p | None -> ()
+let entail_now s = if s.running != idle then entail s s.running
 
 (* Phase change: replace the propagator's watch set.  A staged
    propagator starts out watching a small trigger set (say, a guard
@@ -279,7 +283,7 @@ let resubscribe s p watches =
   end
 
 let resubscribe_now s watches =
-  match s.running with Some p -> resubscribe s p watches | None -> ()
+  if s.running != idle then resubscribe s s.running watches
 
 let queue_depth_gauge s =
   Obs.counter ~cat:"store" "queue-depth"
@@ -292,55 +296,56 @@ let queue_depth_gauge s =
          [ ("steps", Obs.I s.steps); ("depth", Obs.I s.depth) ];
        ])
 
-let propagate s =
-  let rec drain () =
-    (* Cancellation poll: runs while the pending propagator is still
-       queued, so an abandoned sweep loses no wake-ups — a later
-       [propagate] resumes exactly where this one stopped.  The same
-       countdown paces the queue-depth gauge when a trace sink is
-       attached. *)
-    s.poll_countdown <- s.poll_countdown - 1;
-    if s.poll_countdown <= 0 then begin
-      s.poll_countdown <- poll_period;
-      if Obs.enabled () then queue_depth_gauge s;
-      match s.poll with Some f -> f () | None -> ()
-    end;
-    (* lowest-priority-index bucket first; restart the scan after every
-       execution because cheap propagators may have been re-scheduled *)
-    let rec find i =
-      if i >= n_priorities then None
-      else if Queue.is_empty s.queues.(i) then find (i + 1)
-      else Some (Queue.pop s.queues.(i))
-    in
-    match find 0 with
-    | None -> ()
-    | Some p ->
-      p.queued <- false;
-      if not p.entailed then begin
-        (match s.hook with Some h -> h s p.pname | None -> ());
-        s.steps <- s.steps + 1;
-        p.runs <- p.runs + 1;
-        s.running <- Some p;
-        (if s.timed then begin
-           let t0 = Unix.gettimeofday () in
-           match p.exec s with
-           | () -> p.time_s <- p.time_s +. Unix.gettimeofday () -. t0
-           | exception e ->
-             p.time_s <- p.time_s +. Unix.gettimeofday () -. t0;
-             s.running <- None;
-             raise e
-         end
-         else
-           match p.exec s with
-           | () -> ()
-           | exception e ->
-             s.running <- None;
-             raise e);
-        s.running <- None
-      end;
-      drain ()
-  in
-  drain ()
+let execute s p =
+  p.queued <- false;
+  if not p.entailed then begin
+    (match s.hook with Some h -> h s p.pname | None -> ());
+    s.steps <- s.steps + 1;
+    p.runs <- p.runs + 1;
+    s.running <- p;
+    (if s.timed then begin
+       let t0 = Unix.gettimeofday () in
+       match p.exec s with
+       | () -> p.time_s <- p.time_s +. Unix.gettimeofday () -. t0
+       | exception e ->
+         p.time_s <- p.time_s +. Unix.gettimeofday () -. t0;
+         s.running <- idle;
+         raise e
+     end
+     else
+       match p.exec s with
+       | () -> ()
+       | exception e ->
+         s.running <- idle;
+         raise e);
+    s.running <- idle
+  end
+
+(* Top-level and closure-free: one propagator execution allocates
+   nothing here. *)
+let rec propagate s =
+  (* Cancellation poll: runs while the pending propagator is still
+     queued, so an abandoned sweep loses no wake-ups — a later
+     [propagate] resumes exactly where this one stopped.  The same
+     countdown paces the queue-depth gauge when a trace sink is
+     attached. *)
+  s.poll_countdown <- s.poll_countdown - 1;
+  if s.poll_countdown <= 0 then begin
+    s.poll_countdown <- poll_period;
+    if Obs.enabled () then queue_depth_gauge s;
+    match s.poll with Some f -> f () | None -> ()
+  end;
+  drain_from s 0
+
+(* lowest-priority-index bucket first; restart the scan after every
+   execution because cheap propagators may have been re-scheduled *)
+and drain_from s i =
+  if i < n_priorities then
+    if Queue.is_empty s.queues.(i) then drain_from s (i + 1)
+    else begin
+      execute s (Queue.pop s.queues.(i));
+      propagate s
+    end
 
 (* Re-schedule every propagator (ignoring events): running [propagate]
    afterwards re-checks the fixpoint from scratch.  Used by tests to

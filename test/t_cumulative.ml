@@ -149,3 +149,178 @@ let test_var_duration_pruning () =
 let suite =
   suite @ [ var_duration_oracle;
             Alcotest.test_case "variable duration pruning" `Quick test_var_duration_pruning ]
+
+(* ---------------- across backtrack generations ----------------
+
+   Random narrow / push / pop sequences drive [post] and [post_var]
+   through incremental runs, rebuilds after backtracks and the reused
+   profile buffer: the propagator is posted at level 1 after a few
+   narrowings, so popping to the root widens the horizon past the one
+   the buffer was first sized for, and later narrowings shrink it.
+   After every propagation the domains must equal the fixpoint of the
+   timetable rules computed from scratch on value lists (or both must
+   fail). *)
+
+(* The rules, iterated to their fixpoint: compulsory parts
+   [max s_i, min s_i + dmin_i) build the profile, which must stay
+   within [limit]; a start of an unfixed task with r_i, dmin_i > 0 keeps
+   the values v where the task fits over [v, v + dmin_i) on the profile
+   minus its own part; a fixed start caps the duration at the widest
+   that fits.  [None] is failure. *)
+let reference ~resources ~limit starts durs =
+  let n = Array.length starts in
+  let starts = Array.copy starts and durs = Array.copy durs in
+  let first l = List.hd l and last l = List.hd (List.rev l) in
+  let rec fix () =
+    let own i t =
+      let lo = last starts.(i) and hi = first starts.(i) + first durs.(i) in
+      if lo <= t && t < hi then resources.(i) else 0
+    in
+    let load t = List.fold_left (fun acc i -> acc + own i t) 0 (List.init n Fun.id) in
+    let horizon =
+      List.fold_left max 0 (List.init n (fun i -> last starts.(i) + last durs.(i)))
+    in
+    if List.exists (fun t -> load t > limit) (List.init (horizon + 1) Fun.id) then None
+    else begin
+      let fits i v d =
+        List.for_all
+          (fun t -> load t - own i t + resources.(i) <= limit)
+          (List.init d (fun k -> v + k))
+      in
+      let changed = ref false in
+      let set a i l =
+        if l = [] then raise Exit;
+        if l <> a.(i) then begin
+          a.(i) <- l;
+          changed := true
+        end
+      in
+      for i = 0 to n - 1 do
+        let dmin = first durs.(i) in
+        if resources.(i) > 0 && dmin > 0 then begin
+          if List.length starts.(i) > 1 then
+            set starts i (List.filter (fun v -> fits i v dmin) starts.(i));
+          if List.length starts.(i) = 1 then begin
+            let v = first starts.(i) in
+            let rec widest d =
+              if d < last durs.(i) && fits i v (d + 1) then widest (d + 1) else d
+            in
+            let cap = widest dmin in
+            set durs i (List.filter (fun d -> d <= cap) durs.(i))
+          end
+        end
+      done;
+      if !changed then fix () else Some (starts, durs)
+    end
+  in
+  try fix () with Exit -> None
+
+type gen_op = Push | Pop | Narrow of (int * int * int)  (* var, kind, value *)
+
+let gen_generations ~var =
+  QCheck2.Gen.(
+    let* n = int_range 1 4 in
+    let* limit = int_range 1 4 in
+    let* resources = list_repeat n (int_range 0 limit) in
+    let* h = int_range 2 8 in
+    let* durs = list_repeat n (pair (int_range 0 3) (int_range 0 2)) in
+    let nv = if var then 2 * n else n in
+    let narrow = triple (int_bound (nv - 1)) (int_bound 3) (int_range 0 (h + 3)) in
+    let* pre = list_size (int_range 0 3) narrow in
+    let* ops =
+      list_size (int_range 1 16)
+        (frequency
+           [ (2, pure Push); (2, pure Pop); (5, map (fun t -> Narrow t) narrow) ])
+    in
+    return (resources, limit, h, durs, pre, ops))
+
+let print_generations (resources, limit, h, durs, pre, ops) =
+  let narrow (i, k, v) = Printf.sprintf "narrow(%d,%d,%d)" i k v in
+  let op = function Push -> "push" | Pop -> "pop" | Narrow t -> narrow t in
+  Printf.sprintf "resources=[%s] limit=%d h=%d durs=[%s] pre=[%s] ops=[%s]"
+    (String.concat ";" (List.map string_of_int resources))
+    limit h
+    (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d+%d" a b) durs))
+    (String.concat ";" (List.map narrow pre))
+    (String.concat ";" (List.map op ops))
+
+let generations_agree ~var (resources, limit, h, durs, pre, ops) =
+  let s = Store.create () in
+  let n = List.length resources in
+  let resources = Array.of_list resources in
+  let starts = Array.init n (fun _ -> Store.interval_var s 0 h) in
+  let dvars =
+    Array.of_list
+      (List.map (fun (lo, extra) -> Store.interval_var s lo (min 4 (lo + extra))) durs)
+  in
+  let vars = if var then Array.append starts dvars else starts in
+  let lists a = Array.map (fun x -> Dom.to_list (Store.dom x)) a in
+  let dur_lists () =
+    if var then lists dvars else Array.map (fun (d, _) -> [ d ]) (Array.of_list durs)
+  in
+  (* narrowings that leave the variable non-empty *)
+  let narrow (i, kind, v) =
+    let x = vars.(i) in
+    match kind with
+    | 0 -> if v <= Store.vmax x then Store.remove_below s x v
+    | 1 -> if v >= Store.vmin x then Store.remove_above s x v
+    | 2 -> if not (Store.is_fixed x) then Store.remove_value s x v
+    | _ -> if Dom.mem v (Store.dom x) then Store.assign s x v
+  in
+  (* run [propagate] from the current domains and compare with the
+     reference; a failure pops one level, and one at the root ends the
+     sequence *)
+  let dead = ref false in
+  let rec settle propagate =
+    let snap = (lists starts, dur_lists ()) in
+    let expected = reference ~resources ~limit (fst snap) (snd snap) in
+    match propagate () with
+    | () -> expected = Some (lists starts, dur_lists ())
+    | exception Store.Fail _ ->
+      expected = None
+      && if Store.level s = 0 then (dead := true; true) else pop ()
+  (* below level 1 the propagator's prunings are undone: re-run it *)
+  and pop () =
+    Store.pop_level s;
+    if Store.level s = 0 then
+      settle (fun () ->
+          Store.reschedule_all s;
+          Store.propagate s)
+    else true
+  in
+  let post () =
+    if var then
+      Cumulative.post_var s ~starts ~durations:dvars ~resources ~limit
+    else
+      Cumulative.post s ~starts
+        ~durations:(Array.of_list (List.map fst durs))
+        ~resources ~limit
+  in
+  Store.push_level s;
+  List.iter narrow pre;
+  settle post
+  && List.for_all
+       (function
+         | _ when !dead -> true
+         | Push ->
+           Store.push_level s;
+           true
+         | Pop -> Store.level s = 0 || pop ()
+         | Narrow t ->
+           narrow t;
+           settle (fun () -> Store.propagate s))
+       ops
+
+let generations_oracle ~var ~name =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count:1000 ~print:print_generations
+       (gen_generations ~var) (generations_agree ~var))
+
+let suite =
+  suite
+  @ [
+      generations_oracle ~var:false
+        ~name:"cumulative fixpoints across generations = reference";
+      generations_oracle ~var:true
+        ~name:"cumulative_var fixpoints across generations = reference";
+    ]

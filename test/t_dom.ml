@@ -91,6 +91,48 @@ let props =
         Dom.fold (fun acc _ -> acc + 1) 0 d = List.length m);
   ]
 
+(* The identity contract: operations that remove nothing return their
+   argument physically.  Cumulative's [!=] change detection and the
+   no-op [Store.commit] (answered by [==] in [Dom.equal]) rely on it. *)
+let gen_identity =
+  QCheck2.Gen.(
+    let* d, m = gen_dom in
+    (* [b]: often a superset of [d], so both identity cases occur *)
+    let* extra, me = gen_dom in
+    let* widen = bool in
+    let b, mb =
+      if widen then (Dom.union d extra, List.sort_uniq compare (m @ me))
+      else (extra, me)
+    in
+    let* k = int_range 1 4 and* r = int_range 0 3 in
+    let* v = int_range (-22) 22 and* shift = int_range (-5) 5 in
+    return ((d, m), (b, mb), (k, r), v, shift))
+
+let identity_contract =
+  prop "identity contract: inter/filter/remove/disjoint/equal_shift"
+    gen_identity
+    (fun ((d, m), (b, mb), (k, r), v, shift) ->
+      let same d' m' = Dom.check_invariant d' && Dom.to_list d' = m' in
+      (* inter *)
+      let i = Dom.inter d b and mi = List.filter (fun x -> List.mem x mb) m in
+      let i' = Dom.inter b d in
+      let arg x = x == d || x == b in
+      same i mi && same i' mi
+      && ((mi <> m && mi <> mb) || (arg i && arg i'))
+      && Dom.inter d d == d
+      (* filter: rejects the values = r mod k (nothing when k > 3) *)
+      && (let p x = k > 3 || ((x mod k) + k) mod k <> r in
+          let f = Dom.filter p d and mf = List.filter p m in
+          same f mf && (mf <> m || f == d))
+      && Dom.filter (fun _ -> true) d == d
+      (* remove *)
+      && (let rm = Dom.remove v d in
+          same rm (List.filter (( <> ) v) m) && (List.mem v m || rm == d))
+      (* allocation-free predicates *)
+      && Dom.disjoint d b = (mi = [])
+      && Dom.equal_shift shift d (Dom.shift shift d)
+      && Dom.equal_shift shift d b = (List.map (( + ) shift) m = mb))
+
 let suite =
   [
     Alcotest.test_case "interval basics" `Quick test_interval;
@@ -100,4 +142,4 @@ let suite =
     Alcotest.test_case "adjacent merge" `Quick test_merge_adjacent;
     Alcotest.test_case "shift/neg" `Quick test_shift_neg;
   ]
-  @ props
+  @ props @ [ identity_contract ]

@@ -130,6 +130,36 @@ let test_horizon_estimate_safe () =
   let h = Sched.Model.horizon_estimate g Arch.default in
   Alcotest.(check bool) "horizon covers optimum" true (h >= 28)
 
+(* A propagator run that prunes nothing allocates nothing: re-running
+   every propagator of the QRD model at its root fixpoint allocates no
+   word, minor or major (a profile wider than 256 words is allocated
+   in the major heap), both on the incremental path (same generation)
+   and on the rebuild path after a backtrack (Cumulative reuses its
+   profile buffer). *)
+let test_fixpoint_rerun_allocates_nothing () =
+  let ir = (Merge.run (Apps.Qrd.graph (Apps.Qrd.build ()))).Merge.graph in
+  let m = Sched.Model.build ~memory:true ir Arch.default in
+  let s = m.Sched.Model.store in
+  let rerun () =
+    Fd.Store.reschedule_all s;
+    let steps = Fd.Store.propagation_steps s in
+    let _, _, major0 = Gc.counters () in
+    let w0 = Gc.minor_words () in
+    Fd.Store.propagate s;
+    let w1 = Gc.minor_words () in
+    let _, _, major1 = Gc.counters () in
+    Alcotest.(check bool) "propagators ran" true
+      (Fd.Store.propagation_steps s > steps);
+    w1 -. w0 +. (major1 -. major0)
+  in
+  Alcotest.(check (float 0.)) "same generation: zero words" 0. (rerun ());
+  Fd.Store.push_level s;
+  let x = m.Sched.Model.start.(0) in
+  Fd.Store.assign s x (Fd.Store.vmin x);
+  Fd.Store.propagate s;
+  Fd.Store.pop_level s;
+  Alcotest.(check (float 0.)) "after a backtrack: zero words" 0. (rerun ())
+
 let suite =
   [
     Alcotest.test_case "chain optimal" `Quick test_chain_optimal;
@@ -143,4 +173,6 @@ let suite =
     Alcotest.test_case "page-line rule" `Quick test_page_line_rule_enforced;
     Alcotest.test_case "uncontended = critical path" `Quick test_makespan_equals_crp_when_uncontended;
     Alcotest.test_case "horizon estimate" `Quick test_horizon_estimate_safe;
+    Alcotest.test_case "fixpoint re-run allocates nothing" `Quick
+      test_fixpoint_rerun_allocates_nothing;
   ]
