@@ -17,6 +17,23 @@ let qrd_sorted () = merged (Apps.Qrd.graph (Apps.Qrd.build ~sorted:true ()))
 let arf () = merged (Apps.Arf.graph (Apps.Arf.build ()))
 let matmul () = merged (Apps.Matmul.graph (Apps.Matmul.build ()))
 let fir () = merged (Apps.Fir.graph (Apps.Fir.build ()))
+let blocked8 () =
+  merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx)
+
+(* blocked8 proves nothing within reach.  A node budget with no time
+   limit keeps its long search reproducible, so its counters gate like
+   a proof's (see [is_deterministic_row]). *)
+let blocked8_nodes = 3_000
+
+(* The kernels whose propagator profiles are tracked, with their node
+   budget ([None]: solved to a proof under a 10 s time budget). *)
+let profile_kernels () =
+  [
+    ("QRD", qrd (), None);
+    ("ARF", arf (), None);
+    ("MATMUL", matmul (), None);
+    ("BLOCKED8", blocked8 (), Some blocked8_nodes);
+  ]
 
 let line = String.make 78 '-'
 
@@ -623,26 +640,33 @@ let robustness () =
    timed regression rows so the <5% instrumentation overhead never
    pollutes the tracked time_ms numbers. *)
 
-let profile_rows ?(budget = Fd.Search.time_budget 10_000.) kernels =
+let profile_rows kernels =
   List.map
-    (fun (kernel, g) ->
+    (fun (kernel, g, nodes) ->
+      let budget =
+        match nodes with
+        | Some n -> Fd.Search.node_budget n
+        | None -> Fd.Search.time_budget 10_000.
+      in
       let agg = Obs.Agg.create () in
       let optimal = ref false in
       Obs.with_sink (Obs.Agg.sink agg) (fun () ->
           let o = Sched.Solve.run ~budget g in
           optimal := o.Sched.Solve.stats.Fd.Search.optimal);
-      (kernel, !optimal, Obs.Agg.profiles agg))
+      (kernel, !optimal, nodes, Obs.Agg.profiles agg))
     kernels
 
 let profile_json profiles =
   let open Obs.Json in
   Arr
     (List.map
-       (fun (kernel, optimal, rows) ->
+       (fun (kernel, optimal, nodes, rows) ->
          Obj
-           [
-             ("kernel", Str kernel);
-             ("optimal", Bool optimal);
+           ([ ("kernel", Str kernel); ("optimal", Bool optimal) ]
+           @ (match nodes with
+             | Some n -> [ ("node_budget", Num (float_of_int n)) ]
+             | None -> [])
+           @ [
              ( "rows",
                Arr
                  (List.map
@@ -657,12 +681,12 @@ let profile_json profiles =
                           ("time_ms", Num p.Obs.Agg.p_time_ms);
                         ])
                     rows) );
-           ])
+             ]))
        profiles)
 
 let print_profile_table profiles =
   List.iter
-    (fun (kernel, _, rows) ->
+    (fun (kernel, _, _, rows) ->
       Format.printf "@.%s@.%-22s %8s %8s %8s %8s %12s@." kernel "propagator"
         "runs" "wakes" "prunes" "entails" "time (ms)";
       List.iter
@@ -678,9 +702,7 @@ let print_profile_table profiles =
    the file (so a quick profile refresh needs no 30 s sweep). *)
 let profile ?(path = "BENCH_solver.json") () =
   header (Printf.sprintf "Per-propagator hot-spot profiles -> %s" path);
-  let profiles =
-    profile_rows [ ("QRD", qrd ()); ("ARF", arf ()); ("MATMUL", matmul ()) ]
-  in
+  let profiles = profile_rows (profile_kernels ()) in
   print_profile_table profiles;
   let suite, version, runs =
     match Obs.Json.parse_file path with
@@ -1195,11 +1217,13 @@ type run_row = {
   r_minor_words : int option;
       (* minor-heap words the solve allocated in the calling domain;
          [None] only in a baseline written before the column existed *)
+  r_node_budget : int option;  (* run under a node budget, no time limit *)
 }
 
 let row_key r = (r.r_kernel, r.r_mode, r.r_slots)
 
-let run_row ~kernel ~mode ~slots ?(arch = Vecsched.Arch.default) ~g solve =
+let run_row ~kernel ~mode ~slots ?(arch = Vecsched.Arch.default) ?node_budget
+    ~g solve =
   let w0 = Gc.minor_words () in
   let o = solve () in
   let words = Gc.minor_words () -. w0 in
@@ -1221,6 +1245,7 @@ let run_row ~kernel ~mode ~slots ?(arch = Vecsched.Arch.default) ~g solve =
     r_time_ms = st.Fd.Search.time_ms;
     r_optimal = st.Fd.Search.optimal;
     r_minor_words = Some (int_of_float words);
+    r_node_budget = node_budget;
   }
 
 (* The regression suite.  With a trace sink attached (bench --trace),
@@ -1274,6 +1299,12 @@ let suite_rows ?(budget = Fd.Search.time_budget 30_000.) () =
           run_row ~kernel ~mode:"fallback" ~slots:64 ~g (fun () ->
               Sched.Solve.run ~budget:(Fd.Search.time_budget 0.) g)))
     [ ("QRD", qrd ()); ("ARF", arf ()); ("MATMUL", matmul ()) ];
+  (* a long deterministic search: the proofs above all close early *)
+  add ~kernel:"BLOCKED8" ~mode:"sequential" ~slots:64 (fun () ->
+      let g = blocked8 () in
+      run_row ~kernel:"BLOCKED8" ~mode:"sequential" ~slots:64
+        ~node_budget:blocked8_nodes ~g (fun () ->
+          Sched.Solve.run ~budget:(Fd.Search.node_budget blocked8_nodes) g));
   List.rev !rows
 
 let row_json r =
@@ -1283,19 +1314,17 @@ let row_json r =
     \      \"engine\": %S, \"makespan\": %s, \"fallback_makespan\": %s,\n\
     \      \"nodes\": %d, \"failures\": %d,\n\
     \      \"propagations\": %d, \"time_ms\": %.1f, \"optimal\": %b,\n\
-    \      \"minor_words\": %s }"
+    \      \"minor_words\": %s, \"node_budget\": %s }"
     r.r_kernel r.r_mode r.r_slots r.r_status r.r_engine (opt r.r_makespan)
     (opt r.r_fallback) r.r_nodes r.r_failures r.r_propagations r.r_time_ms
-    r.r_optimal (opt r.r_minor_words)
+    r.r_optimal (opt r.r_minor_words) (opt r.r_node_budget)
 
 let perfjson ?(path = "BENCH_solver.json") () =
   header (Printf.sprintf "Solver performance metrics -> %s" path);
   let rows = suite_rows () in
   (* The hot-spot table rides along in the same file (separate,
      instrumented runs -- see profile_rows). *)
-  let profiles =
-    profile_rows [ ("QRD", qrd ()); ("ARF", arf ()); ("MATMUL", matmul ()) ]
-  in
+  let profiles = profile_rows (profile_kernels ()) in
   (* keep sections written by other generators (`load`, `cache`) *)
   let sections = existing_sections path in
   let oc = open_out path in
@@ -1359,6 +1388,7 @@ let parse_baseline path : (run_row list, string) result =
                      | Some (Obs.Json.Bool b) -> b
                      | _ -> false);
                    r_minor_words = Option.map int_of_float (num "minor_words");
+                   r_node_budget = Option.map int_of_float (num "node_budget");
                  }
              | _ -> None)
            rs)
@@ -1377,10 +1407,11 @@ let baseline_ocaml_version path =
   | Error _ -> None
 
 (* Per-kernel propagator run counts from the baseline's
-   propagator_profiles section: (kernel, optimal, (name, runs) list).
-   Baselines written before the "optimal" field existed were all
-   proved-optimal sequential runs, so a missing field defaults to
-   [true]. *)
+   propagator_profiles section: (kernel, deterministic, (name, runs)
+   list).  A kernel is deterministic when it proved optimality or ran
+   under a node budget.  Baselines written before the "optimal" field
+   existed were all proved-optimal sequential runs, so a missing field
+   defaults to [true]. *)
 let parse_profile_baseline path :
     ((string * bool * (string * int) list) list, string) result =
   match Obs.Json.parse_file path with
@@ -1393,9 +1424,12 @@ let parse_profile_baseline path :
            (fun k ->
              match Obs.Json.member "kernel" k with
              | Some (Obs.Json.Str kernel) ->
-               let optimal =
-                 match Obs.Json.member "optimal" k with
-                 | Some (Obs.Json.Bool b) -> b
+               let deterministic =
+                 match
+                   (Obs.Json.member "optimal" k, Obs.Json.member "node_budget" k)
+                 with
+                 | _, Some (Obs.Json.Num _) -> true
+                 | Some (Obs.Json.Bool b), _ -> b
                  | _ -> true
                in
                let rows =
@@ -1412,14 +1446,15 @@ let parse_profile_baseline path :
                      rs
                  | _ -> []
                in
-               Some (kernel, optimal, rows)
+               Some (kernel, deterministic, rows)
              | _ -> None)
            ks)
     | _ -> Error "missing \"propagator_profiles\"")
 
 (* Only rows whose counters are reproducible can gate: portfolio rows
    race OCaml 5 domains (nodes/propagations vary run to run) and
-   timeout rows stop on wall-clock, so both are advisory-only.  Time is
+   timeout rows stop on wall-clock, so both are advisory-only; a row
+   that stops on a node budget (no time limit) is reproducible.  Time is
    always advisory — it's noisy in CI — and minor_words is advisory
    when the baseline was measured on another compiler.  A deterministic
    baseline row or profile kernel the fresh suite no longer produces is
@@ -1428,7 +1463,8 @@ let parse_profile_baseline path :
 let gate_threshold = 25.
 
 let is_deterministic_row b =
-  (not (String.starts_with ~prefix:"portfolio" b.r_mode)) && b.r_optimal
+  (not (String.starts_with ~prefix:"portfolio" b.r_mode))
+  && (b.r_optimal || b.r_node_budget <> None)
 
 let compare_run ?(against = "BENCH_solver.json") () =
   header
@@ -1478,7 +1514,9 @@ let compare_run ?(against = "BENCH_solver.json") () =
             regression "%s/%s/%d deterministic row vanished" b.r_kernel
               b.r_mode b.r_slots
         | Some f ->
-          let deterministic = is_deterministic_row b && f.r_optimal in
+          let deterministic =
+            is_deterministic_row b && is_deterministic_row f
+          in
           let dp = pct b.r_propagations f.r_propagations in
           let dn = pct b.r_nodes f.r_nodes in
           let dw =
@@ -1515,26 +1553,25 @@ let compare_run ?(against = "BENCH_solver.json") () =
        back to life (lost entailment, wake-event widening) shows up
        here long before it costs enough wall-clock to trip the row
        gate.  Sequential profile runs are deterministic whenever both
-       sides proved optimality, so the same threshold gates them. *)
+       sides proved optimality or ran under a node budget, so the same
+       threshold gates them. *)
     (match parse_profile_baseline against with
     | Error e -> Format.printf "@.(no propagator-runs baseline: %s)@." e
     | Ok prof_base ->
-      let prof_fresh =
-        profile_rows [ ("QRD", qrd ()); ("ARF", arf ()); ("MATMUL", matmul ()) ]
-      in
+      let prof_fresh = profile_rows (profile_kernels ()) in
       Format.printf "@.%-8s %-22s %10s %10s %8s@." "kernel" "propagator"
         "runs(b)" "runs(a)" "d%";
       List.iter
-        (fun (kernel, b_opt, b_rows) ->
+        (fun (kernel, b_det, b_rows) ->
           match
-            List.find_opt (fun (k, _, _) -> k = kernel) prof_fresh
+            List.find_opt (fun (k, _, _, _) -> k = kernel) prof_fresh
           with
           | None ->
             Format.printf "%-8s | kernel vanished from the profile suite@."
               kernel;
-            if b_opt then regression "%s deterministic profile kernel vanished" kernel
-          | Some (_, f_opt, f_rows) ->
-            let deterministic = b_opt && f_opt in
+            if b_det then regression "%s deterministic profile kernel vanished" kernel
+          | Some (_, f_opt, f_nodes, f_rows) ->
+            let deterministic = b_det && (f_opt || f_nodes <> None) in
             List.iter
               (fun (name, b_runs) ->
                 let f_runs =

@@ -85,27 +85,35 @@ fi
 rm -f "$trace" "$folded" "$doctored"
 echo "check.sh: trace analytics OK (report + flame, self-diff clean, doctored diff gated)"
 
-# Propagation-budget smoke: the profile-guided engine (entailment +
-# staged watch sets + incremental propagators) holds MATMUL's
-# sequential solve around 440k propagator runs; the pre-entailment
-# engine needed ~1.26M.  A breach of this ceiling means a wake-gating
-# or entailment path quietly stopped working.
+# Bound guard: the head-body-tail resource bound puts MATMUL's lower
+# bound at its optimum (11), so the first incumbent closes the proof
+# and the solve is optimal in a few dozen nodes.  The previous bound
+# (10) needed a 12.6k-node search to prove 10 infeasible; a breach of
+# this ceiling means the bound quietly loosened.
 out=$("$EITC" schedule matmul) || {
   echo "check.sh: matmul schedule failed" >&2
   echo "$out" >&2
   exit 1
 }
-props=$(printf '%s\n' "$out" | sed -n 's/.* \([0-9][0-9]*\) props.*/\1/p')
-if [ -z "$props" ]; then
-  echo "check.sh: matmul report line lacks a props count" >&2
+case "$out" in
+*"matmul: optimal,"*) ;;
+*)
+  echo "check.sh: matmul was not proven optimal" >&2
+  echo "$out" >&2
+  exit 1
+  ;;
+esac
+nodes=$(printf '%s\n' "$out" | sed -n 's/.* \([0-9][0-9]*\) nodes.*/\1/p')
+if [ -z "$nodes" ]; then
+  echo "check.sh: matmul report line lacks a node count" >&2
   echo "$out" >&2
   exit 1
 fi
-if [ "$props" -gt 600000 ]; then
-  echo "check.sh: matmul used $props propagations (budget 600000)" >&2
+if [ "$nodes" -gt 100 ]; then
+  echo "check.sh: matmul took $nodes nodes to prove optimality (ceiling 100)" >&2
   exit 1
 fi
-echo "check.sh: propagation budget OK (matmul $props props <= 600000)"
+echo "check.sh: bound guard OK (matmul optimal in $nodes nodes <= 100)"
 
 # Service smoke: three line-delimited JSON requests — two solvable
 # kernels and one malformed XML payload — through `eitc serve`.  The

@@ -4,11 +4,14 @@
     Two families:
     - the {e critical path} (latency-weighted longest path, the paper's
       |Cr.P|) — dominant for dependency-bound kernels like QRD/ARF;
-    - {e resource load}: each execution resource needs a minimum number
-      of issue cycles (for the vector core, per configuration class,
-      since different configurations cannot share a cycle — eq. 3), and
-      the last issue still needs its latency — dominant for
-      contention-bound kernels like MATMUL. *)
+    - {e resource load}, the single-resource head-body-tail bound: for
+      thresholds (h, t), the ops of one resource with head (longest
+      latency path to their start) >= h and tail (latency plus longest
+      path after them) >= t need some number of distinct issue cycles
+      (for the vector core, per configuration class, since different
+      configurations cannot share a cycle — eq. 3), all at h or later,
+      and the last one still needs t: makespan >= h + issues - 1 + t.
+      Dominant for contention-bound kernels like MATMUL. *)
 
 open Eit_dsl
 

@@ -149,7 +149,14 @@ let allocate g arch start =
   | Error e -> Error e
 
 let run ?(arch = Eit.Arch.default) g =
-  match schedule_times g arch with
+  (* a too-wide op never becomes issuable: name it instead of running
+     the list scheduler out of horizon *)
+  let times =
+    match Model.too_wide g arch with
+    | Some e -> Error e
+    | None -> schedule_times g arch
+  in
+  match times with
   | Error e -> Error e
   | Ok start -> (
     match allocate g arch start with

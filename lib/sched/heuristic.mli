@@ -20,4 +20,5 @@ open Eit_dsl
 val run : ?arch:Eit.Arch.t -> Ir.t -> (Schedule.t, string) result
 (** [Error] when the greedy allocator paints itself into a corner (no
     legal slot for a result) — the CP model's integrated allocation
-    exists precisely because this can happen. *)
+    exists precisely because this can happen — or when an op needs more
+    lanes than [arch] has ({!Model.too_wide}). *)

@@ -20,11 +20,25 @@ let latency_of g arch i =
 let horizon_estimate g arch =
   List.fold_left (fun acc i -> acc + latency_of g arch i) 1 (Ir.op_nodes g)
 
+let too_wide g arch =
+  List.find_map
+    (fun i ->
+      let op = Ir.opcode g i in
+      if Eit.Opcode.lanes op > arch.Eit.Arch.n_lanes then
+        Some
+          (Printf.sprintf "op %d (%s) needs %d lanes, the machine has %d" i
+             (Eit.Opcode.name op) (Eit.Opcode.lanes op) arch.Eit.Arch.n_lanes)
+      else None)
+    (Ir.op_nodes g)
+
 (* Ops that read the vector memory: their vector-data operands. *)
 let vector_reads g i =
   List.filter (fun p -> Ir.category g p = Ir.Vector_data) (Ir.preds g i)
 
 let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
+  (* An op wider than the vector core can never issue: the problem is
+     infeasible, not a misuse of Cumulative. *)
+  Option.iter (fun e -> raise (St.Fail e)) (too_wide g arch);
   let horizon =
     match horizon with Some h -> h | None -> horizon_estimate g arch
   in

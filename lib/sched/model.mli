@@ -31,6 +31,11 @@ type t = {
 val horizon_estimate : Ir.t -> Eit.Arch.t -> int
 (** A safe upper bound on the optimal makespan: serialize everything. *)
 
+val too_wide : Ir.t -> Eit.Arch.t -> string option
+(** The first op that needs more vector lanes than [arch] has, named
+    with its id and opcode, e.g. ["op 41 (m_hvmul) needs 4 lanes, the
+    machine has 2"]; such a problem is infeasible. *)
+
 val build :
   ?horizon:int -> ?deadline:Fd.Deadline.t -> ?memory:bool -> Ir.t -> Eit.Arch.t -> t
 (** Construct the model and run root propagation.
@@ -38,7 +43,8 @@ val build :
     it off reproduces a scheduling-only model (used as ablation and by
     the manual baseline).  A finite [deadline] installs a store poll, so
     even the root propagation sweep is interruptible.
-    @raise Fd.Store.Fail if the root model is inconsistent.
+    @raise Fd.Store.Fail if the root model is inconsistent, e.g. when
+    {!too_wide} names an op.
     @raise Fd.Store.Interrupted if [deadline] expires during root
     propagation. *)
 

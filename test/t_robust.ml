@@ -196,6 +196,28 @@ let test_budget_zero_falls_back () =
            | None -> false)))
     kernels
 
+(* The mini preset has 2 lanes; DETECT's and sorted QRD's 4-lane matrix
+   ops can never issue there.  That is a property of the problem: a
+   crash-free infeasibility proof (exit 3), and a fallback error that
+   names the op rather than a list scheduler running out of horizon. *)
+let test_too_wide_op_is_infeasible () =
+  List.iter
+    (fun name ->
+      let g = (List.assoc name kernels) () in
+      let o = Sched.Solve.run ~arch:Eit.Arch.mini g in
+      Alcotest.(check bool) (name ^ " infeasible") true
+        (o.Sched.Solve.status = Sched.Solve.Infeasible);
+      Alcotest.(check int) (name ^ " exit code") 3 (Sched.Solve.exit_code o);
+      Alcotest.(check int) (name ^ " no crashes") 0
+        (List.length o.Sched.Solve.crashes);
+      match Sched.Heuristic.run ~arch:Eit.Arch.mini g with
+      | Ok _ -> Alcotest.failf "%s: heuristic scheduled a too-wide op" name
+      | Error e ->
+        Alcotest.(check bool) (name ^ " names the op: " ^ e) true
+          (String.starts_with ~prefix:"op " e
+          && String.ends_with ~suffix:"needs 4 lanes, the machine has 2" e))
+    [ "detect"; "qrd-sorted" ]
+
 let test_deadline_observed () =
   (* an already-expired deadline must come back (degraded) almost
      immediately, even though the budget alone would allow 10 s *)
@@ -268,17 +290,20 @@ let test_chaos_sequential_crash_rescued () =
 
 let test_chaos_portfolio_survivors_deliver () =
   (* kill one of three portfolio workers mid-search: the survivors must
-     still return (and normally prove) a validated optimum *)
-  let g = merged (Apps.Matmul.graph (Apps.Matmul.build ())) in
+     still return a validated schedule.  blocked8 never closes its
+     proof, so every worker searches until its node budget and worker 1
+     surely reaches its 50th propagator execution; a kernel proven at
+     the root could end the race before the kill fires. *)
+  let g = merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx) in
   let chaos = Fd.Chaos.create ~kill_workers:[ 1 ] ~kill_after:50 ~seed:11 () in
   let o =
-    Sched.Solve.run ~budget:(Fd.Search.time_budget 30_000.) ~parallel:3 ~chaos g
+    Sched.Solve.run ~budget:(Fd.Search.node_budget 3_000) ~parallel:3 ~chaos g
   in
   Alcotest.(check bool) "crash recorded" true
     (List.exists (fun c -> c.Fd.Portfolio.worker = 1) o.Sched.Solve.crashes);
   Alcotest.(check bool) "survivors delivered a CP schedule" true
     (o.Sched.Solve.engine = Sched.Solve.Cp);
-  let sch = schedule_of "matmul" o in
+  let sch = schedule_of "blocked8" o in
   Alcotest.(check bool) "validated" true (Sched.Schedule.is_valid sch);
   Alcotest.(check bool) "status sane" true
     (match o.Sched.Solve.status with
@@ -409,6 +434,8 @@ let suite =
     swapped_config_rejected;
     Alcotest.test_case "budget 0 falls back on all kernels" `Quick
       test_budget_zero_falls_back;
+    Alcotest.test_case "op wider than the machine is infeasible" `Quick
+      test_too_wide_op_is_infeasible;
     Alcotest.test_case "deadline observed" `Quick test_deadline_observed;
     Alcotest.test_case "past deadline = zero budget fast path" `Quick
       test_past_deadline_equals_zero_budget;
