@@ -34,58 +34,71 @@ let check ~starts ~durations ~resources ~limit =
   end
 
 (* ------------------------------------------------------------------
-   Incremental timetable filtering.
+   Incremental timetable filtering on reversible state.
 
    The classic timetable propagator rebuilds the compulsory-part
    profile (sum over tasks of r_i on [lst_i, est_i + d_i)) from scratch
-   on every wake and then re-filters every task.  Both are wasted work
-   on most wakes: within one search node domains only narrow, so
-   compulsory parts only ever *grow*, and most wakes change the part of
-   at most one task.
+   on every wake and then re-filters every task.  Most of that is
+   wasted: below a choice point domains only narrow, so compulsory
+   parts only *grow*, and most wakes change the part of at most one
+   task.
 
-   The state kept across wakes ([tt]):
-   - [gen] — the store's backtrack generation the caches were built at.
-     After a backtrack (generation mismatch) domains may have widened,
-     so everything is rebuilt from scratch over the current horizon
-     window.  Within a node the caches stay exact.
-   - [profile] over the rebuild window, plus each task's cached
-     compulsory part [c_lo, c_hi).  On a wake, only the ranges where a
-     part grew (old part ⊆ new part, by monotonicity) are added to the
-     profile and overload-checked: the rest of the profile was proved
-     ≤ limit at the end of the previous run.
-   - each task's last-seen start (and duration) domain, compared by
-     physical equality — [Dom.t] values are immutable and replaced only
-     on change (they start as [Dom.empty], never a variable's domain;
-     the first run is a rebuild, and a rebuild re-filters every task,
-     which records what it saw).  A task is re-filtered only if its
-     own domains changed or a range some *other* task's part grew over
-     intersects its window [vmin s_i, vmax s_i + dmax_i); otherwise its
-     previous filtering is still the fixpoint (the residual profile
-     under its window is unchanged), and the run skips it entirely.
+   The state kept across runs ([tt]) lives in reversible cells
+   ({!Store.write}): a backtrack restores it as it was at the choice
+   point, so nothing is rebuilt after one.
+   - [profile] over the window [t0, t0 + width) fixed by the build, and
+     each task's compulsory part [c_lo, c_hi) as the profile counts it.
+     A run adds only the ranges where a part grew (old part ⊆ new part)
+     and overload-checks only those: the rest of the profile was proved
+     ≤ limit when it was added.
+   - [busy], a bitset over the window: bit k is set iff profile.(k) > 0.
+     Only busy points can conflict with a filtered task (its r_i ≤ limit
+     unless every point conflicts), so filtering visits only the busy
+     points under the task's window, a word at a time, and removes the
+     starts each run of conflicts rules out as one interval.
+   - the size of each task's start (and duration) domain when it was
+     last filtered.  Domains only narrow below the write that recorded
+     it, so an equal size means an equal domain.  A task is re-filtered
+     only if its own domains changed or a range some *other* task's
+     part grew over intersects its window [vmin s_i, vmax s_i + dmax_i);
+     otherwise its previous filtering is still the fixpoint (its
+     residual profile under the window is unchanged) and the run skips
+     it.
+   - the open tasks, as a doubly linked list in index order ([next],
+     [prev], sentinel [n]).  A task leaves it once its start (and
+     duration) is fixed, its part has grown to that final value and it
+     has been filtered since: it can then neither grow the profile nor
+     lose a value.  Both passes walk only this list, in index order, so
+     prunes (and with them the propagation queue) come in the order a
+     walk over every task would give.
+   - [built], set by the build.  The first run builds everything from
+     scratch; popping above the level of that run undoes [built] along
+     with the rest, and the next run builds again.
 
-   A failed run leaves the caches consistent (they are updated in
-   lockstep with the profile additions), and the search backtracks on
-   failure, which bumps the generation and forces the rebuild anyway.
+   A failed run leaves the state half updated; the search backtracks on
+   failure, which undoes every write made at that level.
 
-   Allocation: a run that prunes nothing allocates nothing.  The
-   profile is one buffer for the propagator's lifetime (a rebuild zeroes
-   the width it uses and grows it only for a wider horizon), the dirty
-   ranges live in preallocated arrays, the scans below are closure-free
-   functions of [tt], and [Dom.filter] is called only once some start
-   value is known to fail. *)
+   Allocation: a run that prunes nothing allocates nothing.  The scans
+   below are closure-free functions of [tt], and a task's new start
+   domain is built only once some start is known to fail. *)
 
 type tt = {
   res : int array;
   limit : int;
-  mutable gen : int;
+  n : int;
+  built : int array;  (* one slot, 1 while the state below is live *)
   mutable t0 : int;  (* time point of profile.(0) *)
-  mutable profile : int array;  (* live prefix: the rebuild window *)
+  mutable profile : int array;  (* live prefix: the build window *)
+  mutable busy : int array;
   c_lo : int array;
   c_hi : int array;
-  c_start : Dom.t array;
-  c_dur : Dom.t array;
-  (* ranges compulsory parts grew over in the current run, as [nr]
-     triples (lo, hi, owner); at most two per task *)
+  seen_s : int array;  (* start domain size at the last filtering *)
+  seen_d : int array;  (* duration domain size, for [post_var] *)
+  next : int array;
+  prev : int array;
+  (* per-run scratch, not reversible: ranges compulsory parts grew over
+     in the current run, as [nr] triples (lo, hi, owner); at most two
+     per task *)
   r_lo : int array;
   r_hi : int array;
   r_own : int array;
@@ -96,23 +109,42 @@ let create ~resources ~limit n =
   {
     res = resources;
     limit;
-    gen = -1;
+    n;
+    built = [| 0 |];
     t0 = 0;
     profile = [||];
+    busy = [||];
     c_lo = Array.make n 0;
     c_hi = Array.make n 0;
-    c_start = Array.make n Dom.empty;
-    c_dur = Array.make n Dom.empty;
+    seen_s = Array.make n 0;
+    seen_d = Array.make n 0;
+    next = Array.make (n + 1) 0;
+    prev = Array.make (n + 1) 0;
     r_lo = Array.make (2 * n) 0;
     r_hi = Array.make (2 * n) 0;
     r_own = Array.make (2 * n) 0;
     nr = 0;
   }
 
-let add_part tt i lo hi =
-  let p = tt.profile and base = tt.t0 and r = tt.res.(i) in
-  for t = lo to hi - 1 do
-    p.(t - base) <- p.(t - base) + r
+let bits = Sys.int_size
+
+(* Index of the lowest set bit of [w <> 0]. *)
+let ctz w =
+  let n = ref 0 and w = ref w in
+  if !w land 0xFFFFFFFF = 0 then begin n := 32; w := !w lsr 32 end;
+  if !w land 0xFFFF = 0 then begin n := !n + 16; w := !w lsr 16 end;
+  if !w land 0xFF = 0 then begin n := !n + 8; w := !w lsr 8 end;
+  if !w land 0xF = 0 then begin n := !n + 4; w := !w lsr 4 end;
+  if !w land 0x3 = 0 then begin n := !n + 2; w := !w lsr 2 end;
+  if !w land 0x1 = 0 then !n + 1 else !n
+
+let add_part st tt i lo hi =
+  let r = tt.res.(i) in
+  for k = lo - tt.t0 to hi - 1 - tt.t0 do
+    let p = tt.profile.(k) in
+    if p = 0 then
+      write st tt.busy (k / bits) (tt.busy.(k / bits) lor (1 lsl (k mod bits)));
+    write st tt.profile k (p + r)
   done
 
 let check_overload tt lo hi =
@@ -121,61 +153,90 @@ let check_overload tt lo hi =
     if p.(t - base) > tt.limit then raise (Fail "cumulative: overload")
   done
 
-(* Can task [i] run over [v, v + d) on the profile minus its own
-   compulsory part, i.e. is residual profile + r_i <= limit there? *)
-let fits tt i v d =
-  let p = tt.profile and base = tt.t0 and r = tt.res.(i) in
-  let lo_i = tt.c_lo.(i) and hi_i = tt.c_hi.(i) in
-  let t = ref v in
-  while
-    !t < v + d
-    && p.(!t - base) - (if lo_i <= !t && !t < hi_i then r else 0) + r <= tt.limit
-  do
-    incr t
-  done;
-  !t >= v + d
+(* The first busy point in [t, hi), or [hi]. *)
+let rec next_busy tt t hi =
+  if t >= hi then hi
+  else begin
+    let k = t - tt.t0 in
+    let w = tt.busy.(k / bits) lsr (k mod bits) in
+    if w <> 0 then
+      let b = t + ctz w in
+      if b < hi then b else hi
+    else next_busy tt (t + bits - (k mod bits)) hi
+  end
 
-(* Does every start value in the interval list fit with duration [d]? *)
-let rec all_fit tt i d = function
-  | [] -> true
-  | (lo, hi) :: rest -> all_fit_from tt i d lo hi && all_fit tt i d rest
+(* Does task [i] overload point [t], i.e. is the profile minus its own
+   compulsory part, plus r_i, above the limit there? *)
+let conflicts tt i t =
+  let r = tt.res.(i) in
+  let own = if tt.c_lo.(i) <= t && t < tt.c_hi.(i) then r else 0 in
+  tt.profile.(t - tt.t0) - own + r > tt.limit
 
-and all_fit_from tt i d v hi =
-  v > hi || (fits tt i v d && all_fit_from tt i d (v + 1) hi)
+(* The first point in [t, hi) task [i] overloads, or [hi]. *)
+let rec next_conflict tt i t hi =
+  if tt.res.(i) > tt.limit then if t < hi then t else hi
+  else begin
+    let t = next_busy tt t hi in
+    if t >= hi || conflicts tt i t then t else next_conflict tt i (t + 1) hi
+  end
 
-(* Prune start [x] of task [i] against duration [d]. *)
+(* The first conflict from [t] on that rules out a start in [dx]: one
+   in [t' - d + 1, t'], the starts whose run [v, v + d) covers t'. *)
+let rec first_hit tt i dx d t hi =
+  let t = next_conflict tt i t hi in
+  if t >= hi || Dom.meets (t - d + 1) t dx then t
+  else first_hit tt i dx d (t + 1) hi
+
+(* Remove from [acc] the starts ruled out by every conflict from [t] on,
+   one interval per run of overlapping ranges; [lo, t] is the open run. *)
+let rec remove_conflicts tt i d lo t hi acc =
+  let t' = next_conflict tt i (t + 1) hi in
+  if t' < hi && t' - d + 1 <= t + 1 then remove_conflicts tt i d lo t' hi acc
+  else begin
+    let acc = Dom.remove_interval lo t acc in
+    if t' >= hi then acc else remove_conflicts tt i d (t' - d + 1) t' hi acc
+  end
+
+(* Prune start [x] of task [i] against duration [d]: a start v fails
+   iff some t in [v, v + d) is a conflict, so the conflicts to look at
+   lie in the window [vmin x, vmax x + d). *)
 let prune_start st tt i x d =
-  if not (all_fit tt i d (Dom.intervals (dom x))) then
-    update st x (Dom.filter (fun v -> fits tt i v d) (dom x))
+  let dx = dom x in
+  let hi = Dom.max dx + d in
+  let t = first_hit tt i dx d (Dom.min dx) hi in
+  if t < hi then update st x (remove_conflicts tt i d (t - d + 1) t hi dx)
 
 (* The widest duration in [d, dmax] with which task [i] fits from
-   start [v] (counting up from [d]). *)
-let rec widest tt i v d dmax =
+   start [v]: up to the first conflict from [v] on, and never below
+   [d]. *)
+let widest tt i v d dmax =
   if d >= dmax then d
-  else if fits tt i v (d + 1) then widest tt i v (d + 1) dmax
-  else d
+  else begin
+    let w = next_conflict tt i v (v + dmax) - v in
+    if w <= d then d else if w < dmax then w else dmax
+  end
 
-let grown tt i lo hi =
-  add_part tt i lo hi;
+let grown st tt i lo hi =
+  add_part st tt i lo hi;
   tt.r_lo.(tt.nr) <- lo;
   tt.r_hi.(tt.nr) <- hi;
   tt.r_own.(tt.nr) <- i;
   tt.nr <- tt.nr + 1
 
-(* Grow task [i]'s cached compulsory part to [nlo, nhi), adding the new
-   ranges to the profile and to the dirty ranges. *)
-let grow tt i nlo nhi =
+(* Grow task [i]'s compulsory part to [nlo, nhi), adding the new ranges
+   to the profile and to the dirty ranges. *)
+let grow st tt i nlo nhi =
   let olo = tt.c_lo.(i) and ohi = tt.c_hi.(i) in
   if nlo <> olo || nhi <> ohi then begin
-    tt.c_lo.(i) <- nlo;
-    tt.c_hi.(i) <- nhi;
+    write st tt.c_lo i nlo;
+    write st tt.c_hi i nhi;
     if tt.res.(i) > 0 && nlo < nhi then
       if olo < ohi then begin
-        (* old part non-empty: within a node it can only extend *)
-        if nlo < olo then grown tt i nlo olo;
-        if ohi < nhi then grown tt i ohi nhi
+        (* old part non-empty: below a choice point it can only extend *)
+        if nlo < olo then grown st tt i nlo olo;
+        if ohi < nhi then grown st tt i ohi nhi
       end
-      else grown tt i nlo nhi
+      else grown st tt i nlo nhi
   end
 
 (* Did some other task's part grow over the window [wlo, whi)? *)
@@ -189,50 +250,80 @@ let dirty tt i wlo whi =
   done;
   !k < tt.nr
 
+let unlink st tt i =
+  let p = tt.prev.(i) and q = tt.next.(i) in
+  write st tt.next p q;
+  write st tt.prev q p
+
+(* From scratch: the window, every part, the busy index and the full
+   list, then an overload check and a filtering of every task.  Only
+   [built] needs the trail here: popping above this level undoes it,
+   and the build that follows re-initializes every other slot. *)
+let build tt ~starts ~dmin ~dmax ~closed ~prune st =
+  let n = tt.n in
+  write st tt.built 0 1;
+  let lo = ref max_int and hi = ref 0 in
+  for i = 0 to n - 1 do
+    if vmin starts.(i) < !lo then lo := vmin starts.(i);
+    if vmax starts.(i) + dmax i > !hi then hi := vmax starts.(i) + dmax i
+  done;
+  let width = !hi - !lo in
+  let words = (width + bits - 1) / bits in
+  tt.t0 <- !lo;
+  if width > Array.length tt.profile then begin
+    tt.profile <- Array.make width 0;
+    tt.busy <- Array.make words 0
+  end
+  else begin
+    Array.fill tt.profile 0 width 0;
+    Array.fill tt.busy 0 words 0
+  end;
+  for i = 0 to n - 1 do
+    tt.c_lo.(i) <- vmax starts.(i);
+    tt.c_hi.(i) <- vmin starts.(i) + dmin i;
+    if tt.c_lo.(i) < tt.c_hi.(i) && tt.res.(i) > 0 then
+      add_part st tt i tt.c_lo.(i) tt.c_hi.(i);
+    tt.next.(i) <- i + 1;
+    tt.prev.(i + 1) <- i
+  done;
+  tt.next.(n) <- 0;
+  tt.prev.(0) <- n;
+  if width > 0 then check_overload tt !lo !hi;
+  for i = 0 to n - 1 do
+    prune st i;
+    if closed i then unlink st tt i
+  done
+
 (* One run of the shared timetable: task [i]'s compulsory part is
    [lst_i, est_i + dmin i) and its window [est_i, lst_i + dmax i);
    [seen i] tells whether [i]'s domains are those its last filtering
-   saw, and [prune st i] re-filters it and records them. *)
-let timetable tt ~starts ~dmin ~dmax ~seen ~prune st =
-  let n = Array.length starts in
-  if generation st <> tt.gen then begin
-    tt.gen <- generation st;
-    let lo = ref max_int and hi = ref 0 in
-    for i = 0 to n - 1 do
-      lo := Stdlib.min !lo (vmin starts.(i));
-      hi := Stdlib.max !hi (vmax starts.(i) + dmax i)
-    done;
-    let width = !hi - !lo in
-    tt.t0 <- !lo;
-    if width > Array.length tt.profile then tt.profile <- Array.make width 0
-    else if width > 0 then Array.fill tt.profile 0 width 0;
-    for i = 0 to n - 1 do
-      tt.c_lo.(i) <- vmax starts.(i);
-      tt.c_hi.(i) <- vmin starts.(i) + dmin i;
-      if tt.c_lo.(i) < tt.c_hi.(i) && tt.res.(i) > 0 then
-        add_part tt i tt.c_lo.(i) tt.c_hi.(i)
-    done;
-    if width > 0 then check_overload tt !lo !hi;
-    for i = 0 to n - 1 do
-      prune st i
-    done
-  end
+   saw, [prune st i] re-filters it and records them, and [closed i]
+   (asked right after) whether it can leave the open list. *)
+let timetable tt ~starts ~dmin ~dmax ~seen ~closed ~prune st =
+  if tt.built.(0) = 0 then build tt ~starts ~dmin ~dmax ~closed ~prune st
   else begin
-    (* pass 1: grow the cached compulsory parts and collect the dirty
-       ranges (owner tagged, to exempt the owner from re-filtering) *)
+    let n = tt.n in
+    (* pass 1: grow the parts and collect the dirty ranges (owner
+       tagged, to exempt the owner from re-filtering) *)
     tt.nr <- 0;
-    for i = 0 to n - 1 do
-      grow tt i (vmax starts.(i)) (vmin starts.(i) + dmin i)
+    let i = ref tt.next.(n) in
+    while !i < n do
+      grow st tt !i (vmax starts.(!i)) (vmin starts.(!i) + dmin !i);
+      i := tt.next.(!i)
     done;
     for k = 0 to tt.nr - 1 do
       check_overload tt tt.r_lo.(k) tt.r_hi.(k)
     done;
     (* pass 2: re-filter only the tasks whose fixpoint may have moved *)
-    for i = 0 to n - 1 do
+    let i = ref tt.next.(n) in
+    while !i < n do
+      let j = !i in
+      i := tt.next.(j);
       if
-        (not (seen i))
-        || (tt.nr > 0 && dirty tt i (vmin starts.(i)) (vmax starts.(i) + dmax i))
-      then prune st i
+        (not (seen j))
+        || (tt.nr > 0 && dirty tt j (vmin starts.(j)) (vmax starts.(j) + dmax j))
+      then prune st j;
+      if closed j then unlink st tt j
     done
   end
 
@@ -251,18 +342,23 @@ let post s ~starts ~durations ~resources ~limit =
   else begin
     let tt = create ~resources ~limit n in
     let dur i = durations.(i) in
-    let seen i = tt.c_start.(i) == dom starts.(i) in
+    let seen i = tt.seen_s.(i) = Dom.size (dom starts.(i)) in
+    (* a fixed start's part is [v, v + d) once grown *)
+    let closed i =
+      let x = starts.(i) in
+      is_fixed x && tt.c_lo.(i) = vmin x && tt.c_hi.(i) = vmin x + durations.(i)
+    in
     (* a start value v is infeasible if some t in [v, v+d) has residual
        profile + r_i > limit *)
     let prune st i =
       let x = starts.(i) and d = durations.(i) in
       if d > 0 && resources.(i) > 0 && not (is_fixed x) then prune_start st tt i x d;
-      tt.c_start.(i) <- dom x
+      write st tt.seen_s i (Dom.size (dom x))
     in
     ignore
       (post_now s ~name:"cumulative" ~priority:prio_arith ~event:On_bounds
          ~watches:(Array.to_list starts)
-         (timetable tt ~starts ~dmin:dur ~dmax:dur ~seen ~prune));
+         (timetable tt ~starts ~dmin:dur ~dmax:dur ~seen ~closed ~prune));
     propagate s
   end
 
@@ -270,7 +366,7 @@ let post s ~starts ~durations ~resources ~limit =
    compulsory part is [lst_i, est_i + dmin_i), and both the start and
    the duration of every task are pruned against the profile.  Duration
    domains participate in the change detection exactly like start
-   domains. *)
+   domains, and a task stays open until its duration is fixed too. *)
 let post_var s ~starts ~durations ~resources ~limit =
   let n = Array.length starts in
   if Array.length durations <> n || Array.length resources <> n then
@@ -285,7 +381,14 @@ let post_var s ~starts ~durations ~resources ~limit =
     let tt = create ~resources ~limit n in
     let dmin i = vmin durations.(i) and dmax i = vmax durations.(i) in
     let seen i =
-      tt.c_start.(i) == dom starts.(i) && tt.c_dur.(i) == dom durations.(i)
+      tt.seen_s.(i) = Dom.size (dom starts.(i))
+      && tt.seen_d.(i) = Dom.size (dom durations.(i))
+    in
+    let closed i =
+      let x = starts.(i) and dv = durations.(i) in
+      is_fixed x && is_fixed dv
+      && tt.c_lo.(i) = vmin x
+      && tt.c_hi.(i) = vmin x + vmin dv
     in
     let prune st i =
       let x = starts.(i) and dv = durations.(i) in
@@ -296,12 +399,12 @@ let post_var s ~starts ~durations ~resources ~limit =
         if is_fixed x then
           remove_above st dv (widest tt i (vmin x) (vmin dv) (vmax dv))
       end;
-      tt.c_start.(i) <- dom x;
-      tt.c_dur.(i) <- dom dv
+      write st tt.seen_s i (Dom.size (dom x));
+      write st tt.seen_d i (Dom.size (dom dv))
     in
     let watches = Array.to_list starts @ Array.to_list durations in
     ignore
       (post_now s ~name:"cumulative_var" ~priority:prio_arith ~event:On_bounds
-         ~watches (timetable tt ~starts ~dmin ~dmax ~seen ~prune));
+         ~watches (timetable tt ~starts ~dmin ~dmax ~seen ~closed ~prune));
     propagate s
   end

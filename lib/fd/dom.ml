@@ -134,6 +134,12 @@ let remove_interval rlo rhi d =
   in
   if rlo > rhi || rhi < d.lo || rlo > d.hi then d else mk (go rlo rhi d.ivs)
 
+let rec meets_ivs lo hi = function
+  | [] -> false
+  | (l, h) :: rest -> if h < lo then meets_ivs lo hi rest else l <= hi
+
+let meets lo hi d = lo <= hi && lo <= d.hi && hi >= d.lo && meets_ivs lo hi d.ivs
+
 (* [subset_ivs a b]: every interval of [a] lies inside one interval of
    [b] (intervals are maximal, so one suffices).  No allocation. *)
 let rec subset_ivs a b =

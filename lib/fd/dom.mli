@@ -114,6 +114,9 @@ val filter : (int -> bool) -> t -> t
 (** [filter p d] is [d] itself (physically, no allocation) when [p]
     accepts every value of [d]. *)
 
+val meets : int -> int -> t -> bool
+(** [meets lo hi d] iff [d] has a value in [lo..hi].  No allocation. *)
+
 val disjoint : t -> t -> bool
 (** [disjoint a b] iff [inter a b] is empty, without building it. *)
 

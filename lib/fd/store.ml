@@ -74,6 +74,16 @@ and t = {
   mutable entail_on : bool;
       (* when false, [entail] is a no-op; lets tests compare fixpoints
          with and without entailment-removal *)
+  (* The cell trail: reversible writes to int array slots, kept apart
+     from [trail] so an undo record is three words and a write
+     allocates nothing.  Records live in fixed-size chunks, added as
+     the trail deepens and never copied: entry k = c * cell_chunk + o
+     restores [cell_arr.(c).(o).(slot) <- old], where (slot, old) is
+     the pair at [2 o] of [cell_rec.(c)]. *)
+  mutable cell_arr : int array array array;
+  mutable cell_rec : int array array;
+  mutable n_cells : int;
+  mutable cell_marks : int array;  (* [n_cells] at each open [push_level] *)
 }
 
 (* How many fixpoint-loop iterations pass between two cancellation
@@ -118,6 +128,10 @@ let create () =
     timed = false;
     generation = 0;
     entail_on = true;
+    cell_arr = [||];
+    cell_rec = [||];
+    n_cells = 0;
+    cell_marks = [||];
   }
 
 let set_poll s f = s.poll <- f
@@ -202,6 +216,29 @@ let remove_below s v b =
 
 let remove_above s v b =
   if b < Dom.max v.vdom then commit s v (Dom.remove_above b v.vdom)
+
+(* Reversible cells.  At depth 0 there is no level to restore, so the
+   write is not trailed and persists. *)
+let cell_chunk_bits = 10
+let cell_chunk = 1 lsl cell_chunk_bits
+
+let write s a i v =
+  let old = a.(i) in
+  if old <> v then begin
+    if s.depth > 0 then begin
+      let k = s.n_cells in
+      let c = k lsr cell_chunk_bits and o = k land (cell_chunk - 1) in
+      if c = Array.length s.cell_arr then begin
+        s.cell_arr <- Array.append s.cell_arr [| Array.make cell_chunk [||] |];
+        s.cell_rec <- Array.append s.cell_rec [| Array.make (2 * cell_chunk) 0 |]
+      end;
+      s.cell_arr.(c).(o) <- a;
+      s.cell_rec.(c).(2 * o) <- i;
+      s.cell_rec.(c).((2 * o) + 1) <- old;
+      s.n_cells <- k + 1
+    end;
+    a.(i) <- v
+  end
 
 let attach p (event, v) =
   match event with
@@ -415,6 +452,12 @@ let emit_profile ?(tid = 0) s =
 
 let push_level s =
   s.trail <- Mark :: s.trail;
+  if s.depth = Array.length s.cell_marks then begin
+    let marks = Array.make (Stdlib.max 16 (2 * s.depth)) 0 in
+    Array.blit s.cell_marks 0 marks 0 s.depth;
+    s.cell_marks <- marks
+  end;
+  s.cell_marks.(s.depth) <- s.n_cells;
   s.depth <- s.depth + 1
 
 let pop_level s =
@@ -447,6 +490,13 @@ let pop_level s =
       unwind rest
   in
   unwind s.trail;
+  (* newest first, so a slot written twice ends at its oldest value *)
+  let mark = s.cell_marks.(s.depth) in
+  for k = s.n_cells - 1 downto mark do
+    let c = k lsr cell_chunk_bits and o = k land (cell_chunk - 1) in
+    s.cell_arr.(c).(o).(s.cell_rec.(c).(2 * o)) <- s.cell_rec.(c).((2 * o) + 1)
+  done;
+  s.n_cells <- mark;
   s.generation <- s.generation + 1
 
 let level s = s.depth

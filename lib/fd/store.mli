@@ -184,7 +184,22 @@ val generation : t -> int
 (** Backtrack generation: bumped by every {!pop_level}.  Two equal
     readings certify that no backtrack happened in between, i.e. all
     domains have only narrowed — the validity condition for caches kept
-    by incremental propagators (Cumulative's timetable, max's support). *)
+    by incremental propagators that rebuild after a backtrack ([max_of]'s
+    support, the guarded-implication hub's watch lists).  State that
+    should survive a backtrack instead lives in reversible cells
+    ({!write}). *)
+
+val write : t -> int array -> int -> int -> unit
+(** [write s a i v] sets [a.(i) <- v] reversibly: {!pop_level} restores
+    the value the slot held when the matching {!push_level} was made.
+    At level 0 the write is not trailed and persists.  An undo record is
+    three words in fixed-size chunks the store adds as the trail deepens
+    and reuses after a backtrack, so a write allocates nothing except
+    when it opens a new chunk, and writing the value a slot already
+    holds records nothing.  Incremental propagators keep their
+    cross-run state in such slots (Cumulative's timetable), so a
+    backtrack restores it instead of forcing a rebuild.  The array must
+    outlive every level the write can be undone from. *)
 
 val propagate : t -> unit
 (** Run the priority queues to fixpoint, cheapest bucket first.

@@ -125,23 +125,28 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
       List.filter (fun d -> Ir.category g d = Ir.Vector_data) (Ir.data_nodes g)
     in
     let nslots = Eit.Arch.slots arch in
-    let geom =
-      List.map
-        (fun d ->
-          let sv =
-            St.interval_var s ~name:(Printf.sprintf "slot%d" d) 0 (nslots - 1)
-          in
-          slot := (d, sv) :: !slot;
-          ( d,
-            Fd.Geometry.of_slot s ~banks:arch.Eit.Arch.banks
-              ~page_size:arch.Eit.Arch.page_size sv ))
-        vdata
-    in
-    let coords d = List.assoc d geom in
+    (* Per-node tables, so the pair loops below look nothing up in a
+       list: the geometry of each vector datum, its slot and lifetime
+       variables, and each op's vector reads, computed once. *)
+    let geom = Array.make n None in
+    let slot_of = Array.make n None and life_of = Array.make n None in
+    List.iter
+      (fun d ->
+        let sv =
+          St.interval_var s ~name:(Printf.sprintf "slot%d" d) 0 (nslots - 1)
+        in
+        slot := (d, sv) :: !slot;
+        slot_of.(d) <- Some sv;
+        geom.(d) <-
+          Some
+            (Fd.Geometry.of_slot s ~banks:arch.Eit.Arch.banks
+               ~page_size:arch.Eit.Arch.page_size sv))
+      vdata;
+    let coords d = Option.get geom.(d) in
+    let reads = Array.make n [] in
+    List.iter (fun i -> reads.(i) <- vector_reads g i) (Ir.op_nodes g);
     (* eq. 7: operands of one op are accessed together. *)
-    let readers =
-      List.filter (fun i -> vector_reads g i <> []) (Ir.op_nodes g)
-    in
+    let readers = List.filter (fun i -> reads.(i) <> []) (Ir.op_nodes g) in
     List.iter
       (fun i ->
         let rec pairs = function
@@ -158,7 +163,7 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
               rest;
             pairs rest
         in
-        pairs (vector_reads g i))
+        pairs reads.(i))
       readers;
     (* eq. 8 (generalized): reads of two ops that may issue in the same
        cycle.  Pairs whose start times are forced apart (different
@@ -178,8 +183,8 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
                     (cd.Fd.Geometry.line, ce.Fd.Geometry.line) )
               end
               else None)
-            (vector_reads g j))
-        (vector_reads g i)
+            reads.(j))
+        reads.(i)
     in
     List.iter
       (fun i ->
@@ -241,7 +246,7 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
         ~starts:(Array.of_list (List.map (fun i -> start.(i)) readers))
         ~durations:(Array.of_list (List.map (fun _ -> 1) readers))
         ~resources:
-          (Array.of_list (List.map (fun i -> List.length (vector_reads g i)) readers))
+          (Array.of_list (List.map (fun i -> List.length reads.(i)) readers))
         ~limit:arch.Eit.Arch.max_reads_per_cycle;
     if produced <> [] then
       Fd.Cumulative.post s
@@ -260,6 +265,7 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
           St.interval_var s ~name:(Printf.sprintf "life%d" d) 1 (horizon + 2)
         in
         life := (d, lv) :: !life;
+        life_of.(d) <- Some lv;
         let last_use = St.interval_var s ~name:(Printf.sprintf "lu%d" d) 0 (horizon + 1) in
         Fd.Arith.max_of s
           (start.(d) :: List.map (fun c -> start.(c)) (Ir.succs g d))
@@ -276,8 +282,8 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
          (fun d ->
            {
              Fd.Diff2.ox = start.(d);
-             oy = List.assoc d !slot;
-             lx = List.assoc d !life;
+             oy = Option.get slot_of.(d);
+             lx = Option.get life_of.(d);
              ly = one;
            })
          vdata)

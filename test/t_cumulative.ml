@@ -166,25 +166,30 @@ let suite =
    within [limit]; a start of an unfixed task with r_i, dmin_i > 0 keeps
    the values v where the task fits over [v, v + dmin_i) on the profile
    minus its own part; a fixed start caps the duration at the widest
-   that fits.  [None] is failure. *)
+   that fits.  Each round applies the rules to every task against the
+   profile of the round's start; the rules only narrow, and narrower
+   domains only raise the profile, so rounds reach the same greatest
+   fixpoint in any order.  [None] is failure. *)
 let reference ~resources ~limit starts durs =
   let n = Array.length starts in
   let starts = Array.copy starts and durs = Array.copy durs in
   let first l = List.hd l and last l = List.hd (List.rev l) in
   let rec fix () =
-    let own i t =
-      let lo = last starts.(i) and hi = first starts.(i) + first durs.(i) in
-      if lo <= t && t < hi then resources.(i) else 0
-    in
-    let load t = List.fold_left (fun acc i -> acc + own i t) 0 (List.init n Fun.id) in
+    let lst = Array.map last starts and est = Array.map first starts in
+    let dmin = Array.map first durs in
+    let own i t = if lst.(i) <= t && t < est.(i) + dmin.(i) then resources.(i) else 0 in
     let horizon =
-      List.fold_left max 0 (List.init n (fun i -> last starts.(i) + last durs.(i)))
+      List.fold_left max 0 (List.init n (fun i -> lst.(i) + last durs.(i)))
     in
-    if List.exists (fun t -> load t > limit) (List.init (horizon + 1) Fun.id) then None
+    let load =
+      Array.init (horizon + 1) (fun t ->
+          List.fold_left (fun acc i -> acc + own i t) 0 (List.init n Fun.id))
+    in
+    if Array.exists (fun l -> l > limit) load then None
     else begin
       let fits i v d =
         List.for_all
-          (fun t -> load t - own i t + resources.(i) <= limit)
+          (fun t -> load.(t) - own i t + resources.(i) <= limit)
           (List.init d (fun k -> v + k))
       in
       let changed = ref false in
@@ -196,16 +201,15 @@ let reference ~resources ~limit starts durs =
         end
       in
       for i = 0 to n - 1 do
-        let dmin = first durs.(i) in
-        if resources.(i) > 0 && dmin > 0 then begin
+        if resources.(i) > 0 && dmin.(i) > 0 then begin
           if List.length starts.(i) > 1 then
-            set starts i (List.filter (fun v -> fits i v dmin) starts.(i));
+            set starts i (List.filter (fun v -> fits i v dmin.(i)) starts.(i));
           if List.length starts.(i) = 1 then begin
             let v = first starts.(i) in
             let rec widest d =
               if d < last durs.(i) && fits i v (d + 1) then widest (d + 1) else d
             in
-            let cap = widest dmin in
+            let cap = widest dmin.(i) in
             set durs i (List.filter (fun d -> d <= cap) durs.(i))
           end
         end
@@ -217,18 +221,27 @@ let reference ~resources ~limit starts durs =
 
 type gen_op = Push | Pop | Narrow of (int * int * int)  (* var, kind, value *)
 
-let gen_generations ~var =
+(* [wide] instances span several 63-point words of the busy index
+   (horizons up to 200, up to 6 tasks) and run longer push/pop/narrow
+   sequences; narrowing kind 4 cuts a start to a 3-value window, which
+   is how wide domains get compulsory parts away from the origin. *)
+let gen_generations ?(wide = false) ~var () =
   QCheck2.Gen.(
-    let* n = int_range 1 4 in
+    let* n = int_range 1 (if wide then 6 else 4) in
     let* limit = int_range 1 4 in
-    let* resources = list_repeat n (int_range 0 limit) in
-    let* h = int_range 2 8 in
+    (* [post_var] also takes a task wider than the limit while its
+       duration may be 0: every point then conflicts with it *)
+    let* resources = list_repeat n (int_range 0 (if var then limit + 1 else limit)) in
+    let* h = if wide then int_range 60 200 else int_range 2 8 in
     let* durs = list_repeat n (pair (int_range 0 3) (int_range 0 2)) in
     let nv = if var then 2 * n else n in
-    let narrow = triple (int_bound (nv - 1)) (int_bound 3) (int_range 0 (h + 3)) in
-    let* pre = list_size (int_range 0 3) narrow in
+    let narrow =
+      triple (int_bound (nv - 1)) (int_bound (if wide then 4 else 3)) (int_range 0 (h + 3))
+    in
+    let* pre = list_size (int_range 0 (if wide then 6 else 3)) narrow in
     let* ops =
-      list_size (int_range 1 16)
+      list_size
+        (int_range 1 (if wide then 64 else 16))
         (frequency
            [ (2, pure Push); (2, pure Pop); (5, map (fun t -> Narrow t) narrow) ])
     in
@@ -251,7 +264,11 @@ let generations_agree ~var (resources, limit, h, durs, pre, ops) =
   let starts = Array.init n (fun _ -> Store.interval_var s 0 h) in
   let dvars =
     Array.of_list
-      (List.map (fun (lo, extra) -> Store.interval_var s lo (min 4 (lo + extra))) durs)
+      (List.mapi
+         (fun i (lo, extra) ->
+           let lo = if resources.(i) > limit then 0 else lo in
+           Store.interval_var s lo (min 4 (lo + extra)))
+         durs)
   in
   let vars = if var then Array.append starts dvars else starts in
   let lists a = Array.map (fun x -> Dom.to_list (Store.dom x)) a in
@@ -265,7 +282,12 @@ let generations_agree ~var (resources, limit, h, durs, pre, ops) =
     | 0 -> if v <= Store.vmax x then Store.remove_below s x v
     | 1 -> if v >= Store.vmin x then Store.remove_above s x v
     | 2 -> if not (Store.is_fixed x) then Store.remove_value s x v
-    | _ -> if Dom.mem v (Store.dom x) then Store.assign s x v
+    | 3 -> if Dom.mem v (Store.dom x) then Store.assign s x v
+    | _ ->
+      if Dom.meets v (v + 2) (Store.dom x) then begin
+        Store.remove_below s x v;
+        Store.remove_above s x (v + 2)
+      end
   in
   (* run [propagate] from the current domains and compare with the
      reference; a failure pops one level, and one at the root ends the
@@ -289,8 +311,13 @@ let generations_agree ~var (resources, limit, h, durs, pre, ops) =
     else true
   in
   let post () =
-    if var then
+    if var then begin
+      (* the pre-narrowings may have made an oversized task's duration
+         positive, which [post_var] rejects *)
+      QCheck2.assume
+        (Array.for_all2 (fun r d -> r <= limit || Store.vmin d = 0) resources dvars);
       Cumulative.post_var s ~starts ~durations:dvars ~resources ~limit
+    end
     else
       Cumulative.post s ~starts
         ~durations:(Array.of_list (List.map fst durs))
@@ -311,16 +338,20 @@ let generations_agree ~var (resources, limit, h, durs, pre, ops) =
            settle (fun () -> Store.propagate s))
        ops
 
-let generations_oracle ~var ~name =
+let generations_oracle ?wide ~count ~var ~name () =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count:1000 ~print:print_generations
-       (gen_generations ~var) (generations_agree ~var))
+    (QCheck2.Test.make ~name ~count ~print:print_generations
+       (gen_generations ?wide ~var ()) (generations_agree ~var))
 
 let suite =
   suite
   @ [
-      generations_oracle ~var:false
-        ~name:"cumulative fixpoints across generations = reference";
-      generations_oracle ~var:true
-        ~name:"cumulative_var fixpoints across generations = reference";
+      generations_oracle ~count:1000 ~var:false
+        ~name:"cumulative fixpoints across generations = reference" ();
+      generations_oracle ~count:1000 ~var:true
+        ~name:"cumulative_var fixpoints across generations = reference" ();
+      generations_oracle ~wide:true ~count:500 ~var:false
+        ~name:"multi-word cumulative fixpoints across generations = reference" ();
+      generations_oracle ~wide:true ~count:500 ~var:true
+        ~name:"multi-word cumulative_var fixpoints across generations = reference" ();
     ]

@@ -134,8 +134,8 @@ let test_horizon_estimate_safe () =
    every propagator of the QRD model at its root fixpoint allocates no
    word, minor or major (a profile wider than 256 words is allocated
    in the major heap), both on the incremental path (same generation)
-   and on the rebuild path after a backtrack (Cumulative reuses its
-   profile buffer). *)
+   and after a backtrack (Cumulative restores its timetable from the
+   trail). *)
 let test_fixpoint_rerun_allocates_nothing () =
   let ir = (Merge.run (Apps.Qrd.graph (Apps.Qrd.build ()))).Merge.graph in
   let m = Sched.Model.build ~memory:true ir Arch.default in
@@ -160,6 +160,35 @@ let test_fixpoint_rerun_allocates_nothing () =
   Fd.Store.pop_level s;
   Alcotest.(check (float 0.)) "after a backtrack: zero words" 0. (rerun ())
 
+(* Search trajectories, pinned exactly: an engine change that is meant
+   to prune the same values in the same order must reproduce nodes,
+   failures and propagations to the unit, not just stay inside the
+   perf gate's tolerance.  QRD, ARF and MATMUL are solved to a proof;
+   the blocked 8x8 MATMUL runs under a 3,000-node budget. *)
+let test_trajectory_pins () =
+  let merged g = (Merge.run g).Merge.graph in
+  let pin name g budget ~nodes ~failures ~propagations ~makespan:ms ~optimal =
+    let o = Sched.Solve.run ~budget g in
+    let st = o.Sched.Solve.stats in
+    Alcotest.(check (list int))
+      (name ^ ": nodes, failures, propagations, makespan")
+      [ nodes; failures; propagations; ms ]
+      [ st.Fd.Search.nodes; st.Fd.Search.failures; st.Fd.Search.propagations;
+        makespan o ];
+    Alcotest.(check bool) (name ^ ": optimal") optimal st.Fd.Search.optimal
+  in
+  let proof = Fd.Search.time_budget 10_000. in
+  pin "QRD" (merged (Apps.Qrd.graph (Apps.Qrd.build ()))) proof ~nodes:94
+    ~failures:95 ~propagations:6649 ~makespan:168 ~optimal:true;
+  pin "ARF" (merged (Apps.Arf.graph (Apps.Arf.build ()))) proof ~nodes:114
+    ~failures:115 ~propagations:18589 ~makespan:56 ~optimal:true;
+  pin "MATMUL" (merged (Apps.Matmul.graph (Apps.Matmul.build ()))) proof
+    ~nodes:28 ~failures:29 ~propagations:763 ~makespan:11 ~optimal:true;
+  pin "BLOCKED8"
+    (merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx))
+    (Fd.Search.node_budget 3_000) ~nodes:3000 ~failures:2846
+    ~propagations:299307 ~makespan:58 ~optimal:false
+
 let suite =
   [
     Alcotest.test_case "chain optimal" `Quick test_chain_optimal;
@@ -175,4 +204,5 @@ let suite =
     Alcotest.test_case "horizon estimate" `Quick test_horizon_estimate_safe;
     Alcotest.test_case "fixpoint re-run allocates nothing" `Quick
       test_fixpoint_rerun_allocates_nothing;
+    Alcotest.test_case "trajectory pins" `Quick test_trajectory_pins;
   ]

@@ -206,6 +206,143 @@ let test_event_fixpoint_complete () =
         (Dom.equal doms.(i) (Store.dom v)))
     xs
 
+(* Reversible cells: random cell writes interleaved with push/pop,
+   domain changes and propagator runs that write cells, entail
+   themselves, rewrite their watch set or fail half way.  A reference
+   model mirrors every write as it is made and keeps a stack of
+   snapshots; after each pop every cell (and every domain) must equal
+   the snapshot taken at the matching push, and writes made at level 0
+   must survive everything. *)
+
+type step = W of int * int * int | Entail | Resub of int | Fail_here
+
+type cell_op =
+  | Write of int * int * int  (* array, slot, value *)
+  | Push
+  | Pop
+  | Narrow of int * step list  (* var to narrow, script of the run it wakes *)
+
+let n_arrays = 3
+let n_slots = 5
+let n_cvars = 3
+
+let gen_cell_ops =
+  QCheck2.Gen.(
+    let write =
+      triple (int_bound (n_arrays - 1)) (int_bound (n_slots - 1)) (int_range (-3) 9)
+    in
+    let step =
+      frequency
+        [
+          (6, map (fun (a, i, v) -> W (a, i, v)) write);
+          (1, pure Entail);
+          (1, map (fun k -> Resub k) (int_bound (n_cvars - 1)));
+          (1, pure Fail_here);
+        ]
+    in
+    list_size (int_range 1 60)
+      (frequency
+         [
+           (3, map (fun (a, i, v) -> Write (a, i, v)) write);
+           (2, pure Push);
+           (2, pure Pop);
+           ( 3,
+             map2
+               (fun k script -> Narrow (k, script))
+               (int_bound (n_cvars - 1))
+               (list_size (int_range 0 6) step) );
+         ]))
+
+let print_cell_ops ops =
+  let w (a, i, v) = Printf.sprintf "%d.%d<-%d" a i v in
+  let step = function
+    | W (a, i, v) -> w (a, i, v)
+    | Entail -> "entail"
+    | Resub k -> Printf.sprintf "resub x%d" k
+    | Fail_here -> "fail"
+  in
+  String.concat "; "
+    (List.map
+       (function
+         | Write (a, i, v) -> "write " ^ w (a, i, v)
+         | Push -> "push"
+         | Pop -> "pop"
+         | Narrow (k, script) ->
+           Printf.sprintf "narrow x%d [%s]" k
+             (String.concat ", " (List.map step script)))
+       ops)
+
+let cells_agree ops =
+  let s = Store.create () in
+  let cells = Array.init n_arrays (fun _ -> Array.make n_slots 0) in
+  let model = Array.map Array.copy cells in
+  let xs = Array.init n_cvars (fun _ -> Store.interval_var s 0 100) in
+  let script = ref [] in
+  let run st =
+    let steps = !script in
+    script := [];
+    List.iter
+      (function
+        | W (a, i, v) ->
+          Store.write st cells.(a) i v;
+          model.(a).(i) <- v
+        | Entail -> Store.entail_now st
+        | Resub k -> Store.resubscribe_now st [ (Store.On_change, xs.(k)) ]
+        | Fail_here -> raise (Store.Fail "scripted"))
+      steps
+  in
+  ignore (Store.post s ~watches:(Array.to_list xs) run);
+  (* snapshots of (cells, domains) at each open push *)
+  let stack = ref [] in
+  let snapshot () = (Array.map Array.copy model, Array.map Store.dom xs) in
+  let ok = ref true in
+  let check (cs, ds) =
+    ok :=
+      !ok
+      && Array.for_all2 ( = ) cs cells
+      && Array.for_all2 Dom.equal ds (Array.map Store.dom xs)
+  in
+  let pop () =
+    match !stack with
+    | [] -> ()
+    | top :: rest ->
+      Store.pop_level s;
+      stack := rest;
+      Array.iteri (fun a c -> Array.blit c 0 model.(a) 0 n_slots) (fst top);
+      check top
+  in
+  List.iter
+    (function
+      | Write (a, i, v) ->
+        Store.write s cells.(a) i v;
+        model.(a).(i) <- v;
+        check (snapshot ())
+      | Push ->
+        stack := snapshot () :: !stack;
+        Store.push_level s
+      | Pop -> pop ()
+      | Narrow (k, steps) -> (
+        let x = xs.(k) in
+        script := steps;
+        match
+          if not (Store.is_fixed x) then Store.remove_below s x (Store.vmin x + 1);
+          Store.propagate s
+        with
+        | () -> check (snapshot ())
+        (* a failure at a level is undone by popping it, as search
+           does; at level 0 the writes made before it stay *)
+        | exception Store.Fail _ -> if !stack <> [] then pop () else check (snapshot ())))
+    ops;
+  while !stack <> [] do
+    pop ()
+  done;
+  !ok && Store.level s = 0
+
+let cell_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"reversible cells = reference stack" ~count:1000
+       ~print:print_cell_ops gen_cell_ops cells_agree)
+
 let suite =
   [
     Alcotest.test_case "variable basics" `Quick test_var_basics;
@@ -218,4 +355,5 @@ let suite =
     Alcotest.test_case "priority ordering" `Quick test_priority_ordering;
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
     Alcotest.test_case "event fixpoint complete" `Quick test_event_fixpoint_complete;
+    cell_property;
   ]
