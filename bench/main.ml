@@ -949,9 +949,8 @@ let load ?(path = "BENCH_solver.json") ?(requests = 200) ?(pool = 4)
 
 (* ------------------------------------------------------------------ *)
 (* Solution-cache benchmark: hit rate under a repeat-heavy request mix
-   through a cache-enabled service, then warm-vs-cold re-solve
-   speedups per kernel.  Results land in BENCH_solver.json under a
-   "cache" key, which every other writer passes through
+   through a cache-enabled service.  Results land in BENCH_solver.json
+   under a "cache" key, which every other writer passes through
    (Vecsched_core.Bench_sections). *)
 
 let cache_bench ?(path = "BENCH_solver.json") ?(requests = 120) ?(pool = 2)
@@ -959,7 +958,7 @@ let cache_bench ?(path = "BENCH_solver.json") ?(requests = 120) ?(pool = 2)
   header
     (Printf.sprintf
        "Solution cache: %d repeat-heavy requests (mix qrd/arf/matmul, \
-        pool=%d, 64-entry cache), then warm-vs-cold re-solves"
+        pool=%d, 64-entry cache)"
        requests pool);
   let config =
     {
@@ -1007,46 +1006,6 @@ let cache_bench ?(path = "BENCH_solver.json") ?(requests = 120) ?(pool = 2)
   Format.printf "%-24s %10.2f@." "hit rate" hit_rate;
   Format.printf "%-24s %10d@." "cached responses" cached_responses;
   Format.printf "%-24s %10.1f ms@." "wall" wall_ms;
-  (* warm-vs-cold: seed each kernel's re-solve with its own optimum,
-     the best case a shape hint can supply *)
-  Format.printf "@.%-8s %9s %9s %8s | %9s %9s@." "kernel" "cold(ms)"
-    "warm(ms)" "speedup" "nodes(c)" "nodes(w)";
-  let warm_rows =
-    List.filter_map
-      (fun (name, g) ->
-        let budget = Fd.Search.time_budget 60_000. in
-        let cold = Sched.Solve.run ~budget g in
-        match (cold.Sched.Solve.status, cold.Sched.Solve.schedule) with
-        | Sched.Solve.Optimal, Some sch ->
-          let warm =
-            Sched.Solve.run ~budget
-              ~warm_bound:sch.Sched.Schedule.makespan g
-          in
-          let cms = cold.Sched.Solve.stats.Fd.Search.time_ms
-          and wms = warm.Sched.Solve.stats.Fd.Search.time_ms in
-          let speedup = if wms > 0. then cms /. wms else 0. in
-          Format.printf "%-8s %9.1f %9.1f %7.2fx | %9d %9d@." name cms wms
-            speedup cold.Sched.Solve.stats.Fd.Search.nodes
-            warm.Sched.Solve.stats.Fd.Search.nodes;
-          Some
-            (Obs.Json.Obj
-               [
-                 ("kernel", Obs.Json.Str name);
-                 ("cold_ms", Obs.Json.Num cms);
-                 ("warm_ms", Obs.Json.Num wms);
-                 ("speedup", Obs.Json.Num speedup);
-                 ( "cold_nodes",
-                   Obs.Json.Num
-                     (float_of_int cold.Sched.Solve.stats.Fd.Search.nodes) );
-                 ( "warm_nodes",
-                   Obs.Json.Num
-                     (float_of_int warm.Sched.Solve.stats.Fd.Search.nodes) );
-               ])
-        | _ ->
-          Format.printf "%-8s did not reach optimal; skipped@." name;
-          None)
-      [ ("qrd", qrd ()); ("arf", arf ()); ("matmul", matmul ()) ]
-  in
   let cache_json =
     let num i = Obs.Json.Num (float_of_int i) in
     Obs.Json.Obj
@@ -1059,7 +1018,6 @@ let cache_bench ?(path = "BENCH_solver.json") ?(requests = 120) ?(pool = 2)
         ("hit_rate", Obs.Json.Num hit_rate);
         ("cached_responses", num cached_responses);
         ("wall_ms", Obs.Json.Num wall_ms);
-        ("warm", Obs.Json.Arr warm_rows);
       ]
   in
   let doc =

@@ -227,30 +227,34 @@ let run_labels ~name ~arch ~parallel =
 
 let schedule_cmd =
   let run kernel budget deadline slots preset verbose parallel trace metrics
-      cache_n warm cache_file =
+      cache_n cache_file =
     let c, name = compile kernel in
     let arch = arch_of preset slots in
     (* --cache-file without --cache still enables a (default-sized)
-       cache: the file is the point of carrying one across runs. *)
-    let cache =
+       cache: the file is the point of carrying one across runs.  A file
+       that exists but does not load is not ours to replace: the run
+       starts from an empty cache and never saves over it. *)
+    let cache, save_to =
       if cache_n > 0 || cache_file <> None then begin
         let capacity = if cache_n > 0 then cache_n else 16 in
         match cache_file with
         | Some path when Sys.file_exists path -> (
           match Cache.load ~capacity path with
-          | Ok cc -> Some cc
+          | Ok cc -> (Some cc, cache_file)
           | Error msg ->
-            Format.eprintf "warning: ignoring cache file %s: %s@." path msg;
-            Some (Cache.create ~capacity ()))
-        | _ -> Some (Cache.create ~capacity ())
+            Format.eprintf
+              "warning: ignoring cache file %s: %s (not saving over it)@." path
+              msg;
+            (Some (Cache.create ~capacity ()), None))
+        | _ -> (Some (Cache.create ~capacity ()), cache_file)
       end
-      else None
+      else (None, None)
     in
     let o =
       with_obs ~other_data:(run_labels ~name ~arch ~parallel) ~trace ~metrics
         (fun () ->
           Vecsched.schedule ~budget_ms:budget ~deadline:(deadline_of deadline)
-            ~arch ~parallel ?cache ~warm c)
+            ~arch ~parallel ?cache c)
     in
     (match cache with
     | Some cc ->
@@ -258,7 +262,7 @@ let schedule_cmd =
       Format.printf "cache: %s (hits=%d misses=%d evictions=%d entries=%d)@."
         (if o.Sched.Solve.from_cache then "hit" else "miss")
         s.Cache.hits s.Cache.misses s.Cache.evictions (Cache.length cc);
-      Option.iter (fun path -> Cache.save cc path) cache_file
+      Option.iter (fun path -> Cache.save cc path) save_to
     | None -> ());
     match report_outcome name arch o with
     | Some sch, code ->
@@ -290,28 +294,21 @@ let schedule_cmd =
                 validated cached schedule with zero search work.  Pair with \
                 $(b,--cache-file) to persist it across invocations.")
   in
-  let warm_arg =
-    Arg.(value & flag
-         & info [ "warm" ]
-             ~doc:
-               "Warm-start: seed the solve with the best validated makespan \
-                previously recorded for this graph shape (requires \
-                $(b,--cache)/$(b,--cache-file)); a stale seed falls back to \
-                a cold solve, never to a wrong answer.")
-  in
   let cache_file_arg =
     Arg.(value
          & opt (some string) None
          & info [ "cache-file" ] ~docv:"PATH"
              ~doc:
                "Load the solution cache from $(docv) before solving (if it \
-                exists) and save it back afterwards.")
+                exists) and save it back afterwards.  A $(docv) that exists \
+                but is not a cache file is ignored with a warning and left \
+                unchanged.")
   in
   Cmd.v
     (Cmd.info "schedule" ~doc:"Schedule a kernel with memory allocation")
     Term.(const run $ kernel_arg $ budget_arg $ deadline_arg $ slots_arg
           $ preset_arg $ verbose $ parallel $ trace_file_arg $ metrics_arg
-          $ cache_arg $ warm_arg $ cache_file_arg)
+          $ cache_arg $ cache_file_arg)
 
 let heuristic_cmd =
   let run kernel slots preset =
@@ -719,7 +716,7 @@ let trace_diff_cmd =
    exits 0 on clean EOF: per-request failures are data, not process
    failures. *)
 let serve_cmd =
-  let run pool queue budget grace retries backoff seed cache warm trace
+  let run pool queue budget grace retries backoff seed cache trace
       metrics metrics_file stats_interval logfile tail_keep flight_dir
       flight_buf chaos_wedge =
     with_obs ~other_data:[ ("mode", Obs.S "serve") ] ~trace ~metrics (fun () ->
@@ -729,7 +726,7 @@ let serve_cmd =
         (* `--chaos-wedge SEQ` wedges the first attempt of the SEQ-th
            admitted request (chaos site id = seq*8 + attempt), so the
            watchdog -> flight-dump -> postmortem pipeline can be
-           exercised end to end by check.sh without a real hang. *)
+           exercised end to end by smoke.sh without a real hang. *)
         let chaos =
           Option.map
             (fun sq ->
@@ -749,7 +746,6 @@ let serve_cmd =
             seed;
             chaos;
             cache_capacity = cache;
-            warm_start = warm;
             metrics = Some reg;
             flight_dir;
             flight_buf;
@@ -869,13 +865,6 @@ let serve_cmd =
                 repeated identical requests are answered from it (marked \
                 $(b,cached) in the response).  0 disables caching.")
   in
-  let warm_arg =
-    Arg.(value & flag
-         & info [ "warm" ]
-             ~doc:
-               "Warm-start sequential solves from the best validated \
-                makespan previously seen for the same graph shape.")
-  in
   let metrics_file_arg =
     Arg.(value & opt (some string) None
          & info [ "metrics-file" ] ~docv:"FILE"
@@ -945,10 +934,9 @@ let serve_cmd =
          "Run the batch scheduling service: line-delimited JSON requests on \
           stdin, one JSON response per request on stdout")
     Term.(const run $ pool_arg $ queue_arg $ sbudget_arg $ grace_arg
-          $ retries_arg $ backoff_arg $ seed_arg $ cache_arg $ warm_arg
-          $ trace_file_arg $ metrics_arg $ metrics_file_arg
-          $ stats_interval_arg $ log_arg $ tail_keep_arg $ flight_dir_arg
-          $ flight_buf_arg $ chaos_wedge_arg)
+          $ retries_arg $ backoff_arg $ seed_arg $ cache_arg $ trace_file_arg
+          $ metrics_arg $ metrics_file_arg $ stats_interval_arg $ log_arg
+          $ tail_keep_arg $ flight_dir_arg $ flight_buf_arg $ chaos_wedge_arg)
 
 (* `eitc metrics-report` — render the latest snapshot of a
    `--metrics-file` JSONL stream as the same kind of tables `--metrics`

@@ -26,7 +26,6 @@ type t = {
   mutable head : cell option; (* most recently used *)
   mutable tail : cell option; (* least recently used *)
   mutable size : int;
-  hints : (string, int) Hashtbl.t;
   c_hits : Obs.Metrics.counter;
   c_misses : Obs.Metrics.counter;
   c_evictions : Obs.Metrics.counter;
@@ -42,7 +41,6 @@ let create ?(metrics = Obs.Metrics.create ()) ~capacity () =
     head = None;
     tail = None;
     size = 0;
-    hints = Hashtbl.create 16;
     c_hits = c "hits";
     c_misses = c "misses";
     c_evictions = c "evictions";
@@ -137,22 +135,6 @@ let stats t =
 
 (* ------------------------------------------------------------------ *)
 
-(* Keep the tightest (smallest) validated makespan per shape: a smaller
-   upper bound prunes more, and both are sound as warm seeds.  The
-   index is bounded; on overflow it is simply dropped — hints are
-   advisory. *)
-let note_hint t ~shape mk =
-  locked t (fun () ->
-      if Hashtbl.length t.hints > max 64 (4 * t.cap) then
-        Hashtbl.reset t.hints;
-      match Hashtbl.find_opt t.hints shape with
-      | Some old when old <= mk -> ()
-      | _ -> Hashtbl.replace t.hints shape mk)
-
-let hint t ~shape = locked t (fun () -> Hashtbl.find_opt t.hints shape)
-
-(* ------------------------------------------------------------------ *)
-
 module J = Obs.Json
 
 let json_of_payload = function
@@ -173,7 +155,7 @@ let json_of_payload = function
   | Infeasible -> [ ("kind", J.Str "infeasible") ]
 
 let save t path =
-  let entries, hints =
+  let entries =
     locked t (fun () ->
         let rec walk acc = function
           | None -> List.rev acc
@@ -183,20 +165,9 @@ let save t path =
             in
             walk (e :: acc) c.next
         in
-        ( walk [] t.head,
-          Hashtbl.fold
-            (fun shape mk acc ->
-              J.Arr [ J.Str shape; J.Num (float_of_int mk) ] :: acc)
-            t.hints [] ))
+        walk [] t.head)
   in
-  let doc =
-    J.Obj
-      [
-        ("version", J.Num 1.);
-        ("entries", J.Arr entries);
-        ("hints", J.Arr hints);
-      ]
-  in
+  let doc = J.Obj [ ("version", J.Num 1.); ("entries", J.Arr entries) ] in
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (J.to_string doc);
       Out_channel.output_char oc '\n')
@@ -231,8 +202,8 @@ let load ~capacity path =
   match J.parse_file path with
   | Error e -> Error e
   | Ok doc -> (
-    match (J.member "entries" doc, J.member "hints" doc) with
-    | Some (J.Arr entries), Some (J.Arr hints) ->
+    match J.member "entries" doc with
+    | Some (J.Arr entries) ->
       let t = create ~capacity () in
       (* Entries were saved most-recent-first; inserting in reverse
          restores both the recency order and, beyond capacity, drops
@@ -244,11 +215,5 @@ let load ~capacity path =
             insert ~count:false t (Key.of_repr repr) pl
           | _ -> ())
         (List.rev entries);
-      List.iter
-        (function
-          | J.Arr [ J.Str shape; J.Num mk ] ->
-            Hashtbl.replace t.hints shape (int_of_float mk)
-          | _ -> ())
-        hints;
       Ok t
-    | _ -> Error "cache file: missing \"entries\"/\"hints\"")
+    | _ -> Error "cache file: missing \"entries\"")

@@ -55,23 +55,15 @@ val length : t -> int
 val stats : t -> stats
 (** The cache's four counters, read from its registry. *)
 
-(** {1 Warm-start hints}
-
-    A side index from {!Key.shape_digest} to the best validated
-    makespan seen for that shape — the "previous incumbent" that seeds
-    a warm re-solve of an edited graph.  Hints are advisory: a stale or
-    too-tight hint costs a cold re-run, never soundness. *)
-
-val note_hint : t -> shape:string -> int -> unit
-val hint : t -> shape:string -> int option
-
 (** {1 Persistence}
 
     A printable JSON snapshot, so a CLI invocation can carry its cache
     across processes ([eitc schedule --cache-file]).  Entries are
     written most-recent-first and reloaded preserving recency; a
     reload counts neither stores nor evictions, so a loaded cache
-    starts with all counters at zero. *)
+    starts with all counters at zero.  [load] needs only the
+    [entries] list and ignores any other member (files written by
+    older versions also carry a [hints] list). *)
 
 val save : t -> string -> unit
 val load : capacity:int -> string -> (t, string) result

@@ -163,22 +163,3 @@ let make canon arch opts =
 let repr k = k.repr
 let digest k = k.md5
 let equal a b = String.equal a.repr b.repr
-
-let shape_digest g =
-  let tally = Hashtbl.create 16 in
-  List.iter
-    (fun (nd : Ir.node) ->
-      let k =
-        Ir.category_name nd.Ir.cat ^ ":"
-        ^ (match nd.Ir.op with
-          | Some op -> Eit.Opcode.name op
-          | None -> "_")
-      in
-      Hashtbl.replace tally k
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tally k)))
-    (Ir.nodes g);
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally []
-  |> List.sort compare
-  |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-  |> String.concat ";"
-  |> fun s -> Digest.to_hex (Digest.string s)

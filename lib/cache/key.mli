@@ -58,9 +58,3 @@ val digest : t -> string
 (** MD5 hex digest of {!repr} (bucketing only). *)
 
 val equal : t -> t -> bool
-
-val shape_digest : Ir.t -> string
-(** A deliberately coarse digest — the multiset of (category, opcode)
-    node kinds, ignoring edges and arch — used to index warm-start
-    hints.  Looseness is safe: a warm bound is only ever a hint, and a
-    wrong one falls back to a cold solve (see {!Sched.Solve.run}). *)

@@ -36,10 +36,9 @@ let compile_dsl ctx =
   compile ~protect:(Dsl.declared_outputs ctx) (Dsl.graph ctx)
 
 let schedule ?(budget_ms = 10_000.) ?(deadline = Fd.Deadline.none)
-    ?(memory = true) ?(arch = Arch.default) ?(parallel = 0) ?cache
-    ?(warm = false) c =
+    ?(memory = true) ?(arch = Arch.default) ?(parallel = 0) ?cache c =
   Solve.run ~budget:(Fd.Search.time_budget budget_ms) ~deadline ~memory ~arch
-    ~parallel ?cache ~warm c.ir
+    ~parallel ?cache c.ir
 
 let run_on_simulator sched = Codegen.run_and_check sched
 

@@ -59,7 +59,6 @@ val schedule :
   ?arch:Arch.t ->
   ?parallel:int ->
   ?cache:Cache.t ->
-  ?warm:bool ->
   compiled ->
   Solve.outcome
 (** Schedule the merged graph (defaults: 10 s budget, no deadline,
@@ -68,8 +67,7 @@ val schedule :
     fixpoint; on expiry the outcome degrades gracefully (CP incumbent,
     else heuristic fallback) instead of overrunning.  [parallel >= 2]
     runs a cooperative portfolio of that many search strategies on
-    OCaml domains.  [cache] consults/populates a shared solution cache
-    and [warm] seeds re-solves with the previous incumbent — both
+    OCaml domains.  [cache] consults/populates a shared solution cache,
     documented at {!Solve.run}. *)
 
 val run_on_simulator : Schedule.t -> (unit, string) result

@@ -479,8 +479,8 @@ let record_metrics metrics (st : stats) =
     Obs.Metrics.incr (Obs.Metrics.counter reg "search.runs")
   end
 
-let minimize_anytime ?budget ?deadline ?bound_get ?bound_put ?tid ?metrics store
-    phases ~objective ~on_solution =
+let minimize_anytime ?budget ?deadline ?tid ?metrics store phases ~objective
+    ~on_solution =
   (* Keep the latest snapshot outside the engine so it survives a
      crash: [on_solution] already runs at every improving solution. *)
   let last = ref None in
@@ -491,8 +491,8 @@ let minimize_anytime ?budget ?deadline ?bound_get ?bound_put ?tid ?metrics store
   in
   let a =
     match
-      minimize ?budget ?deadline ?bound_get ?bound_put ?tid store phases
-        ~objective ~on_solution:snap
+      minimize ?budget ?deadline ?tid store phases ~objective
+        ~on_solution:snap
     with
   | Solution (s, st) ->
     { a_status = Optimal; incumbent = Some s; a_stats = st; crash = None }

@@ -178,8 +178,6 @@ type 'a anytime = {
 val minimize_anytime :
   ?budget:budget ->
   ?deadline:Deadline.t ->
-  ?bound_get:(unit -> int option) ->
-  ?bound_put:(int -> unit) ->
   ?tid:int ->
   ?metrics:Obs.Metrics.registry ->
   Store.t ->

@@ -92,17 +92,8 @@ let portfolio_strategies ?deadline ~memory g arch n =
    build, CP search, fallback, validation — are each wrapped in an
    [Obs] span (cat "sched"), so `--trace` shows where the wall-clock
    went. *)
-(* [ext_bound] is the warm-start seed: an upper bound on the optimum
-   taken from a previous solve.  It enters the search as an external
-   incumbent of [ext_bound + 1], which lets the engine keep solutions
-   with makespan <= ext_bound while pruning everything above — so a
-   proof of optimality under the seed is a genuine global proof.  An
-   [Unsat] under the seed only means "nothing at or below the seed"
-   and must NOT surface as [Infeasible]; [run] re-solves cold in that
-   case.  The portfolio path ignores the seed (its workers already
-   share an incumbent, and its trajectories are nondeterministic). *)
-let run_cp ?ext_bound ?metrics ~budget ~deadline ~chaos ~chaos_base ~memory
-    ~arch ~parallel ~tid g =
+let run_cp ?metrics ~budget ~deadline ~chaos ~chaos_base ~memory ~arch
+    ~parallel ~tid g =
   if parallel >= 2 then
     let r =
       Obs.span ~cat:"sched" ~tid "cp-search" (fun () ->
@@ -129,13 +120,9 @@ let run_cp ?ext_bound ?metrics ~budget ~deadline ~chaos ~chaos_base ~memory
       (match chaos with
       | Some c -> Fd.Chaos.instrument c ~worker:chaos_base m.Model.store
       | None -> ());
-      let bound_get =
-        Option.map (fun b () -> Some (b + 1)) ext_bound
-      in
       let a =
         Obs.span ~cat:"sched" ~tid "cp-search" (fun () ->
-            Fd.Search.minimize_anytime ~budget ~deadline ?bound_get ~tid
-              ?metrics
+            Fd.Search.minimize_anytime ~budget ~deadline ~tid ?metrics
               m.Model.store (Model.phases m) ~objective:m.Model.makespan
               ~on_solution:(fun () -> Model.extract m))
       in
@@ -146,16 +133,6 @@ let run_cp ?ext_bound ?metrics ~budget ~deadline ~chaos ~chaos_base ~memory
         | None -> []
       in
       (a.Fd.Search.a_status, a.Fd.Search.incumbent, a.Fd.Search.a_stats, crashes)
-
-let add_stats (a : Fd.Search.stats) (b : Fd.Search.stats) =
-  {
-    Fd.Search.nodes = a.Fd.Search.nodes + b.Fd.Search.nodes;
-    failures = a.Fd.Search.failures + b.Fd.Search.failures;
-    solutions = a.Fd.Search.solutions + b.Fd.Search.solutions;
-    propagations = a.Fd.Search.propagations + b.Fd.Search.propagations;
-    time_ms = a.Fd.Search.time_ms +. b.Fd.Search.time_ms;
-    optimal = b.Fd.Search.optimal;
-  }
 
 (* Rebuild a cached schedule onto the requesting graph: the payload
    lives in canonical index space, so an isomorphic request maps it
@@ -205,7 +182,7 @@ let replay_hit ~memory ~arch ~tid ~vms g (canon : Cache.Key.canon) payload =
 let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
     ?(memory = true) ?(arch = Eit.Arch.default) ?(validate = true)
     ?(parallel = 0) ?chaos ?(chaos_base = 0) ?(fallback = true) ?(tid = 0)
-    ?cache ?(warm = false) ?warm_bound ?metrics g =
+    ?cache ?metrics g =
   (* Wall-clock spent in the independent validator for this request
      (normal, fallback and cache-hit validations all accumulate). *)
   let vms = ref 0. in
@@ -215,7 +192,7 @@ let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
   in
   (* Fault injection makes a run's result a fact about the injected
      faults, not the problem — chaos runs neither consult nor populate
-     the cache, and never warm-start. *)
+     the cache. *)
   let canon_key =
     match cache with
     | Some _ when chaos = None ->
@@ -262,18 +239,6 @@ let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
   match hit with
   | Some o -> record_metrics metrics o
   | None ->
-  let warm_seed =
-    if parallel >= 2 || chaos <> None then None
-    else
-      match warm_bound with
-      | Some b -> Some b
-      | None -> (
-        if not warm then None
-        else
-          match cache with
-          | Some c -> Cache.hint c ~shape:(Cache.Key.shape_digest g)
-          | None -> None)
-  in
   let cp_status, cp_incumbent, stats, crashes =
     (* A deadline already in the past and a zero time budget are the
        same request — "no search time at all" — and must behave the
@@ -285,32 +250,8 @@ let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
     if Fd.Deadline.expired deadline then
       (Feasible_timeout, None, Fd.Search.zero_stats ~optimal:false, [])
     else
-      match warm_seed with
-      | None ->
-        run_cp ?metrics ~budget ~deadline ~chaos ~chaos_base ~memory ~arch
-          ~parallel ~tid g
-      | Some b ->
-        (* Warm-start soundness: [Infeasible] under a warm seed only
-           proves "no schedule at or below the seed" — the seed may
-           simply sit below the true optimum.  Re-solve cold (stats
-           accumulate), so a warm run can never claim infeasibility,
-           or miss the optimum, because of a stale hint. *)
-        let st, inc, s1, cr1 =
-          run_cp ~ext_bound:b ?metrics ~budget ~deadline ~chaos ~chaos_base
-            ~memory ~arch ~parallel ~tid g
-        in
-        if st = Infeasible then begin
-          if Obs.enabled () then
-            Obs.instant ~cat:"sched" ~tid
-              ~args:[ ("seed", Obs.I b) ]
-              "warm-seed-rejected";
-          let st2, inc2, s2, cr2 =
-            run_cp ?metrics ~budget ~deadline ~chaos ~chaos_base ~memory ~arch
-              ~parallel ~tid g
-          in
-          (st2, inc2, add_stats s1 s2, cr1 @ cr2)
-        end
-        else (st, inc, s1, cr1)
+      run_cp ?metrics ~budget ~deadline ~chaos ~chaos_base ~memory ~arch
+        ~parallel ~tid g
   in
   let check sch ~memory =
     if validate then begin
@@ -418,15 +359,6 @@ let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
       Cache.store c key Cache.Infeasible
     | _ -> ())
   | _ -> ());
-  (* Any validated schedule — optimal, timeout incumbent or fallback —
-     is a true feasible makespan, hence a sound warm seed for the next
-     solve of this shape. *)
-  (if chaos = None then
-     match (cache, o.schedule) with
-     | Some c, Some sch when o.validation = Ok () ->
-       Cache.note_hint c ~shape:(Cache.Key.shape_digest g)
-         sch.Schedule.makespan
-     | _ -> ());
   record_metrics metrics o
 
 let exit_code o =

@@ -63,8 +63,6 @@ val run :
   ?fallback:bool ->
   ?tid:int ->
   ?cache:Cache.t ->
-  ?warm:bool ->
-  ?warm_bound:int ->
   ?metrics:Obs.Metrics.registry ->
   Ir.t ->
   outcome
@@ -109,16 +107,6 @@ val run :
     schedules and crash-free infeasibility proofs are stored; timeouts,
     fallback rescues, crashed runs and all chaos runs never populate
     the cache, and chaos runs do not consult it either.
-
-    [warm] seeds a sequential solve of a {e near-miss} — same node
-    multiset (shape), edited edges or arch knobs — with the best
-    validated makespan previously recorded for that shape, as an
-    external upper bound.  [warm_bound] supplies the seed explicitly
-    (and implies [warm]).  Soundness: a proof of optimality under the
-    seed is a genuine global proof, and an [Infeasible] under the seed
-    triggers an automatic cold re-solve (stats accumulate across both
-    runs) — a stale seed can cost time, never correctness.  Portfolio
-    solves ([parallel >= 2]) ignore the seed.
 
     [metrics] receives one observation per call into the
     [solve.nodes] / [solve.propagations] / [solve.time_ms] /

@@ -57,7 +57,6 @@ type config = {
   seed : int;
   chaos : Fd.Chaos.t option;
   cache_capacity : int;
-  warm_start : bool;
   metrics : Obs.Metrics.registry option;
   flight_dir : string option;
   flight_buf : int;
@@ -76,7 +75,6 @@ let default_config =
     seed = 0;
     chaos = None;
     cache_capacity = 0;
-    warm_start = false;
     metrics = None;
     flight_dir = None;
     flight_buf = 4096;
@@ -585,7 +583,7 @@ let execute ctx ~slot job =
               ~deadline:job.dl ?chaos
               ~chaos_base:((job.seq * 8) + k)
               ~parallel:job.jr.parallel ~fallback:false ~tid ~arch
-              ?cache:ctx.cache ~warm:cfg.warm_start ~metrics:ctx.mx.reg g
+              ?cache:ctx.cache ~metrics:ctx.mx.reg g
           in
           let rec go k o =
             match o.Sched.Solve.status with

@@ -114,10 +114,6 @@ type config = {
                                 (default) disables the cache entirely,
                                 keeping served solves byte-identical to
                                 direct {!Sched.Solve.run} calls *)
-  warm_start : bool;        (** seed sequential solves with the best
-                                validated makespan previously seen for
-                                the same graph shape (default off);
-                                sound — see {!Sched.Solve.run} *)
   metrics : Obs.Metrics.registry option;
       (** the live-metrics registry the service feeds — its request,
           cache and flight counters and its latency/SLO instruments.

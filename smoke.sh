@@ -1,0 +1,322 @@
+#!/bin/sh
+# End-to-end smokes over the built `eitc` binary: the fallback sweep,
+# trace and trace-analytics smokes, the MATMUL bound guard, and the
+# serve / cache / telemetry / postmortem smokes.  `check.sh` runs this
+# after the build and the test suite; run it on its own to reach these
+# checks while a test fails.  Exits non-zero on any failure.
+set -e
+cd "$(dirname "$0")"
+dune build ./bin/eitc.exe
+
+# Graceful-degradation contract: at a 0 ms budget the CP engine cannot
+# produce anything, so every kernel must come back from the heuristic
+# fallback — validator-clean, exit code 2 (degraded-but-usable).
+EITC=_build/default/bin/eitc.exe
+for k in matmul qrd qrd-sorted arf fir corr detect; do
+  out=$("$EITC" schedule "$k" --budget 0) && code=0 || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "smoke.sh: $k at --budget 0: expected exit 2 (fallback), got $code" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+  case "$out" in
+  *"engine=fallback"*) ;;
+  *)
+    echo "smoke.sh: $k at --budget 0: fallback engine not reported" >&2
+    echo "$out" >&2
+    exit 1
+    ;;
+  esac
+done
+echo "smoke.sh: fallback sweep OK (7 kernels, exit 2, validated)"
+
+# Observability smoke: a traced QRD solve must produce a structurally
+# valid Chrome trace (JSON parses, spans balanced per track) that the
+# repo's own checker accepts, and the optimum must be unaffected by
+# the attached sink.
+trace=$(mktemp /tmp/eitc-trace.XXXXXX.json)
+out=$("$EITC" schedule qrd --trace "$trace" --metrics) || {
+  echo "smoke.sh: traced qrd schedule failed" >&2
+  echo "$out" >&2
+  rm -f "$trace"
+  exit 1
+}
+case "$out" in
+*"makespan=168"*) ;;
+*)
+  echo "smoke.sh: traced qrd solve did not report makespan=168" >&2
+  echo "$out" >&2
+  rm -f "$trace"
+  exit 1
+  ;;
+esac
+if ! "$EITC" trace-check "$trace"; then
+  echo "smoke.sh: emitted trace failed validation" >&2
+  rm -f "$trace"
+  exit 1
+fi
+echo "smoke.sh: trace smoke OK (qrd traced, makespan 168, trace validates)"
+
+# Trace analytics smoke: the report must parse its own trace, the
+# folded flame output must be non-empty, a trace diffed against itself
+# must be regression-free (exit 0), and a doctored copy with inflated
+# propagator run counts must trip the gate (exit 1).
+folded=$(mktemp /tmp/eitc-flame.XXXXXX.folded)
+if ! "$EITC" trace-report "$trace" --utilization --flame "$folded" > /dev/null; then
+  echo "smoke.sh: trace-report failed on the traced qrd run" >&2
+  rm -f "$trace" "$folded"
+  exit 1
+fi
+if ! [ -s "$folded" ]; then
+  echo "smoke.sh: trace-report --flame wrote an empty folded file" >&2
+  rm -f "$trace" "$folded"
+  exit 1
+fi
+if ! "$EITC" trace-diff "$trace" "$trace" --threshold 1 > /dev/null; then
+  echo "smoke.sh: self trace-diff reported a regression" >&2
+  rm -f "$trace" "$folded"
+  exit 1
+fi
+doctored=$(mktemp /tmp/eitc-doctored.XXXXXX.json)
+sed 's/"runs":[0-9]*/"runs":9999999/g' "$trace" > "$doctored"
+if "$EITC" trace-diff "$trace" "$doctored" --threshold 10 > /dev/null; then
+  echo "smoke.sh: doctored trace-diff did not fail" >&2
+  rm -f "$trace" "$folded" "$doctored"
+  exit 1
+fi
+rm -f "$trace" "$folded" "$doctored"
+echo "smoke.sh: trace analytics OK (report + flame, self-diff clean, doctored diff gated)"
+
+# Bound guard: the head-body-tail resource bound puts MATMUL's lower
+# bound at its optimum (11), so the first incumbent closes the proof
+# and the solve is optimal in a few dozen nodes.  The previous bound
+# (10) needed a 12.6k-node search to prove 10 infeasible; a breach of
+# this ceiling means the bound quietly loosened.
+out=$("$EITC" schedule matmul) || {
+  echo "smoke.sh: matmul schedule failed" >&2
+  echo "$out" >&2
+  exit 1
+}
+case "$out" in
+*"matmul: optimal,"*) ;;
+*)
+  echo "smoke.sh: matmul was not proven optimal" >&2
+  echo "$out" >&2
+  exit 1
+  ;;
+esac
+nodes=$(printf '%s\n' "$out" | sed -n 's/.* \([0-9][0-9]*\) nodes.*/\1/p')
+if [ -z "$nodes" ]; then
+  echo "smoke.sh: matmul report line lacks a node count" >&2
+  echo "$out" >&2
+  exit 1
+fi
+if [ "$nodes" -gt 100 ]; then
+  echo "smoke.sh: matmul took $nodes nodes to prove optimality (ceiling 100)" >&2
+  exit 1
+fi
+echo "smoke.sh: bound guard OK (matmul optimal in $nodes nodes <= 100)"
+
+# Service smoke: three line-delimited JSON requests — two solvable
+# kernels and one malformed XML payload — through `eitc serve`.  The
+# daemon must answer every line exactly once, report the known optima,
+# turn the bad payload into a typed per-request error (never a daemon
+# exit), and quit cleanly on EOF.
+serve_out=$(printf '%s\n' \
+  '{"id":"a","kernel":"qrd"}' \
+  '{"id":"b","kernel":"fir"}' \
+  '{"id":"c","xml":"<graph><bogus"}' \
+  | "$EITC" serve --pool 2 --queue 8) || {
+  echo "smoke.sh: eitc serve exited non-zero" >&2
+  echo "$serve_out" >&2
+  exit 1
+}
+lines=$(printf '%s\n' "$serve_out" | grep -c '"id"')
+if [ "$lines" -ne 3 ]; then
+  echo "smoke.sh: serve answered $lines lines, expected 3" >&2
+  echo "$serve_out" >&2
+  exit 1
+fi
+for want in \
+  '"id": "a", "status": "optimal"' \
+  '"id": "b", "status": "optimal"' \
+  '"id": "c", "status": "error"'; do
+  case "$serve_out" in
+  *"$want"*) ;;
+  *)
+    echo "smoke.sh: serve output lacks [$want]" >&2
+    echo "$serve_out" >&2
+    exit 1
+    ;;
+  esac
+done
+echo "smoke.sh: serve smoke OK (2 solved + 1 typed error, clean EOF shutdown)"
+
+# Solution-cache smoke: two identical `eitc schedule --cache` runs
+# through a persisted cache file.  The second run must be answered from
+# the cache — reported as a hit, with zero search work — and still
+# print the known optimum.
+cachef=$(mktemp /tmp/eitc-cache.XXXXXX.json)
+rm -f "$cachef"
+out=$("$EITC" schedule qrd --cache 16 --cache-file "$cachef") || {
+  echo "smoke.sh: cached qrd schedule (cold) failed" >&2
+  echo "$out" >&2
+  rm -f "$cachef"
+  exit 1
+}
+case "$out" in
+*"cache: miss"*) ;;
+*)
+  echo "smoke.sh: first cached run did not report a miss" >&2
+  echo "$out" >&2
+  rm -f "$cachef"
+  exit 1
+  ;;
+esac
+out=$("$EITC" schedule qrd --cache 16 --cache-file "$cachef") || {
+  echo "smoke.sh: cached qrd schedule (hit) failed" >&2
+  echo "$out" >&2
+  rm -f "$cachef"
+  exit 1
+}
+rm -f "$cachef"
+case "$out" in
+*"cache: hit"*) ;;
+*)
+  echo "smoke.sh: second identical run did not hit the cache" >&2
+  echo "$out" >&2
+  exit 1
+  ;;
+esac
+case "$out" in
+*"makespan=168"*) ;;
+*)
+  echo "smoke.sh: cached replay did not report makespan=168" >&2
+  echo "$out" >&2
+  exit 1
+  ;;
+esac
+case "$out" in
+*" 0 nodes, 0 fails, 0 props"*) ;;
+*)
+  echo "smoke.sh: cached replay still did search work" >&2
+  echo "$out" >&2
+  exit 1
+  ;;
+esac
+echo "smoke.sh: cache smoke OK (hit on second run, 0 props, makespan 168)"
+
+# A --cache-file that exists but is not a cache file is ignored with a
+# warning and left byte-for-byte alone: the run still solves (exit 0)
+# but never saves over a file it could not read.
+notcache=$(mktemp /tmp/eitc-notcache.XXXXXX.txt)
+orig=$(mktemp /tmp/eitc-notcache-orig.XXXXXX.txt)
+printf 'notes, not a solution cache\n' > "$notcache"
+cp "$notcache" "$orig"
+fail_nc() {
+  echo "smoke.sh: $1" >&2
+  echo "$err" >&2
+  rm -f "$notcache" "$orig"
+  exit 1
+}
+err=$("$EITC" schedule qrd --cache-file "$notcache" 2>&1 > /dev/null) \
+  || fail_nc "schedule with a non-cache --cache-file did not exit 0"
+case "$err" in
+*"ignoring cache file"*) ;;
+*) fail_nc "no warning for a non-cache --cache-file" ;;
+esac
+cmp -s "$notcache" "$orig" || fail_nc "a non-cache --cache-file was overwritten"
+rm -f "$notcache" "$orig"
+echo "smoke.sh: cache-file guard OK (non-cache file warned about, exit 0, left unchanged)"
+
+# Telemetry smoke: 8 requests plus an in-band stats probe through a
+# fully instrumented `eitc serve` — live-metrics snapshots (JSONL +
+# Prometheus), a structured request log, and a full trace.  The
+# snapshot must carry quantiles, the Prometheus file must count all 8
+# submissions, `eitc metrics-report` must render the snapshot, the
+# stats probe must be answered inline, every log line must be a full
+# response record, and the trace must hold every request's span and
+# pass the repo's own structural checker.
+mfile=$(mktemp /tmp/eitc-metrics.XXXXXX.jsonl)
+tfile=$(mktemp /tmp/eitc-strace.XXXXXX.json)
+lfile=$(mktemp /tmp/eitc-reqlog.XXXXXX.jsonl)
+tele_out=$( { for i in 0 1 2 3 4 5 6 7; do
+    printf '{"id":"t%d","kernel":"fir"}\n' "$i"
+  done
+  printf '{"stats":true,"id":"probe"}\n'
+  } | "$EITC" serve --pool 2 --queue 16 \
+        --metrics-file "$mfile" --stats-interval 100 \
+        --trace "$tfile" --log "$lfile") || {
+  echo "smoke.sh: instrumented eitc serve exited non-zero" >&2
+  echo "$tele_out" >&2
+  rm -f "$mfile" "$mfile.prom" "$tfile" "$lfile"
+  exit 1
+}
+fail_tele() {
+  echo "smoke.sh: $1" >&2
+  rm -f "$mfile" "$mfile.prom" "$tfile" "$lfile"
+  exit 1
+}
+case "$tele_out" in
+*'"stats"'*) ;;
+*) fail_tele "stats probe was not answered" ;;
+esac
+grep -q '"p99"' "$mfile" || fail_tele "metrics snapshot lacks quantiles"
+grep -q '"serve.total_ms"' "$mfile" || fail_tele "metrics snapshot lacks serve.total_ms"
+grep -q 'quantile=' "$mfile.prom" || fail_tele "prometheus file lacks quantile samples"
+grep -q '^serve_submitted 8$' "$mfile.prom" || fail_tele "prometheus file does not count 8 submissions"
+"$EITC" metrics-report "$mfile" > /dev/null || fail_tele "metrics-report rejected the snapshot"
+"$EITC" trace-check "$tfile" || fail_tele "trace failed validation"
+traced=$(grep -o '"request:t[0-9]*"' "$tfile" | sort -u | wc -l)
+if [ "$traced" -ne 8 ]; then
+  fail_tele "trace holds $traced of 8 request spans"
+fi
+loglines=$(grep -c '"total_ms"' "$lfile")
+if [ "$loglines" -ne 8 ]; then
+  fail_tele "request log has $loglines response records, expected 8"
+fi
+grep -q '"ts_unix"' "$lfile" || fail_tele "request log lines lack timestamps"
+rm -f "$mfile" "$mfile.prom" "$tfile" "$lfile"
+echo "smoke.sh: telemetry smoke OK (snapshot + prom + report, stats probe, 8/8 traced requests, 8 log records)"
+
+# Postmortem smoke: a deterministically wedged request through a
+# flight-recorder-enabled serve — the watchdog's wedge verdict must
+# leave exactly one black box under --flight-dir, named for the
+# request and its retention reason, and `eitc postmortem` must
+# reconstruct it (exit 0) even though a ring dump is a truncated,
+# mid-span suffix of the request's event stream.  A second healthy
+# request must leave no dump: retention is tail-based, not blanket.
+fdir=$(mktemp -d /tmp/eitc-flight.XXXXXX)
+pm_out=$(printf '%s\n' \
+  '{"id":"w0","kernel":"qrd","budget_ms":10000}' \
+  '{"id":"ok1","kernel":"fir"}' \
+  | "$EITC" serve --pool 1 --grace 150 --flight-dir "$fdir" --chaos-wedge 0) || {
+  echo "smoke.sh: flight-recorder serve exited non-zero" >&2
+  echo "$pm_out" >&2
+  rm -rf "$fdir"
+  exit 1
+}
+fail_pm() {
+  echo "smoke.sh: $1" >&2
+  echo "$pm_out" >&2
+  rm -rf "$fdir"
+  exit 1
+}
+case "$pm_out" in
+*'"wedged"'*) ;;
+*) fail_pm "chaos-wedged request was not answered wedged" ;;
+esac
+dumps=$(ls "$fdir"/flight-*.jsonl 2>/dev/null | wc -l)
+if [ "$dumps" -ne 1 ]; then
+  fail_pm "expected exactly 1 flight dump for the wedge, found $dumps"
+fi
+ls "$fdir"/flight-*-w0-wedged.jsonl > /dev/null 2>&1 \
+  || fail_pm "flight dump is not named for the wedged request"
+"$EITC" postmortem "$fdir" > /dev/null || fail_pm "eitc postmortem failed on the flight dir"
+"$EITC" postmortem "$fdir"/flight-*-w0-wedged.jsonl > /dev/null \
+  || fail_pm "eitc postmortem failed on a single dump"
+if "$EITC" postmortem "$fdir/no-such-dump.jsonl" > /dev/null 2>&1; then
+  fail_pm "postmortem on a missing file must exit non-zero"
+fi
+rm -rf "$fdir"
+echo "smoke.sh: postmortem smoke OK (1 wedge black box, healthy request dropped, postmortem renders)"

@@ -1,7 +1,7 @@
 (* The solution cache (lib/cache): canonical keys that are insensitive
    to node-id permutation but sensitive to every model-changing edit, a
    differential layer proving a cache hit replays the cold solve
-   exactly, warm-start soundness, LRU bookkeeping and persistence. *)
+   exactly, LRU bookkeeping and persistence. *)
 
 open Eit_dsl
 open Eit
@@ -253,10 +253,8 @@ let test_key_repr_roundtrip () =
 
 (* ------------------- differential: hit == cold ----------------------- *)
 
-let solve ?cache ?warm ?warm_bound ?(arch = Arch.default)
-    ?(budget = 5_000.) g =
-  Sched.Solve.run ~budget:(Fd.Search.time_budget budget) ~arch ?cache ?warm
-    ?warm_bound g
+let solve ?cache ?(arch = Arch.default) ?(budget = 5_000.) g =
+  Sched.Solve.run ~budget:(Fd.Search.time_budget budget) ~arch ?cache g
 
 let check_same_schedule what (a : Sched.Schedule.t) (b : Sched.Schedule.t) =
   Alcotest.(check int) (what ^ ": makespan") a.Sched.Schedule.makespan
@@ -315,96 +313,6 @@ let test_isomorphic_request_hits () =
       (Sched.Schedule.is_valid cb)
   | _ -> Alcotest.fail "expected schedules on both sides"
 
-(* -------------------------- warm start ------------------------------- *)
-
-let warm_same_optimum =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"warm seed preserves the optimum" ~count:40
-       gen_recipe (fun r ->
-         let g = build r in
-         let cold = solve g in
-         match (cold.Sched.Solve.status, cold.Sched.Solve.schedule) with
-         | Sched.Solve.Optimal, Some sch ->
-           let warm = solve ~warm_bound:sch.Sched.Schedule.makespan g in
-           Alcotest.(check bool) "warm still optimal" true
-             (warm.Sched.Solve.status = Sched.Solve.Optimal);
-           (match warm.Sched.Solve.schedule with
-           | Some wsch ->
-             Alcotest.(check int) "same optimum" sch.Sched.Schedule.makespan
-               wsch.Sched.Schedule.makespan
-           | None -> Alcotest.fail "warm optimal without schedule");
-           Alcotest.(check bool) "warm explores no more nodes" true
-             (warm.Sched.Solve.stats.Fd.Search.nodes
-             <= cold.Sched.Solve.stats.Fd.Search.nodes);
-           true
-         | _ -> true))
-
-let test_warm_edited_arch_same_optimum () =
-  (* warm-start qrd on an edited arch (20 slots) from the default-arch
-     hint: same optimum as the cold solve, never more search *)
-  let g = qrd_ir () in
-  let edited = Arch.with_slots Arch.default 20 in
-  let cold = solve ~arch:edited g in
-  let cache = Cache.create ~capacity:4 () in
-  ignore (solve ~cache ~warm:true g); (* records the shape hint (168) *)
-  let warm = solve ~cache ~warm:true ~arch:edited g in
-  Alcotest.(check bool) "cold optimal" true
-    (cold.Sched.Solve.status = Sched.Solve.Optimal);
-  Alcotest.(check bool) "warm optimal" true
-    (warm.Sched.Solve.status = Sched.Solve.Optimal);
-  (match (cold.Sched.Solve.schedule, warm.Sched.Solve.schedule) with
-  | Some c, Some w ->
-    Alcotest.(check int) "same optimum on the edited arch"
-      c.Sched.Schedule.makespan w.Sched.Schedule.makespan
-  | _ -> Alcotest.fail "expected schedules");
-  Alcotest.(check bool) "warm solve explores no more nodes" true
-    (warm.Sched.Solve.stats.Fd.Search.nodes
-    <= cold.Sched.Solve.stats.Fd.Search.nodes)
-
-let test_warm_bound_below_optimum_is_sound () =
-  (* a seed strictly below the true optimum (168) makes the seeded run
-     infeasible; the solver must fall back to a cold re-solve and still
-     prove Optimal 168 — never report the lie *)
-  let g = qrd_ir () in
-  List.iter
-    (fun seed ->
-      let o = solve ~warm_bound:seed g in
-      Alcotest.(check bool)
-        (Printf.sprintf "optimal despite seed %d" seed)
-        true
-        (o.Sched.Solve.status = Sched.Solve.Optimal);
-      match o.Sched.Solve.schedule with
-      | Some sch ->
-        Alcotest.(check int)
-          (Printf.sprintf "makespan 168 despite seed %d" seed)
-          168 sch.Sched.Schedule.makespan
-      | None -> Alcotest.fail "optimal without schedule")
-    [ 100; 167 ]
-
-let test_warm_on_infeasible_instance () =
-  (* 5 simultaneously-live vectors cannot fit 2 slots; a warm seed must
-     not turn the honest Infeasible into anything else *)
-  let ctx = Dsl.create () in
-  let inputs =
-    List.init 5 (fun i ->
-        Dsl.vector_input_f ctx [ float_of_int i; 0.; 0.; 0. ])
-  in
-  ignore
-    (List.fold_left
-       (fun acc v -> Dsl.v_add ctx acc v)
-       (List.hd inputs) (List.tl inputs));
-  let g = Dsl.graph ctx in
-  let arch = Arch.with_slots Arch.default 2 in
-  let cold = solve ~arch g in
-  let warm = solve ~arch ~warm_bound:200 g in
-  Alcotest.(check bool) "cold verdict is a proof" true
-    (cold.Sched.Solve.status = Sched.Solve.Infeasible
-    || cold.Sched.Solve.status = Sched.Solve.Feasible_timeout);
-  Alcotest.(check bool) "warm verdict matches cold" true
-    (warm.Sched.Solve.status = cold.Sched.Solve.status);
-  Alcotest.(check bool) "no schedule either way" true
-    (warm.Sched.Solve.schedule = None && cold.Sched.Solve.schedule = None)
-
 (* --------------------- store policy / poisoning ---------------------- *)
 
 let test_timeout_never_stored () =
@@ -449,16 +357,19 @@ let test_infeasible_proof_is_cached () =
   let g = Dsl.graph ctx in
   let arch = Arch.with_slots Arch.default 2 in
   let cache = Cache.create ~capacity:4 () in
+  (* 5 simultaneously-live vectors cannot fit 2 slots.  The cold solve
+     proves it well inside the budget, so a timeout is a failure. *)
   let cold = solve ~arch ~cache g in
-  if cold.Sched.Solve.status = Sched.Solve.Infeasible then begin
-    let hit = solve ~arch ~cache g in
-    Alcotest.(check bool) "infeasibility proof replays" true
-      hit.Sched.Solve.from_cache;
-    Alcotest.(check bool) "still infeasible" true
-      (hit.Sched.Solve.status = Sched.Solve.Infeasible);
-    Alcotest.(check int) "0 propagations" 0
-      hit.Sched.Solve.stats.Fd.Search.propagations
-  end
+  Alcotest.(check bool) "cold verdict is an infeasibility proof" true
+    (cold.Sched.Solve.status = Sched.Solve.Infeasible);
+  Alcotest.(check bool) "no schedule" true (cold.Sched.Solve.schedule = None);
+  let hit = solve ~arch ~cache g in
+  Alcotest.(check bool) "infeasibility proof replays" true
+    hit.Sched.Solve.from_cache;
+  Alcotest.(check bool) "still infeasible" true
+    (hit.Sched.Solve.status = Sched.Solve.Infeasible);
+  Alcotest.(check int) "0 propagations" 0
+    hit.Sched.Solve.stats.Fd.Search.propagations
 
 (* ------------------------ LRU bookkeeping ---------------------------- *)
 
@@ -488,23 +399,22 @@ let test_capacity_zero_disables () =
   ignore (solve ~cache g);
   Alcotest.(check int) "nothing retained" 0 (Cache.length cache)
 
-let test_hint_noted () =
-  let g = qrd_ir () in
-  let cache = Cache.create ~capacity:4 () in
-  ignore (solve ~cache g);
-  Alcotest.(check (option int)) "shape hint records the optimum" (Some 168)
-    (Cache.hint cache ~shape:(K.shape_digest g))
-
 (* -------------------------- persistence ------------------------------ *)
+
+let with_temp_file f =
+  let path = Filename.temp_file "eitc_cache" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let write_file path text =
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text)
 
 let test_persistence_roundtrip () =
   let g = qrd_ir () in
   let cache = Cache.create ~capacity:4 () in
   ignore (solve ~cache g);
-  let path = Filename.temp_file "eitc_cache" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+  with_temp_file (fun path ->
       Cache.save cache path;
       match Cache.load ~capacity:4 path with
       | Error e -> Alcotest.failf "load failed: %s" e
@@ -514,9 +424,6 @@ let test_persistence_roundtrip () =
         let s = Cache.stats loaded in
         Alcotest.(check (list int)) "a reload counts nothing" [ 0; 0; 0; 0 ]
           [ s.Cache.hits; s.Cache.misses; s.Cache.evictions; s.Cache.stores ];
-        Alcotest.(check (option int)) "hint survives the round trip"
-          (Some 168)
-          (Cache.hint loaded ~shape:(K.shape_digest g));
         let hit = solve ~cache:loaded g in
         Alcotest.(check bool) "hit from the loaded cache" true
           hit.Sched.Solve.from_cache;
@@ -525,18 +432,61 @@ let test_persistence_roundtrip () =
           Alcotest.(check int) "replayed optimum" 168 sch.Sched.Schedule.makespan
         | None -> Alcotest.fail "expected schedule"))
 
+(* A cache file needs [version] and [entries] only.  Files written
+   while the cache still kept warm-start hints carry an extra [hints]
+   list, which [load] ignores.  Save a solved QRD entry, rewrite the
+   file as exactly version + entries + [extra], and check that the
+   entry loads and hits. *)
+let check_loads_with what extra =
+  let g = qrd_ir () in
+  let cache = Cache.create ~capacity:4 () in
+  ignore (solve ~cache g);
+  with_temp_file (fun path ->
+      Cache.save cache path;
+      let saved =
+        match Obs.Json.parse_file path with
+        | Ok doc -> doc
+        | Error e -> Alcotest.failf "saved file does not parse: %s" e
+      in
+      let entries =
+        match Obs.Json.member "entries" saved with
+        | Some e -> e
+        | None -> Alcotest.fail "saved file lacks entries"
+      in
+      write_file path
+        (Obs.Json.to_string
+           (Obs.Json.Obj
+              (("version", Obs.Json.Num 1.) :: ("entries", entries) :: extra)));
+      (match Cache.load ~capacity:4 path with
+      | Error e -> Alcotest.failf "%s: rejected: %s" what e
+      | Ok loaded ->
+        Alcotest.(check int) (what ^ ": entry loads") 1 (Cache.length loaded);
+        Alcotest.(check bool) (what ^ ": entry hits") true
+          (solve ~cache:loaded g).Sched.Solve.from_cache);
+      Alcotest.(check bool) "save writes no hints" true
+        (Obs.Json.member "hints" saved = None))
+
+let test_file_without_hints () = check_loads_with "no hints" []
+
+let test_file_with_legacy_hints () =
+  check_loads_with "legacy hints"
+    [
+      ( "hints",
+        Obs.Json.Arr
+          [
+            Obs.Json.Arr
+              [ Obs.Json.Str (Digest.to_hex (Digest.string "shape"));
+                Obs.Json.Num 168. ];
+          ] );
+    ]
+
 let test_corrupt_cache_file_rejected () =
-  let path = Filename.temp_file "eitc_cache" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc "this is not json");
+  with_temp_file (fun path ->
+      write_file path "this is not json";
       (match Cache.load ~capacity:4 path with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "garbage accepted");
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc "{\"version\": 1}");
+      write_file path "{\"version\": 1}";
       match Cache.load ~capacity:4 path with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "truncated document accepted")
@@ -555,26 +505,22 @@ let suite =
     differential_hit_replays_cold;
     Alcotest.test_case "isomorphic request hits and revalidates" `Quick
       test_isomorphic_request_hits;
-    warm_same_optimum;
-    Alcotest.test_case "warm start on an edited arch" `Slow
-      test_warm_edited_arch_same_optimum;
-    Alcotest.test_case "seed below the optimum stays sound" `Slow
-      test_warm_bound_below_optimum_is_sound;
-    Alcotest.test_case "warm seed cannot mask infeasibility" `Quick
-      test_warm_on_infeasible_instance;
     Alcotest.test_case "timeouts are never cached" `Quick
       test_timeout_never_stored;
     Alcotest.test_case "chaos runs never touch the cache" `Quick
       test_chaos_never_touches_cache;
     Alcotest.test_case "infeasibility proofs are cached" `Quick
       test_infeasible_proof_is_cached;
+    Alcotest.test_case "persistence round-trips" `Quick
+      test_persistence_roundtrip;
+    Alcotest.test_case "a file without hints loads" `Quick
+      test_file_without_hints;
+    Alcotest.test_case "legacy hints are ignored" `Quick
+      test_file_with_legacy_hints;
+    Alcotest.test_case "corrupt cache files are rejected" `Quick
+      test_corrupt_cache_file_rejected;
     Alcotest.test_case "LRU eviction and counters" `Slow
       test_lru_eviction_and_counters;
     Alcotest.test_case "capacity 0 disables the cache" `Quick
       test_capacity_zero_disables;
-    Alcotest.test_case "warm hints are recorded" `Quick test_hint_noted;
-    Alcotest.test_case "persistence round-trips" `Quick
-      test_persistence_roundtrip;
-    Alcotest.test_case "corrupt cache files are rejected" `Quick
-      test_corrupt_cache_file_rejected;
   ]

@@ -510,7 +510,6 @@ let test_chaos_soak () =
       seed = 42;
       chaos = Some chaos;
       cache_capacity = 0;
-      warm_start = false;
       metrics = None;
       flight_dir = Some flight_dir;
       flight_buf = 512;
