@@ -20,10 +20,16 @@ let fir () = merged (Apps.Fir.graph (Apps.Fir.build ()))
 let blocked8 () =
   merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx)
 
+let blocked12 () =
+  merged (Dsl.graph (Apps.Matmul.build_blocked ~k:3 ()).Apps.Matmul.bctx)
+
 (* blocked8 proves nothing within reach.  A node budget with no time
    limit keeps its long search reproducible, so its counters gate like
-   a proof's (see [is_deterministic_row]). *)
+   a proof's (see [is_deterministic_row]).  blocked12 (612 ops) gets a
+   shorter one: its first dive alone is longer than 300 nodes, so the
+   row measures model build and propagation at scale. *)
 let blocked8_nodes = 3_000
+let blocked12_nodes = 300
 
 (* The kernels whose propagator profiles are tracked, with their node
    budget ([None]: solved to a proof under a 10 s time budget). *)
@@ -1257,12 +1263,15 @@ let suite_rows ?(budget = Fd.Search.time_budget 30_000.) () =
           run_row ~kernel ~mode:"fallback" ~slots:64 ~g (fun () ->
               Sched.Solve.run ~budget:(Fd.Search.time_budget 0.) g)))
     [ ("QRD", qrd ()); ("ARF", arf ()); ("MATMUL", matmul ()) ];
-  (* a long deterministic search: the proofs above all close early *)
-  add ~kernel:"BLOCKED8" ~mode:"sequential" ~slots:64 (fun () ->
-      let g = blocked8 () in
-      run_row ~kernel:"BLOCKED8" ~mode:"sequential" ~slots:64
-        ~node_budget:blocked8_nodes ~g (fun () ->
-          Sched.Solve.run ~budget:(Fd.Search.node_budget blocked8_nodes) g));
+  (* long deterministic searches under node budgets: the proofs above
+     all close early *)
+  List.iter
+    (fun (kernel, g, nodes) ->
+      add ~kernel ~mode:"sequential" ~slots:64 (fun () ->
+          let g = g () in
+          run_row ~kernel ~mode:"sequential" ~slots:64 ~node_budget:nodes ~g
+            (fun () -> Sched.Solve.run ~budget:(Fd.Search.node_budget nodes) g)))
+    [ ("BLOCKED8", blocked8, blocked8_nodes); ("BLOCKED12", blocked12, blocked12_nodes) ];
   List.rev !rows
 
 let row_json r =
@@ -1618,8 +1627,8 @@ let () =
     | [ "archsweep" ] -> archsweep (); 0
     | [ "expressiveness" ] -> expressiveness (); 0
     | [ "bechamel" ] -> bechamel (); 0
-    | [ "perfjson" ] -> perfjson (); 0
-    | [ "profile" ] -> profile (); 0
+    | [ "perfjson" ] -> perfjson ?path:lpath (); 0
+    | [ "profile" ] -> profile ?path:lpath (); 0
     | [ "robustness" ] -> robustness (); 0
     | [ "load" ] ->
       load ?path:lpath ?requests:(iopt requests) ?pool:(iopt pool)

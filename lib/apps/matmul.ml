@@ -56,34 +56,38 @@ let build_matrix_form ?(a = default_input) () =
 
 let graph t = Dsl.graph t.ctx
 
-(* ---------------- blocked 8x8 ---------------- *)
+(* ---------------- blocked k x k grids of 4x4 blocks ---------------- *)
 
 type blocked = {
   bctx : Dsl.ctx;
+  k : int;
   c_rows : Dsl.vector array array;
 }
 
-let input8 ~seed =
+(* The (4k)x(4k) input, row-major from one LCG stream: k = 2 gives the
+   8x8 matrix of every earlier blocked8 run. *)
+let input ~k ~seed =
   let state = ref ((seed * 75) land 0x3FFFFFFF) in
   let next () =
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
     float_of_int ((!state mod 100) - 50) /. 10.
   in
-  Array.init 8 (fun _ -> Array.init 8 (fun _ -> next ()))
+  Array.init (4 * k) (fun _ -> Array.init (4 * k) (fun _ -> next ()))
 
-let build_blocked8 ?(seed = 1) () =
-  let a8 = input8 ~seed in
+let build_blocked ?(seed = 1) ~k () =
+  if k < 1 then invalid_arg "Matmul.build_blocked: k must be positive";
+  let a = input ~k ~seed in
   let ctx = Dsl.create () in
   (* block (bi, bk) of A: rows 4bi..4bi+3, columns 4bk..4bk+3 *)
   let block bi bk =
     Dsl.matrix_input ctx
       ~name:(Printf.sprintf "A%d%d" bi bk)
       (Array.init 4 (fun i ->
-           Array.init 4 (fun j -> Eit.Cplx.of_float a8.((4 * bi) + i).((4 * bk) + j))))
+           Array.init 4 (fun j -> Eit.Cplx.of_float a.((4 * bi) + i).((4 * bk) + j))))
   in
-  let blocks = Array.init 2 (fun bi -> Array.init 2 (fun bk -> block bi bk)) in
-  (* C_{bi,bj} = A_{bi,0} A_{bj,0}^T + A_{bi,1} A_{bj,1}^T; the 4x4
-     block product (X Y^T)_{ij} = row_i(X) . row_j(Y) as in listing 1 *)
+  let blocks = Array.init k (fun bi -> Array.init k (fun bk -> block bi bk)) in
+  (* C_{bi,bj} = sum_bk A_{bi,bk} A_{bj,bk}^T; the 4x4 block product
+     (X Y^T)_{ij} = row_i(X) . row_j(Y) as in listing 1 *)
   let block_product x y =
     Array.init 4 (fun i ->
         let s =
@@ -92,37 +96,42 @@ let build_blocked8 ?(seed = 1) () =
         Dsl.merge ctx s.(0) s.(1) s.(2) s.(3))
   in
   let c_rows =
-    Array.init 2 (fun bi ->
-        Array.init 2 (fun bj ->
-            let p0 = block_product blocks.(bi).(0) blocks.(bj).(0) in
-            let p1 = block_product blocks.(bi).(1) blocks.(bj).(1) in
+    Array.init k (fun bi ->
+        Array.init k (fun bj ->
+            let ps =
+              Array.init k (fun bk -> block_product blocks.(bi).(bk) blocks.(bj).(bk))
+            in
             Array.init 4 (fun i ->
-                let r = Dsl.v_add ctx p0.(i) p1.(i) in
-                Dsl.mark_output ctx r;
-                r)))
+                (* k = 1: the block product row itself *)
+                let r = ref ps.(0).(i) in
+                for bk = 1 to k - 1 do
+                  r := Dsl.v_add ctx !r ps.(bk).(i)
+                done;
+                Dsl.mark_output ctx !r;
+                !r)))
   in
   (* flatten to [band].[column-block] of 4 rows each *)
-  let flat =
-    Array.init 4 (fun k ->
-        let bi = k / 2 and bj = k mod 2 in
-        c_rows.(bi).(bj))
-  in
-  { bctx = ctx; c_rows = flat }
+  let flat = Array.init (k * k) (fun b -> c_rows.(b / k).(b mod k)) in
+  { bctx = ctx; k; c_rows = flat }
 
-let blocked8_reference ~seed =
-  let a8 = input8 ~seed in
-  Array.init 8 (fun i ->
-      Array.init 8 (fun j ->
+let build_blocked8 ?seed () = build_blocked ?seed ~k:2 ()
+
+let blocked_reference ~k ~seed =
+  let a = input ~k ~seed in
+  let n = 4 * k in
+  Array.init n (fun i ->
+      Array.init n (fun j ->
           let acc = ref 0. in
-          for k = 0 to 7 do
-            acc := !acc +. (a8.(i).(k) *. a8.(j).(k))
+          for c = 0 to n - 1 do
+            acc := !acc +. (a.(i).(c) *. a.(j).(c))
           done;
           Eit.Cplx.of_float !acc))
 
-let blocked8_rows b =
-  Array.init 8 (fun i ->
+let blocked_rows b =
+  let k = b.k in
+  Array.init (4 * k) (fun i ->
       let bi = i / 4 in
-      Array.init 8 (fun j ->
+      Array.init (4 * k) (fun j ->
           let bj = j / 4 in
-          let rows = b.c_rows.((2 * bi) + bj) in
+          let rows = b.c_rows.((k * bi) + bj) in
           (Dsl.vector_value rows.(i mod 4)).(j mod 4)))

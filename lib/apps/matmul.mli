@@ -34,25 +34,32 @@ val build_matrix_form : ?a:float list list -> unit -> t
 val graph : t -> Ir.t
 val default_input : float list list
 
-(** {1 Blocked 8x8 (future-work scale)} *)
+(** {1 Blocked k x k grids (future-work scale)} *)
 
 type blocked = {
   bctx : Dsl.ctx;
+  k : int;  (** blocks per side: the matrix is [4k x 4k] *)
   c_rows : Dsl.vector array array;
-      (** [c_rows.(bi).(bj)] holds rows of block C_{bi,bj}... flattened:
-          row [i] of the left/right block half of output row band [bi] *)
+      (** [c_rows.(k * bi + bj)] holds the four rows of block
+          C_{bi,bj} *)
 }
 
+val build_blocked : ?seed:int -> k:int -> unit -> blocked
+(** [A A^T] for a [4k x 4k] matrix as a [k x k] grid of the 4x4
+    primitives: each output block [C_{ij} = sum_b A_{ib} A_{jb}^T]
+    costs [k] block products (16 [v_dotP] + 4 merges each) and
+    [4 (k - 1)] [v_add].  [k = 1] is MATMUL's 20 ops; [k = 2] is
+    blocked8 (176 ops), [k = 3] blocked12 (612), [k = 4] blocked16
+    (1,472).  The input is drawn from a seeded LCG, row-major.
+    @raise Invalid_argument if [k < 1]. *)
+
 val build_blocked8 : ?seed:int -> unit -> blocked
-(** [A A^T] for an 8x8 matrix via 2x2 block decomposition over the 4x4
-    primitives: each output block [C_{ij} = A_{i0} A_{j0}^T + A_{i1}
-    A_{j1}^T] costs two 4x4 block products (16 [v_dotP] + 4 merges
-    each) plus four [v_add] — the paper's §5 "more complex
-    applications" at the scale the 4-lane core natively supports.
-    Graph: ~270 nodes, a scheduler stress test. *)
+(** [build_blocked ~k:2]: the paper's §5 "more complex applications"
+    at the scale the 4-lane core natively supports.  Graph: ~270
+    nodes, a scheduler stress test. *)
 
-val blocked8_reference : seed:int -> Eit.Cplx.t array array
-(** The 8x8 product [A A^T] for the same deterministic input. *)
+val blocked_reference : k:int -> seed:int -> Eit.Cplx.t array array
+(** The [4k x 4k] product [A A^T] for the same deterministic input. *)
 
-val blocked8_rows : blocked -> Eit.Cplx.t array array
-(** The traced result rows, assembled back into an 8x8 matrix. *)
+val blocked_rows : blocked -> Eit.Cplx.t array array
+(** The traced result rows, assembled back into a [4k x 4k] matrix. *)

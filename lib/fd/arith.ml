@@ -49,6 +49,47 @@ let neq_offset s x c y =
 
 let neq s x y = neq_offset s x 0 y
 
+(* x_i <> x_j for every pair of different classes, as one indexed
+   propagator: a fix of x_i advises index i, and the run removes its
+   value from every variable of another class — the pruning of the
+   pairwise [neq]s, which act only on a fixed side. *)
+let neq_classes s ~classes xs =
+  let n = Array.length xs in
+  if Array.length classes <> n then invalid_arg "Arith.neq_classes: length mismatch";
+  (* the members of each class, classes numbered densely *)
+  let ids = Hashtbl.create 8 in
+  Array.iter
+    (fun k -> if not (Hashtbl.mem ids k) then Hashtbl.add ids k (Hashtbl.length ids))
+    classes;
+  let cls = Array.map (Hashtbl.find ids) classes in
+  let members =
+    Array.init (Hashtbl.length ids) (fun c ->
+        Array.of_list (List.filter (fun i -> cls.(i) = c) (List.init n Fun.id)))
+  in
+  let exclude st c v =
+    for c' = 0 to Array.length members - 1 do
+      if c' <> c then begin
+        let ms = members.(c') in
+        for k = 0 to Array.length ms - 1 do
+          remove_value st xs.(ms.(k)) v
+        done
+      end
+    done
+  in
+  let rec drain st =
+    let i = next_index st in
+    if i >= 0 then begin
+      if is_fixed xs.(i) then exclude st cls.(i) (value xs.(i));
+      drain st
+    end
+  in
+  if Array.length members > 1 then
+    ignore
+      (post_indexed s ~name:"neq_classes" ~size:n
+         ~watches:(List.init n (fun i -> (On_fix, xs.(i), i)))
+         drain);
+  propagate s
+
 let plus s x y z =
   let prop st =
     (* z = x + y: bounds in all three directions *)
@@ -68,87 +109,142 @@ let plus s x y z =
   ignore (post_now s ~name:"plus" ~event:On_bounds ~watches:[ x; y; z ] prop);
   propagate s
 
-(* m = max(xs), incremental.  Two of the four filtering rules only fire
-   when a particular bound moved, and both skips are validated by the
-   store's backtrack generation (within one search node domains only
-   narrow, so a cached bound that did not move certifies the whole
-   cached quantity):
+(* m = max(xs), as one indexed propagator: a bounds change of x_i
+   advises index i, one of m advises index n.  The four rules
 
-   - ub(m) <= max_i ub(x_i) is re-derived only when the ub of the
-     cached argmax (the "support") dropped — no other ub can have risen
-     above it, so while the support's ub is unchanged the cached max
-     and the cap installed from it both still stand;
-   - the caps ub(x_i) <= ub(m) are re-applied only when ub(m) dropped
-     since the previous run — otherwise each x_i is already below the
-     installed cap.
+     1. ub(m) <= max_i ub(x_i)
+     2. lb(m) >= max_i lb(x_i)
+     3. x_i <= ub(m) for every i
+     4. if x_c is the only x with ub(x_c) >= lb(m), then x_c >= lb(m)
 
-   The lb rules stay O(n) per run: they are two int scans with no
-   allocation, and their inputs (the lbs) have no single support. *)
+   are applied from the changed index alone, with their supports in
+   reversible cells ({!Store.write}), so a backtrack restores them
+   instead of forcing a rescan:
+
+   - [sup] is an argmax of ub(x) and [c_ub] its ub when it was found.
+     Upper bounds only drop below a level, so max_i ub(x_i) <= c_ub,
+     with equality while ub(x_sup) = c_ub: rule 1 rescans only when
+     the support's ub dropped, and rule 3 only when ub(m) < c_ub;
+   - rule 2 needs only the changed lb;
+   - [w1], [w2] are two distinct candidates for rule 4 (ub(x) >= lb(m)).
+     While both stand the rule cannot fire; a witness that falls is
+     replaced by a scan, and [w2 = -1] records that at most [w1] was
+     left (candidates only disappear below a level);
+   - [lbm] is an argmax of lb(x), for the entailment test.
+
+   [built] is 0 until the first run has applied every rule from
+   scratch; a pop above that run undoes it, and the next run starts
+   over.  A run that prunes nothing allocates nothing. *)
+let c_built = 0
+let c_sup = 1
+let c_ub = 2
+let c_w1 = 3
+let c_w2 = 4
+let c_lbm = 5
+
+(* Does x_w stand as a rule-4 candidate against lb(m) = lo? *)
+let stands xs lo w = w >= 0 && vmax xs.(w) >= lo
+
+(* The first i >= from other than [excl] with ub(x_i) >= lo, or -1. *)
+let rec candidate xs lo excl from =
+  if from >= Array.length xs then -1
+  else if from <> excl && vmax xs.(from) >= lo then from
+  else candidate xs lo excl (from + 1)
+
 let max_of s xs m =
   if xs = [] then invalid_arg "Arith.max_of: empty list";
   let xs = Array.of_list xs in
   let n = Array.length xs in
-  let sup = ref 0 in          (* index of the argmax-ub support *)
-  let c_gen = ref (-1) in     (* generation the caches were built at *)
-  let c_ub = ref max_int in   (* max_i ub(x_i) at the last rescan *)
-  let c_mhi = ref max_int in  (* ub(m) after the previous run *)
-  let prop st =
-    let gen = generation st in
-    let fresh = gen <> !c_gen in
-    c_gen := gen;
-    (* rule 1: ub(m) <= max_i ub(x_i), support-watched *)
-    if fresh || vmax xs.(!sup) < !c_ub then begin
-      let best = ref 0 and ub = ref min_int in
-      for i = 0 to n - 1 do
-        let hi = vmax xs.(i) in
-        if hi > !ub then begin
-          ub := hi;
-          best := i
-        end
-      done;
-      sup := !best;
-      c_ub := !ub;
-      remove_above st m !ub
-    end;
-    (* rule 2: lb(m) >= max_i lb(x_i) *)
-    let lb = ref min_int in
+  let c = Array.make 6 0 in
+  (* rule 1, from scratch *)
+  let rescan_ub st =
+    let best = ref 0 and ub = ref min_int in
     for i = 0 to n - 1 do
-      let lo = vmin xs.(i) in
-      if lo > !lb then lb := lo
+      let hi = vmax xs.(i) in
+      if hi > !ub then begin
+        ub := hi;
+        best := i
+      end
     done;
-    remove_below st m !lb;
-    (* rule 3: every x_i <= ub(m), re-applied only when ub(m) dropped *)
+    write st c c_sup !best;
+    write st c c_ub !ub;
+    remove_above st m !ub
+  in
+  (* rule 3, when ub(m) dropped below the largest ub(x): afterwards the
+     support's ub is ub(m) *)
+  let cap st =
+    if vmax xs.(c.(c_sup)) < c.(c_ub) then rescan_ub st;
     let mhi = vmax m in
-    if fresh || mhi < !c_mhi then
+    if mhi < c.(c_ub) then begin
       for i = 0 to n - 1 do
         if vmax xs.(i) > mhi then remove_above st xs.(i) mhi
       done;
-    c_mhi := mhi;
-    (* rule 4: if only one variable can realize the maximum, it must *)
-    let mlo = vmin m in
-    let ncand = ref 0 and cand = ref (-1) in
-    for i = 0 to n - 1 do
-      if vmax xs.(i) >= mlo then begin
-        incr ncand;
-        cand := i
-      end
-    done;
-    if !ncand = 1 then remove_below st xs.(!cand) mlo;
-    (* entailed once the maximum is decided: m is fixed, every x_i is
-       capped at its value (rule 3 invariant) and some x_i is pinned
-       there *)
-    if is_fixed m then begin
-      let v = vmin m in
-      let ok = ref false in
-      for i = 0 to n - 1 do
-        if vmin xs.(i) >= v then ok := true
-      done;
-      if !ok then entail_now st
+      write st c c_ub mhi
     end
   in
-  ignore
-    (post_now s ~name:"max_of" ~event:On_bounds ~watches:(m :: Array.to_list xs)
-       prop);
+  (* rule 4 *)
+  let witnesses st =
+    let mlo = vmin m in
+    let w1 = c.(c_w1) and w2 = c.(c_w2) in
+    if w2 < 0 then begin
+      if stands xs mlo w1 then remove_below st xs.(w1) mlo
+    end
+    else if not (stands xs mlo w1 && stands xs mlo w2) then begin
+      let a =
+        if stands xs mlo w1 then w1
+        else if stands xs mlo w2 then w2
+        else candidate xs mlo (-1) 0
+      in
+      let b = if a < 0 then -1 else candidate xs mlo a 0 in
+      write st c c_w1 a;
+      write st c c_w2 b;
+      if a >= 0 && b < 0 then remove_below st xs.(a) mlo
+    end
+  in
+  let build st =
+    rescan_ub st;
+    let lbm = ref 0 in
+    for i = 1 to n - 1 do
+      if vmin xs.(i) > vmin xs.(!lbm) then lbm := i
+    done;
+    write st c c_lbm !lbm;
+    remove_below st m (vmin xs.(!lbm));
+    cap st;
+    let mlo = vmin m in
+    let a = candidate xs mlo (-1) 0 in
+    write st c c_w1 a;
+    write st c c_w2 (if a < 0 then -1 else candidate xs mlo a 0);
+    witnesses st;
+    write st c c_built 1
+  in
+  let rec drain st =
+    let k = next_index st in
+    if k >= 0 then begin
+      if k = n then begin
+        cap st;
+        witnesses st
+      end
+      else begin
+        let x = xs.(k) in
+        remove_below st m (vmin x);
+        if vmin x > vmin xs.(c.(c_lbm)) then write st c c_lbm k;
+        if k = c.(c_sup) && vmax x < c.(c_ub) then rescan_ub st;
+        if k = c.(c_w1) || k = c.(c_w2) then witnesses st
+      end;
+      drain st
+    end
+  in
+  let prop st =
+    if c.(c_built) = 0 then build st;
+    drain st;
+    (* entailed once the maximum is decided: m is fixed, every x_i is
+       capped at its value (rule 3) and some x_i is pinned there *)
+    if is_fixed m && vmin xs.(c.(c_lbm)) >= vmin m then entail_now st
+  in
+  let watches =
+    (On_bounds, m, n) :: List.init n (fun i -> (On_bounds, xs.(i), i))
+  in
+  ignore (post_indexed s ~name:"max_of" ~size:(n + 1) ~watches prop);
   propagate s
 
 let min_of s xs m =

@@ -26,6 +26,13 @@ val neq : t -> var -> var -> unit
 val neq_offset : t -> var -> int -> var -> unit
 (** [neq_offset s x c y] posts [x + c <> y]. *)
 
+val neq_classes : t -> classes:int array -> var array -> unit
+(** [neq_classes s ~classes xs] posts [xs.(i) <> xs.(j)] for every pair
+    with [classes.(i) <> classes.(j)]: the pairwise {!neq}s, as one
+    propagator that removes a newly fixed variable's value from every
+    variable of another class.
+    @raise Invalid_argument if the arrays differ in length. *)
+
 val plus : t -> var -> var -> var -> unit
 (** [plus s x y z] posts [z = x + y]. *)
 

@@ -54,24 +54,40 @@ let separate st oi li oj lj =
     else if i_empty then update st li (Dom.singleton 0)
     else update st lj (Dom.singleton 0)
 
+(* The pair rule: overlap forced in one dimension separates the pair
+   in the other.  Symmetric in its two rectangles. *)
+let pair st r r' =
+  if must_overlap r.ox r.lx r'.ox r'.lx then separate st r.oy r.ly r'.oy r'.ly;
+  if must_overlap r.oy r.ly r'.oy r'.ly then separate st r.ox r.lx r'.ox r'.lx
+
+(* One indexed propagator for every pair: a bounds change of rectangle
+   [i] advises index [i], and a run re-checks the pairs of each pending
+   rectangle only — including the rectangles its own prunes move.  The
+   rules are the pair rules, so the fixpoint is that of one propagator
+   per pair. *)
 let post s rects =
-  let rec pairs = function
-    | [] -> ()
-    | r :: rest ->
-      List.iter
-        (fun r' ->
-          let prop st =
-            if must_overlap r.ox r.lx r'.ox r'.lx then
-              separate st r.oy r.ly r'.oy r'.ly;
-            if must_overlap r.oy r.ly r'.oy r'.ly then
-              separate st r.ox r.lx r'.ox r'.lx
-          in
-          let watches =
-            [ r.ox; r.oy; r.lx; r.ly; r'.ox; r'.oy; r'.lx; r'.ly ]
-          in
-          ignore (post_now s ~name:"diff2" ~priority:prio_global ~event:On_bounds ~watches prop))
-        rest;
-      pairs rest
+  let rects = Array.of_list rects in
+  let n = Array.length rects in
+  let rec pairs st r i j =
+    if j < n then begin
+      if j <> i then pair st r rects.(j);
+      pairs st r i (j + 1)
+    end
   in
-  pairs rects;
+  let rec drain st =
+    let i = next_index st in
+    if i >= 0 then begin
+      pairs st rects.(i) i 0;
+      drain st
+    end
+  in
+  let watches =
+    List.concat
+      (List.init n (fun i ->
+           let r = rects.(i) in
+           [ (On_bounds, r.ox, i); (On_bounds, r.oy, i); (On_bounds, r.lx, i);
+             (On_bounds, r.ly, i) ]))
+  in
+  if n > 1 then
+    ignore (post_indexed s ~name:"diff2" ~priority:prio_global ~size:n ~watches drain);
   propagate s

@@ -13,13 +13,20 @@
     Propagation: for every pair, if overlap in dimension [k] is
     unavoidable, the disjunction collapses to non-overlap in the other
     dimension, which is then propagated as two conditional bound updates
-    (and as value removal when the lengths are 1). *)
+    (and as value removal when the lengths are 1).  One indexed
+    propagator carries every pair: a bounds change of a rectangle
+    re-checks that rectangle's pairs only. *)
 
 open Store
 
 type rect = { ox : var; oy : var; lx : var; ly : var }
 
 val post : t -> rect list -> unit
+
+val pair : t -> rect -> rect -> unit
+(** [pair s r r'] applies the pair rule for [r] and [r'] once to the
+    current domains (symmetric in its arguments).
+    @raise Fail when the two rectangles must overlap. *)
 
 val check : (int * int * int * int) list -> bool
 (** Ground checker: [true] iff no two rectangles overlap. *)

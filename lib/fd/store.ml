@@ -15,18 +15,23 @@ type var = {
   mutable w_change : propagator list;
   mutable w_bounds : propagator list;
   mutable w_fix : propagator list;
+  mutable a_change : advisor list;
+  mutable a_bounds : advisor list;
+  mutable a_fix : advisor list;
 }
+
+(* An indexed subscription: a change of the variable marks index [ai]
+   of propagator [ap] pending. *)
+and advisor = { ap : propagator; ai : int }
 
 and propagator = {
   pid : int;
   pname : string;
   prio : int;
   exec : t -> unit;
-  mutable psubs : (event * var) list;
+  psubs : (event * var) list;
       (* watcher-list subscriptions, kept so entailment can detach the
-         propagator and [pop_level] can re-attach it; mutable so a
-         propagator can rewrite its watch set as it changes phase
-         (see [resubscribe]) *)
+         propagator and [pop_level] can re-attach it *)
   mutable queued : bool;
   mutable entailed : bool;
   mutable runs : int;
@@ -34,13 +39,21 @@ and propagator = {
   mutable prunes : int;  (* domain commits made while executing *)
   mutable entails : int; (* entailment reports (≤1 per live subtree) *)
   mutable time_s : float;  (* cumulative execution time, only when timed *)
+  (* Indexed propagators only (the others have an empty [pend]): their
+     indexed subscriptions, and the pending indices as a stack [pend] of
+     [n_pend] entries with [marks.[i] <> '\000'] iff [i] is in it.
+     The stack is valid only while [pend_gen] is the store's
+     [generation]: a [pop_level] drops it without touching it. *)
+  mutable isubs : (event * var * advisor) list;
+  pend : int array;
+  marks : Bytes.t;
+  mutable n_pend : int;
+  mutable pend_gen : int;
 }
 
 and trail_entry =
   | Dom_change of var * Dom.t
   | Entailment of propagator
-  | Resubscription of propagator * (event * var) list
-      (* previous watch set, restored on backtrack *)
   | Mark
 
 and t = {
@@ -107,7 +120,8 @@ let prio_global = n_priorities - 1
 let idle =
   { pid = -1; pname = ""; prio = 0; exec = ignore; psubs = []; queued = false;
     entailed = true; runs = 0; wakes = 0; prunes = 0; entails = 0;
-    time_s = 0. }
+    time_s = 0.; isubs = []; pend = [||]; marks = Bytes.empty; n_pend = 0;
+    pend_gen = 0 }
 
 let create () =
   {
@@ -151,7 +165,10 @@ let new_var ?name s dom =
   let vid = s.next_vid in
   s.next_vid <- vid + 1;
   let vname = match name with Some n -> n | None -> Printf.sprintf "_v%d" vid in
-  let v = { vid; vname; vdom = dom; w_change = []; w_bounds = []; w_fix = [] } in
+  let v =
+    { vid; vname; vdom = dom; w_change = []; w_bounds = []; w_fix = [];
+      a_change = []; a_bounds = []; a_fix = [] }
+  in
   s.vars <- v :: s.vars;
   v
 
@@ -183,13 +200,47 @@ let schedule s p =
     Queue.add p s.queues.(p.prio)
   end
 
+(* Empty the pending stack. *)
+let drop_pending p =
+  for k = 0 to p.n_pend - 1 do
+    Bytes.unsafe_set p.marks p.pend.(k) '\000'
+  done;
+  p.n_pend <- 0
+
+(* The advise step of an indexed subscription: O(1), allocation-free,
+   never prunes.  It marks index [i] pending and queues the propagator,
+   unless the propagator is the one running: its run drains the indices
+   its own prunes add, so a re-run would find nothing pending. *)
+let advise s p i =
+  if not p.entailed then begin
+    if p.pend_gen <> s.generation then begin
+      drop_pending p;
+      p.pend_gen <- s.generation
+    end;
+    if Bytes.unsafe_get p.marks i = '\000' then begin
+      Bytes.unsafe_set p.marks i '\001';
+      p.pend.(p.n_pend) <- i;
+      p.n_pend <- p.n_pend + 1
+    end;
+    if p != s.running then schedule s p
+  end
+
+let rec advise_all s = function
+  | [] -> ()
+  | a :: rest ->
+    advise s a.ap a.ai;
+    advise_all s rest
+
 (* Wake watchers according to what actually changed.  A variable that
    became fixed necessarily changed a bound, so [fixed] implies
    [bounds]. *)
 let notify s v ~bounds ~fixed =
   List.iter (schedule s) v.w_change;
   if bounds then List.iter (schedule s) v.w_bounds;
-  if fixed then List.iter (schedule s) v.w_fix
+  if fixed then List.iter (schedule s) v.w_fix;
+  advise_all s v.a_change;
+  if bounds then advise_all s v.a_bounds;
+  if fixed then advise_all s v.a_fix
 
 (* Install domain [d'] (already a subset check is the caller's concern:
    d' must be the intersection of the old domain with the update). *)
@@ -253,7 +304,20 @@ let detach p (event, v) =
   | On_bounds -> v.w_bounds <- rm v.w_bounds
   | On_fix -> v.w_fix <- rm v.w_fix
 
-let post_on ?name ?(priority = prio_arith) s ~watches exec =
+let attach_advisor (event, v, a) =
+  match event with
+  | On_change -> v.a_change <- a :: v.a_change
+  | On_bounds -> v.a_bounds <- a :: v.a_bounds
+  | On_fix -> v.a_fix <- a :: v.a_fix
+
+let detach_advisor (event, v, a) =
+  let rm l = List.filter (fun b -> b != a) l in
+  match event with
+  | On_change -> v.a_change <- rm v.a_change
+  | On_bounds -> v.a_bounds <- rm v.a_bounds
+  | On_fix -> v.a_fix <- rm v.a_fix
+
+let make_propagator ?name ?(priority = prio_arith) s ~psubs ~size exec =
   let pid = s.next_pid in
   s.next_pid <- pid + 1;
   s.n_props <- s.n_props + 1;
@@ -264,13 +328,52 @@ let post_on ?name ?(priority = prio_arith) s ~watches exec =
     else priority
   in
   let p =
-    { pid; pname; prio = priority; exec; psubs = watches; queued = false;
+    { pid; pname; prio = priority; exec; psubs; queued = false;
       entailed = false; runs = 0; wakes = 0; prunes = 0; entails = 0;
-      time_s = 0. }
+      time_s = 0.; isubs = []; pend = Array.make size 0;
+      marks = Bytes.make size '\000'; n_pend = 0; pend_gen = s.generation }
   in
   s.props <- p :: s.props;
+  p
+
+let post_on ?name ?priority s ~watches exec =
+  let p = make_propagator ?name ?priority s ~psubs:watches ~size:0 exec in
   List.iter (attach p) watches;
   p
+
+(* Advise every indexed subscription, in posting order. *)
+let rec readvise s p = function
+  | [] -> ()
+  | (_, _, a) :: rest ->
+    advise s p a.ai;
+    readvise s p rest
+
+let post_indexed ?name ?priority s ~size ~watches exec =
+  let p = make_propagator ?name ?priority s ~psubs:[] ~size exec in
+  p.isubs <-
+    List.map
+      (fun (event, v, i) ->
+        if i < 0 || i >= size then invalid_arg "Store.post_indexed: index out of range";
+        (event, v, { ap = p; ai = i }))
+      watches;
+  List.iter attach_advisor p.isubs;
+  readvise s p p.isubs;
+  p
+
+let next_index s =
+  let p = s.running in
+  if p.n_pend = 0 then -1
+  else if p.pend_gen <> s.generation then begin
+    drop_pending p;
+    -1
+  end
+  else begin
+    let k = p.n_pend - 1 in
+    let i = p.pend.(k) in
+    p.n_pend <- k;
+    Bytes.unsafe_set p.marks i '\000';
+    i
+  end
 
 let post ?name ?priority ?(event = On_change) s ~watches exec =
   post_on ?name ?priority s
@@ -297,30 +400,12 @@ let entail s p =
     p.entailed <- true;
     p.entails <- p.entails + 1;
     List.iter (detach p) p.psubs;
+    List.iter detach_advisor p.isubs;
+    drop_pending p;
     s.trail <- Entailment p :: s.trail
   end
 
 let entail_now s = if s.running != idle then entail s s.running
-
-(* Phase change: replace the propagator's watch set.  A staged
-   propagator starts out watching a small trigger set (say, a guard
-   pair) and widens to its full watch set only once the trigger fires,
-   keeping it off the watcher lists of high-traffic variables until its
-   prunes can actually apply.  The rewrite is trailed so backtracking
-   past the phase change restores the trigger set.  Physical equality
-   of [watches] with the current set makes the call a no-op, so a
-   propagator may re-assert its phase on every run with a closure-
-   allocated list and pay nothing when already in that phase. *)
-let resubscribe s p watches =
-  if watches != p.psubs && not p.entailed then begin
-    List.iter (detach p) p.psubs;
-    s.trail <- Resubscription (p, p.psubs) :: s.trail;
-    p.psubs <- watches;
-    List.iter (attach p) watches
-  end
-
-let resubscribe_now s watches =
-  if s.running != idle then resubscribe s s.running watches
 
 let queue_depth_gauge s =
   Obs.counter ~cat:"store" "queue-depth"
@@ -355,7 +440,10 @@ let execute s p =
        | exception e ->
          s.running <- idle;
          raise e);
-    s.running <- idle
+    s.running <- idle;
+    (* an indexed run drains its pending indices; any left over (a body
+       that returned early) must not be lost *)
+    if p.n_pend > 0 then schedule s p
   end
 
 (* Top-level and closure-free: one propagator execution allocates
@@ -388,7 +476,12 @@ and drain_from s i =
    afterwards re-checks the fixpoint from scratch.  Used by tests to
    assert that event-filtered propagation reached the same fixpoint a
    full sweep would. *)
-let reschedule_all s = List.iter (schedule s) s.props
+let reschedule_all s =
+  List.iter
+    (fun p ->
+      readvise s p p.isubs;
+      schedule s p)
+    s.props
 
 let stats s =
   let tbl = Hashtbl.create 16 in
@@ -480,13 +573,7 @@ let pop_level s =
     | Entailment p :: rest ->
       p.entailed <- false;
       List.iter (attach p) p.psubs;
-      unwind rest
-    | Resubscription (p, old) :: rest ->
-      (* entailment below this entry has already been unwound (trail
-         order), so the propagator is attached under its current set *)
-      List.iter (detach p) p.psubs;
-      p.psubs <- old;
-      List.iter (attach p) old;
+      List.iter attach_advisor p.isubs;
       unwind rest
   in
   unwind s.trail;

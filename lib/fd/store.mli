@@ -142,6 +142,48 @@ val post_now_on :
   propagator
 (** {!post_on} + an immediate first run, like {!post_now}. *)
 
+(** {2 Indexed propagators}
+
+    A global constraint over many variables usually needs to know
+    {e which} of them changed, not only that one did: rescanning every
+    argument on every run costs more than the pruning it finds.  An
+    indexed propagator subscribes with [(event, var, i)] triples.  When
+    [var] changes by [event], the store {e advises} it: index [i] is
+    marked pending, in O(1) and without allocating, and the propagator
+    is queued.  A run pops the pending indices with {!next_index} and
+    re-checks only what they name (Gecode calls such subscriptions
+    advisors).
+
+    - An index is pending at most once; a run pops each pending index
+      and drains the indices its own prunes add (they are marked
+      pending without re-queueing the running propagator).
+    - Pending indices are dropped at {!pop_level}: the changes that
+      advised them are undone.  State a run must keep across levels
+      lives in reversible cells ({!write}).
+    - {!reschedule_all} re-advises every indexed subscription, so a
+      full sweep re-checks every index.
+    - Entailment detaches the indexed subscriptions too. *)
+
+val post_indexed :
+  ?name:string ->
+  ?priority:int ->
+  t ->
+  size:int ->
+  watches:(event * var * int) list ->
+  (t -> unit) ->
+  propagator
+(** [post_indexed s ~size ~watches f] registers the indexed propagator
+    [f] with index range [\[0, size)] and subscribes it to every
+    [(event, var, i)] in [watches].  Every subscription is advised
+    once and the propagator is queued, so the first {!propagate}
+    checks every index.  A variable may carry several indices.
+    @raise Invalid_argument if an index is outside [\[0, size)]. *)
+
+val next_index : t -> int
+(** [next_index s] pops one pending index of the propagator being
+    executed, or returns [-1] when none is pending (always [-1] outside
+    an execution).  A run loops on it until [-1]. *)
+
 val schedule : t -> propagator -> unit
 (** Put a propagator in the queue (idempotent while queued). *)
 
@@ -159,22 +201,6 @@ val entail_now : t -> unit
     {!propagate} (no-op outside a propagator execution).  The common way
     for a propagator body to report its own entailment. *)
 
-val resubscribe : t -> propagator -> (event * var) list -> unit
-(** [resubscribe s p watches] replaces [p]'s watch set: it is detached
-    from its current subscriptions and attached under [watches].  The
-    rewrite is trailed — {!pop_level} past it restores the previous
-    set.  A staged propagator uses this to watch only a small trigger
-    set (e.g. a guard pair) and widen to its full set once the trigger
-    fires, staying off the watcher lists of high-traffic variables
-    while its prunes cannot apply.  Physical equality of [watches] with
-    the current set is a no-op, so the propagator may re-assert its
-    phase with a closure-allocated list on every run.  No-op on an
-    entailed propagator. *)
-
-val resubscribe_now : t -> (event * var) list -> unit
-(** {!resubscribe} applied to the propagator currently being executed
-    (no-op outside a propagator execution). *)
-
 val set_entail : t -> bool -> unit
 (** Disable ([false]) or re-enable ([true]) entailment: when disabled,
     {!entail} and {!entail_now} are no-ops.  Tests use this to check
@@ -184,9 +210,8 @@ val generation : t -> int
 (** Backtrack generation: bumped by every {!pop_level}.  Two equal
     readings certify that no backtrack happened in between, i.e. all
     domains have only narrowed — the validity condition for caches kept
-    by incremental propagators that rebuild after a backtrack ([max_of]'s
-    support, the guarded-implication hub's watch lists).  State that
-    should survive a backtrack instead lives in reversible cells
+    by incremental propagators that rebuild after a backtrack.  State
+    that should survive a backtrack instead lives in reversible cells
     ({!write}). *)
 
 val write : t -> int array -> int -> int -> unit
@@ -226,9 +251,10 @@ val set_hook : t -> (t -> string -> unit) option -> unit
     hook mechanism, is responsible for containing it. *)
 
 val reschedule_all : t -> unit
-(** Schedule every registered propagator, ignoring wake events.  A
-    subsequent {!propagate} re-establishes the fixpoint from scratch;
-    tests use this to verify that event filtering loses no pruning. *)
+(** Schedule every registered propagator, ignoring wake events, and
+    re-advise every indexed subscription.  A subsequent {!propagate}
+    re-establishes the fixpoint from scratch; tests use this to verify
+    that event filtering loses no pruning. *)
 
 (** {1 Search support} *)
 

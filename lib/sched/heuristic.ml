@@ -20,13 +20,32 @@ let priorities g arch =
 
 (* ---------------- phase 1: list scheduling ---------------- *)
 
+(* Vector-data operands an op reads at issue, and vector results it
+   writes back [latency] cycles later: what the memory ports see. *)
+let vector_reads g i =
+  List.length (List.filter (fun p -> Ir.category g p = Ir.Vector_data) (Ir.preds g i))
+
+let vector_writes g i =
+  List.length (List.filter (fun d -> Ir.category g d = Ir.Vector_data) (Ir.succs g i))
+
 let schedule_times g arch =
   let n = Ir.size g in
   let prio = priorities g arch in
   let start = Array.make n (-1) in
   List.iter (fun d -> if Ir.producer g d = None then start.(d) <- 0) (Ir.data_nodes g);
   let unscheduled = ref (Ir.op_nodes g) in
-  let horizon = Model.horizon_estimate g arch + 1 in
+  let duration i = Eit.Arch.duration arch (Ir.opcode g i) in
+  let busy_total = List.fold_left (fun acc i -> acc + duration i) 0 !unscheduled in
+  let horizon = Model.horizon_estimate g arch + busy_total + 1 in
+  (* per-cycle occupancy: vector lanes and the two single units, held
+     for an op's issue duration; read ports at issue and write ports at
+     write-back *)
+  let width = horizon + busy_total + Model.horizon_estimate g arch + 1 in
+  let lanes_used = Array.make width 0 in
+  let scalar_used = Array.make width 0 in
+  let merge_used = Array.make width 0 in
+  let reads_at = Array.make width 0 in
+  let writes_at = Array.make width 0 in
   let cycle = ref 0 in
   while !unscheduled <> [] && !cycle < horizon do
     let c = !cycle in
@@ -42,32 +61,54 @@ let schedule_times g arch =
         (fun i -> Eit.Opcode.resource (Ir.opcode g i) = rc)
         by_prio
     in
-    let issue i =
+    let ports_ok i =
+      reads_at.(c) + vector_reads g i <= arch.Eit.Arch.max_reads_per_cycle
+      && writes_at.(c + node_latency g arch i) + vector_writes g i
+         <= arch.Eit.Arch.max_writes_per_cycle
+    in
+    let free used amount limit i =
+      let ok = ref true in
+      for t = c to c + duration i - 1 do
+        if used.(t) + amount > limit then ok := false
+      done;
+      !ok
+    in
+    let issue used amount i =
       start.(i) <- c;
+      for t = c to c + duration i - 1 do
+        used.(t) <- used.(t) + amount
+      done;
+      reads_at.(c) <- reads_at.(c) + vector_reads g i;
+      let w = c + node_latency g arch i in
+      writes_at.(w) <- writes_at.(w) + vector_writes g i;
       (match Ir.succs g i with
-      | [ d ] -> start.(d) <- c + node_latency g arch i
+      | [ d ] -> start.(d) <- w
       | _ -> assert false);
       unscheduled := List.filter (fun j -> j <> i) !unscheduled
     in
     (* vector bundle: leader by priority, fill with its configuration *)
     (match of_rc Eit.Opcode.Vector_core with
     | [] -> ()
-    | leader :: _ ->
+    | leader :: _ as vops ->
       let config = Ir.opcode g leader in
-      let lanes = ref 0 in
       List.iter
         (fun i ->
           let op = Ir.opcode g i in
+          let lanes = Eit.Opcode.lanes op in
           if
             Eit.Opcode.config_equal op config
-            && !lanes + Eit.Opcode.lanes op <= arch.Eit.Arch.n_lanes
-          then begin
-            lanes := !lanes + Eit.Opcode.lanes op;
-            issue i
-          end)
-        (of_rc Eit.Opcode.Vector_core));
-    (match of_rc Eit.Opcode.Scalar_accel with [] -> () | i :: _ -> issue i);
-    (match of_rc Eit.Opcode.Index_merge with [] -> () | i :: _ -> issue i);
+            && free lanes_used lanes arch.Eit.Arch.n_lanes i
+            && ports_ok i
+          then issue lanes_used lanes i)
+        vops);
+    (* each single unit: the first ready op, by priority, that fits *)
+    let single used rc =
+      match List.find_opt (fun i -> free used 1 1 i && ports_ok i) (of_rc rc) with
+      | Some i -> issue used 1 i
+      | None -> ()
+    in
+    single scalar_used Eit.Opcode.Scalar_accel;
+    single merge_used Eit.Opcode.Index_merge;
     incr cycle
   done;
   if !unscheduled <> [] then Error "list scheduling exceeded the horizon"

@@ -35,6 +35,21 @@ let too_wide g arch =
 let vector_reads g i =
   List.filter (fun p -> Ir.category g p = Ir.Vector_data) (Ir.preds g i)
 
+(* Configuration class of each op in [ops], numbered by first
+   occurrence: equal classes iff [Opcode.config_equal]. *)
+let config_classes g ops =
+  let reps = ref [] in
+  Array.map
+    (fun i ->
+      let op = Ir.opcode g i in
+      match List.find_opt (fun (r, _) -> Eit.Opcode.config_equal r op) !reps with
+      | Some (_, k) -> k
+      | None ->
+        let k = List.length !reps in
+        reps := (op, k) :: !reps;
+        k)
+    ops
+
 let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
   (* An op wider than the vector core can never issue: the problem is
      infeasible, not a misuse of Cumulative. *)
@@ -87,21 +102,13 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
   post_cumulative Eit.Opcode.Index_merge 1 (fun _ -> 1);
   (* eq. 3: differently-configured vector-core ops never share a cycle. *)
   let vops =
-    List.filter
-      (fun i -> Eit.Opcode.resource (Ir.opcode g i) = Eit.Opcode.Vector_core)
-      (Ir.op_nodes g)
+    Array.of_list
+      (List.filter
+         (fun i -> Eit.Opcode.resource (Ir.opcode g i) = Eit.Opcode.Vector_core)
+         (Ir.op_nodes g))
   in
-  let rec neq_pairs = function
-    | [] -> ()
-    | i :: rest ->
-      List.iter
-        (fun j ->
-          if not (Eit.Opcode.config_equal (Ir.opcode g i) (Ir.opcode g j)) then
-            Fd.Arith.neq s start.(i) start.(j))
-        rest;
-      neq_pairs rest
-  in
-  neq_pairs vops;
+  let config = config_classes g vops in
+  Fd.Arith.neq_classes s ~classes:config (Array.map (fun i -> start.(i)) vops);
   (* eq. 5: makespan = max completion.  Seeding the lower bound (critical
      path + per-resource loads) lets branch & bound prove optimality as
      soon as it matches, instead of exhausting the subtree below it. *)
@@ -165,51 +172,30 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
         in
         pairs reads.(i))
       readers;
-    (* eq. 8 (generalized): reads of two ops that may issue in the same
-       cycle.  Pairs whose start times are forced apart (different
-       configurations, eq. 3) are skipped up front. *)
-    (* One hub per reader op, watching only its own start; partners are
-       posted symmetrically so pair (i, j) is rechecked at both guard
-       fixes (see {!Fd.Cond.guarded_implies_eq_hub}). *)
-    let read_pairs_between i j =
-      List.concat_map
-        (fun d ->
-          List.filter_map
-            (fun e ->
-              if d <> e then begin
-                let cd = coords d and ce = coords e in
-                Some
-                  ( (cd.Fd.Geometry.page, ce.Fd.Geometry.page),
-                    (cd.Fd.Geometry.line, ce.Fd.Geometry.line) )
-              end
-              else None)
-            reads.(j))
-        reads.(i)
+    (* eqs. 8-9 address the vector data by index *)
+    let vdata_a = Array.of_list vdata in
+    let index = Array.make n (-1) in
+    Array.iteri (fun k d -> index.(d) <- k) vdata_a;
+    let pages = Array.map (fun d -> (coords d).Fd.Geometry.page) vdata_a in
+    let lines = Array.map (fun d -> (coords d).Fd.Geometry.line) vdata_a in
+    let access accessors data classes =
+      Fd.Cond.access s ~pages ~lines
+        ~starts:(Array.map (fun i -> start.(i)) accessors)
+        ~acc:
+          (Array.map
+             (fun i -> Array.of_list (List.map (fun d -> index.(d)) (data i)))
+             accessors)
+        ~classes
     in
-    List.iter
-      (fun i ->
-        let partners =
-          List.filter_map
-            (fun j ->
-              let skip =
-                j = i
-                || Eit.Opcode.resource (Ir.opcode g i) = Eit.Opcode.Vector_core
-                   && Eit.Opcode.resource (Ir.opcode g j)
-                      = Eit.Opcode.Vector_core
-                   && not
-                        (Eit.Opcode.config_equal (Ir.opcode g i)
-                           (Ir.opcode g j))
-              in
-              if skip then None
-              else
-                match read_pairs_between i j with
-                | [] -> None
-                | pairs -> Some (start.(j), pairs))
-            readers
-        in
-        if partners <> [] then
-          Fd.Cond.guarded_implies_eq_hub s start.(i) partners)
-      readers;
+    (* eq. 8 (generalized): reads of two ops that may issue in the same
+       cycle.  Vector ops of different configurations never do (eq. 3),
+       so their pairs are skipped: they carry the configuration class,
+       every other op -1. *)
+    let readers_a = Array.of_list readers in
+    let vclass = Array.make n (-1) in
+    Array.iteri (fun k i -> vclass.(i) <- config.(k)) vops;
+    access readers_a (fun i -> reads.(i))
+      (Array.map (fun i -> vclass.(i)) readers_a);
     (* eq. 9 (generalized): results written in the same cycle.  Data
        start variables are exactly the write times, so the guard is on
        the data nodes themselves — this also covers write collisions
@@ -218,26 +204,8 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
     let produced =
       List.filter (fun d -> Ir.producer g d <> None) vdata
     in
-    List.iter
-      (fun d ->
-        let cd = coords d in
-        let partners =
-          List.filter_map
-            (fun e ->
-              if e = d then None
-              else
-                let ce = coords e in
-                Some
-                  ( start.(e),
-                    [
-                      ( (cd.Fd.Geometry.page, ce.Fd.Geometry.page),
-                        (cd.Fd.Geometry.line, ce.Fd.Geometry.line) );
-                    ] ))
-            produced
-        in
-        if partners <> [] then
-          Fd.Cond.guarded_implies_eq_hub s start.(d) partners)
-      produced;
+    let produced_a = Array.of_list produced in
+    access produced_a (fun d -> [ d ]) (Array.map (fun _ -> -1) produced_a);
     (* Port width limits (implied in §1.1: two matrices read, one
        written per cycle).  Conservative: simultaneous reads of the same
        slot by different ops count once in hardware but twice here. *)

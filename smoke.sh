@@ -1,9 +1,10 @@
 #!/bin/sh
 # End-to-end smokes over the built `eitc` binary: the fallback sweep,
-# trace and trace-analytics smokes, the MATMUL bound guard, and the
-# serve / cache / telemetry / postmortem smokes.  `check.sh` runs this
-# after the build and the test suite; run it on its own to reach these
-# checks while a test fails.  Exits non-zero on any failure.
+# trace and trace-analytics smokes, the MATMUL bound guard, the
+# serve / cache / telemetry / postmortem smokes, and a guard that
+# `bench profile --path` leaves BENCH_solver.json alone.  `check.sh`
+# runs this after the build and the test suite; run it on its own to
+# reach these checks while a test fails.  Exits non-zero on any failure.
 set -e
 cd "$(dirname "$0")"
 dune build ./bin/eitc.exe
@@ -320,3 +321,24 @@ if "$EITC" postmortem "$fdir/no-such-dump.jsonl" > /dev/null 2>&1; then
 fi
 rm -rf "$fdir"
 echo "smoke.sh: postmortem smoke OK (1 wedge black box, healthy request dropped, postmortem renders)"
+
+# Baseline guard: `bench profile --path F` must write its profiles to F
+# and leave the committed BENCH_solver.json byte-for-byte alone: a
+# scratch profile must never replace the baseline `bench compare`
+# gates against.
+dune build ./bench/main.exe
+ptmp=$(mktemp -d /tmp/eitc-profile.XXXXXX)
+cp BENCH_solver.json "$ptmp/before.json"
+fail_prof() {
+  echo "smoke.sh: $1" >&2
+  rm -rf "$ptmp"
+  exit 1
+}
+_build/default/bench/main.exe profile --path "$ptmp/p.json" > /dev/null \
+  || fail_prof "bench profile --path failed"
+cmp -s BENCH_solver.json "$ptmp/before.json" \
+  || fail_prof "bench profile --path rewrote BENCH_solver.json"
+grep -q '"propagator_profiles"' "$ptmp/p.json" \
+  || fail_prof "bench profile --path wrote no propagator_profiles"
+rm -rf "$ptmp"
+echo "smoke.sh: profile --path smoke OK (profiles in the given file, baseline untouched)"

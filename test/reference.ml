@@ -1,0 +1,142 @@
+(* Pairwise reference forms of the scheduling model's four global
+   propagators: one propagator per rectangle pair (eq. 11), one [neq]
+   per pair of differently configured ops (eq. 3), one guarded
+   implication per same-cycle access pair (eqs. 8-9), and a [max_of]
+   that rescans its arguments (eqs. 5 and 10).  The property tests in
+   [T_globals] drive a global and its reference through the same
+   narrow / push / pop scripts and require the same domains after
+   every step. *)
+
+open Fd
+open Store
+
+(* eq. 11: one propagator per pair of rectangles. *)
+let diff2 s rects =
+  let rec pairs = function
+    | [] -> ()
+    | r :: rest ->
+      List.iter
+        (fun r' ->
+          let watches =
+            [ r.Diff2.ox; r.oy; r.lx; r.ly; r'.Diff2.ox; r'.oy; r'.lx; r'.ly ]
+          in
+          ignore
+            (post_now s ~name:"diff2" ~priority:prio_global ~event:On_bounds
+               ~watches (fun st -> Diff2.pair st r r')))
+        rest;
+      pairs rest
+  in
+  pairs rects;
+  propagate s
+
+(* eq. 3: one disequality per pair of different classes. *)
+let neq_classes s ~classes xs =
+  let n = Array.length xs in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if classes.(i) <> classes.(j) then Arith.neq s xs.(i) xs.(j)
+    done
+  done
+
+(* [a = b ==> (p = q ==> l = m)]: inert until the guard pair is fixed
+   and equal, then [implies_eq]'s step. *)
+let guarded_implies_eq s ~guard:(a, b) (p, q) (l, m) =
+  let prop st =
+    if Dom.disjoint (dom a) (dom b) then entail_now st
+    else if is_fixed a && is_fixed b then
+      if Cond.implication_step st p q l m then entail_now st
+  in
+  ignore
+    (post_now_on s ~name:"guarded_implies_eq" ~priority:prio_channel
+       ~watches:
+         [ (On_fix, a); (On_fix, b); (On_fix, p); (On_fix, q); (On_change, l);
+           (On_change, m) ]
+       prop);
+  propagate s
+
+(* eqs. 8-9: one guarded implication per accessor pair and data pair,
+   with the arguments of {!Cond.access}. *)
+let access s ~pages ~lines ~starts ~acc ~classes =
+  let na = Array.length starts in
+  for i = 0 to na - 1 do
+    for j = i + 1 to na - 1 do
+      let ci = classes.(i) and cj = classes.(j) in
+      if ci < 0 || cj < 0 || ci = cj then
+        Array.iter
+          (fun d ->
+            Array.iter
+              (fun e ->
+                if d <> e then
+                  guarded_implies_eq s ~guard:(starts.(i), starts.(j))
+                    (pages.(d), pages.(e)) (lines.(d), lines.(e)))
+              acc.(j))
+          acc.(i)
+    done
+  done
+
+(* eqs. 5 and 10: m = max(xs), rescanning its arguments on every run.
+   Rules 1 and 3 are skipped while the bound they derive from has not
+   moved, validated by the store's backtrack generation. *)
+let max_of s xs m =
+  if xs = [] then invalid_arg "Reference.max_of: empty list";
+  let xs = Array.of_list xs in
+  let n = Array.length xs in
+  let sup = ref 0 in          (* index of the argmax-ub support *)
+  let c_gen = ref (-1) in     (* generation the caches were built at *)
+  let c_ub = ref max_int in   (* max_i ub(x_i) at the last rescan *)
+  let c_mhi = ref max_int in  (* ub(m) after the previous run *)
+  let prop st =
+    let gen = generation st in
+    let fresh = gen <> !c_gen in
+    c_gen := gen;
+    (* rule 1: ub(m) <= max_i ub(x_i), support-watched *)
+    if fresh || vmax xs.(!sup) < !c_ub then begin
+      let best = ref 0 and ub = ref min_int in
+      for i = 0 to n - 1 do
+        let hi = vmax xs.(i) in
+        if hi > !ub then begin
+          ub := hi;
+          best := i
+        end
+      done;
+      sup := !best;
+      c_ub := !ub;
+      remove_above st m !ub
+    end;
+    (* rule 2: lb(m) >= max_i lb(x_i) *)
+    let lb = ref min_int in
+    for i = 0 to n - 1 do
+      let lo = vmin xs.(i) in
+      if lo > !lb then lb := lo
+    done;
+    remove_below st m !lb;
+    (* rule 3: every x_i <= ub(m), re-applied only when ub(m) dropped *)
+    let mhi = vmax m in
+    if fresh || mhi < !c_mhi then
+      for i = 0 to n - 1 do
+        if vmax xs.(i) > mhi then remove_above st xs.(i) mhi
+      done;
+    c_mhi := mhi;
+    (* rule 4: if only one variable can realize the maximum, it must *)
+    let mlo = vmin m in
+    let ncand = ref 0 and cand = ref (-1) in
+    for i = 0 to n - 1 do
+      if vmax xs.(i) >= mlo then begin
+        incr ncand;
+        cand := i
+      end
+    done;
+    if !ncand = 1 then remove_below st xs.(!cand) mlo;
+    if is_fixed m then begin
+      let v = vmin m in
+      let ok = ref false in
+      for i = 0 to n - 1 do
+        if vmin xs.(i) >= v then ok := true
+      done;
+      if !ok then entail_now st
+    end
+  in
+  ignore
+    (post_now s ~name:"max_of" ~event:On_bounds ~watches:(m :: Array.to_list xs)
+       prop);
+  propagate s

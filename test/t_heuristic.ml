@@ -77,9 +77,41 @@ let test_greedy_is_fast () =
   let dt = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) "sub-second" true (dt < 1.0)
 
+(* The greedy respects the memory ports: blocked8 is where a 4-wide
+   v_add bundle and a merge can write 5 vectors back in one cycle
+   against a limit of 4, after which allocation finds no legal slot. *)
+let test_blocked8_ports () =
+  let g = merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx) in
+  match Sched.Heuristic.run g with
+  | Ok sch ->
+    Alcotest.(check (list string)) "violations" []
+      (List.map
+         (fun v -> Format.asprintf "%a" Sched.Schedule.pp_violation v)
+         (Sched.Schedule.validate sch));
+    Alcotest.(check int) "49 cycles" 49 sch.Sched.Schedule.makespan
+  | Error e -> Alcotest.failf "blocked8: %s" e
+
+(* Multi-cycle issue: a unit stays busy for [Arch.duration] cycles. *)
+let test_durations () =
+  let arch =
+    { Eit.Arch.default with Eit.Arch.vector_duration = 2; scalar_duration = 3 }
+  in
+  List.iter
+    (fun (name, g) ->
+      match Sched.Heuristic.run ~arch (g ()) with
+      | Ok sch ->
+        Alcotest.(check (list string)) (name ^ " violations") []
+          (List.map
+             (fun v -> Format.asprintf "%a" Sched.Schedule.pp_violation v)
+             (Sched.Schedule.validate sch))
+      | Error e -> Alcotest.failf "%s: %s" name e)
+    kernels
+
 let suite =
   [
     Alcotest.test_case "valid schedules" `Quick test_valid_schedules;
+    Alcotest.test_case "blocked8 respects ports" `Quick test_blocked8_ports;
+    Alcotest.test_case "durations respected" `Quick test_durations;
     Alcotest.test_case "never beats optimum" `Slow test_never_beats_optimum;
     Alcotest.test_case "simulates" `Quick test_simulates;
     Alcotest.test_case "tight memory degrades gracefully" `Quick test_tight_memory_degrades;

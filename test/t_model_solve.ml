@@ -179,15 +179,15 @@ let test_trajectory_pins () =
   in
   let proof = Fd.Search.time_budget 10_000. in
   pin "QRD" (merged (Apps.Qrd.graph (Apps.Qrd.build ()))) proof ~nodes:94
-    ~failures:95 ~propagations:6649 ~makespan:168 ~optimal:true;
+    ~failures:95 ~propagations:1228 ~makespan:168 ~optimal:true;
   pin "ARF" (merged (Apps.Arf.graph (Apps.Arf.build ()))) proof ~nodes:114
-    ~failures:115 ~propagations:18589 ~makespan:56 ~optimal:true;
+    ~failures:115 ~propagations:3188 ~makespan:56 ~optimal:true;
   pin "MATMUL" (merged (Apps.Matmul.graph (Apps.Matmul.build ()))) proof
-    ~nodes:28 ~failures:29 ~propagations:763 ~makespan:11 ~optimal:true;
+    ~nodes:28 ~failures:29 ~propagations:504 ~makespan:11 ~optimal:true;
   pin "BLOCKED8"
     (merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx))
     (Fd.Search.node_budget 3_000) ~nodes:3000 ~failures:2846
-    ~propagations:299307 ~makespan:58 ~optimal:false
+    ~propagations:129370 ~makespan:58 ~optimal:false
 
 let suite =
   [

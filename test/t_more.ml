@@ -160,17 +160,24 @@ let suite =
 
 (* ---------------- blocked 8x8 matmul (future-work scale) ----------- *)
 
-let test_blocked8_values () =
-  let b = Apps.Matmul.build_blocked8 ~seed:2 () in
-  let expect = Apps.Matmul.blocked8_reference ~seed:2 in
-  let got = Apps.Matmul.blocked8_rows b in
-  for i = 0 to 7 do
-    for j = 0 to 7 do
-      Alcotest.(check (float 1e-6))
-        (Printf.sprintf "C[%d][%d]" i j)
-        expect.(i).(j).Cplx.re got.(i).(j).Cplx.re
-    done
-  done
+(* The traced result rows of a k x k grid equal the reference product. *)
+let check_blocked_values ~k ~seed =
+  let b = Apps.Matmul.build_blocked ~seed ~k () in
+  let expect = Apps.Matmul.blocked_reference ~k ~seed in
+  let got = Apps.Matmul.blocked_rows b in
+  Alcotest.(check int) "rows" (4 * k) (Array.length got);
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j v ->
+          Alcotest.(check (float 1e-6))
+            (Printf.sprintf "C[%d][%d]" i j)
+            expect.(i).(j).Cplx.re v.Cplx.re)
+        row)
+    got;
+  b
+
+let test_blocked8_values () = ignore (check_blocked_values ~k:2 ~seed:2)
 
 let test_blocked8_schedules_and_simulates () =
   let b = Apps.Matmul.build_blocked8 () in
@@ -186,9 +193,25 @@ let test_blocked8_schedules_and_simulates () =
   | None -> Alcotest.failf "no schedule (%s)"
       (Format.asprintf "%a" Sched.Solve.pp_status o.Sched.Solve.status)
 
+(* k = 3: a 12x12 product from a 3x3 grid of blocks.  The traced rows
+   are the reference product, and the port-aware greedy schedule at 128
+   slots runs on the simulator to the same values. *)
+let test_blocked12_simulates () =
+  let b = check_blocked_values ~k:3 ~seed:3 in
+  let g = merged (Dsl.graph b.Apps.Matmul.bctx) in
+  let arch = { Eit.Arch.default with Eit.Arch.lines = 8 } in
+  match Sched.Heuristic.run ~arch g with
+  | Ok sch -> (
+    Alcotest.(check bool) "valid" true (Sched.Schedule.is_valid sch);
+    match Sched.Codegen.run_and_check sch with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e)
+  | Error e -> Alcotest.failf "blocked12 greedy: %s" e
+
 let suite =
   suite
   @ [
       Alcotest.test_case "blocked 8x8 values" `Quick test_blocked8_values;
+      Alcotest.test_case "blocked 12x12 simulates" `Quick test_blocked12_simulates;
       Alcotest.test_case "blocked 8x8 schedules" `Slow test_blocked8_schedules_and_simulates;
     ]

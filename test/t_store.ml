@@ -206,15 +206,64 @@ let test_event_fixpoint_complete () =
         (Dom.equal doms.(i) (Store.dom v)))
     xs
 
+(* Indexed subscriptions: a change advises its index once however many
+   events hit it, the run sees exactly the advised indices (including
+   the ones its own prunes add), a pop drops what was pending, and
+   reschedule_all re-advises every subscription. *)
+let test_indexed_subscriptions () =
+  let s = Store.create () in
+  let xs = Array.init 3 (fun _ -> Store.interval_var s 0 9) in
+  let seen = ref [] in
+  let run st =
+    let rec drain () =
+      let i = Store.next_index st in
+      if i >= 0 then begin
+        seen := i :: !seen;
+        (* index 0 pushes x1 up: its own prune advises index 1 *)
+        if i = 0 then Store.remove_below st xs.(1) (Store.vmin xs.(0));
+        drain ()
+      end
+    in
+    drain ()
+  in
+  ignore
+    (Store.post_indexed s ~size:3
+       ~watches:
+         [ (Store.On_bounds, xs.(0), 0); (Store.On_fix, xs.(0), 2);
+           (Store.On_bounds, xs.(1), 1); (Store.On_bounds, xs.(2), 2) ]
+       run);
+  let step f =
+    seen := [];
+    f ();
+    Store.propagate s;
+    List.sort compare !seen
+  in
+  Alcotest.(check (list int)) "post: every index" [ 0; 1; 2 ] (step ignore);
+  Alcotest.(check (list int)) "own prune drained in the same run" [ 0; 1 ]
+    (step (fun () -> Store.remove_below s xs.(0) 3));
+  Alcotest.(check int) "x1 pushed" 3 (Store.vmin xs.(1));
+  (* x0's fix hits indices 0 and 2, index 0 pushes x1 again: each index
+     is seen once *)
+  Alcotest.(check (list int)) "each index once" [ 0; 1; 2 ]
+    (step (fun () -> Store.assign s xs.(0) 5));
+  Alcotest.(check (list int)) "nothing pending" [] (step ignore);
+  Store.push_level s;
+  Store.remove_above s xs.(2) 4;
+  Store.pop_level s;
+  Alcotest.(check (list int)) "pending dropped at pop" [ 1 ]
+    (step (fun () -> Store.remove_below s xs.(1) 7));
+  Alcotest.(check (list int)) "reschedule_all re-advises" [ 0; 1; 2 ]
+    (step (fun () -> Store.reschedule_all s))
+
 (* Reversible cells: random cell writes interleaved with push/pop,
    domain changes and propagator runs that write cells, entail
-   themselves, rewrite their watch set or fail half way.  A reference
+   themselves or fail half way.  A reference
    model mirrors every write as it is made and keeps a stack of
    snapshots; after each pop every cell (and every domain) must equal
    the snapshot taken at the matching push, and writes made at level 0
    must survive everything. *)
 
-type step = W of int * int * int | Entail | Resub of int | Fail_here
+type step = W of int * int * int | Entail | Fail_here
 
 type cell_op =
   | Write of int * int * int  (* array, slot, value *)
@@ -236,7 +285,6 @@ let gen_cell_ops =
         [
           (6, map (fun (a, i, v) -> W (a, i, v)) write);
           (1, pure Entail);
-          (1, map (fun k -> Resub k) (int_bound (n_cvars - 1)));
           (1, pure Fail_here);
         ]
     in
@@ -258,7 +306,6 @@ let print_cell_ops ops =
   let step = function
     | W (a, i, v) -> w (a, i, v)
     | Entail -> "entail"
-    | Resub k -> Printf.sprintf "resub x%d" k
     | Fail_here -> "fail"
   in
   String.concat "; "
@@ -287,7 +334,6 @@ let cells_agree ops =
           Store.write st cells.(a) i v;
           model.(a).(i) <- v
         | Entail -> Store.entail_now st
-        | Resub k -> Store.resubscribe_now st [ (Store.On_change, xs.(k)) ]
         | Fail_here -> raise (Store.Fail "scripted"))
       steps
   in
@@ -356,4 +402,5 @@ let suite =
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
     Alcotest.test_case "event fixpoint complete" `Quick test_event_fixpoint_complete;
     cell_property;
+    Alcotest.test_case "indexed subscriptions" `Quick test_indexed_subscriptions;
   ]
