@@ -9,6 +9,7 @@
    EXPERIMENTS.md for the shape discussion. *)
 
 module Vecsched = Vecsched_core.Vecsched
+module Bench_file = Vecsched_core.Bench_file
 open Eit_dsl
 
 let merged g = (Merge.run g).Merge.graph
@@ -16,7 +17,6 @@ let qrd () = merged (Apps.Qrd.graph (Apps.Qrd.build ()))
 let qrd_sorted () = merged (Apps.Qrd.graph (Apps.Qrd.build ~sorted:true ()))
 let arf () = merged (Apps.Arf.graph (Apps.Arf.build ()))
 let matmul () = merged (Apps.Matmul.graph (Apps.Matmul.build ()))
-let fir () = merged (Apps.Fir.graph (Apps.Fir.build ()))
 let blocked8 () =
   merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx)
 
@@ -44,26 +44,6 @@ let profile_kernels () =
 let line = String.make 78 '-'
 
 let header title = Format.printf "@.%s@.%s@.%s@." line title line
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else sorted.(int_of_float (p /. 100. *. float_of_int (n - 1) +. 0.5))
-
-let set_member name v = function
-  | Obs.Json.Obj kvs ->
-    Obs.Json.Obj (List.filter (fun (k, _) -> k <> name) kvs @ [ (name, v) ])
-  | _ -> Obs.Json.Obj [ (name, v) ]
-
-(* Sections owned by other generators ("service" from `load`, "cache"
-   from `cache`) are carried through verbatim by the solver-row writers
-   (`perfjson`, `profile`) so no generator clobbers another, and
-   `compare` ignores them entirely.  The shared list lives in
-   {!Vecsched_core.Bench_sections} and is pinned by a unit test. *)
-let existing_sections path =
-  match Obs.Json.parse_file path with
-  | Ok j -> Vecsched_core.Bench_sections.keep j
-  | Error _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Graph properties (§4.2 text + Table 3 column 2)                     *)
@@ -659,505 +639,58 @@ let profile_rows kernels =
       Obs.with_sink (Obs.Agg.sink agg) (fun () ->
           let o = Sched.Solve.run ~budget g in
           optimal := o.Sched.Solve.stats.Fd.Search.optimal);
-      (kernel, !optimal, nodes, Obs.Agg.profiles agg))
+      {
+        Bench_file.p_kernel = kernel;
+        p_optimal = !optimal;
+        p_node_budget = nodes;
+        p_rows =
+          List.map
+            (fun (name, p) ->
+              {
+                Bench_file.pr_name = name;
+                pr_runs = p.Obs.Agg.p_runs;
+                pr_wakes = p.Obs.Agg.p_wakes;
+                pr_prunes = p.Obs.Agg.p_prunes;
+                pr_entails = p.Obs.Agg.p_entails;
+                pr_time_ms = p.Obs.Agg.p_time_ms;
+              })
+            (Obs.Agg.profiles agg);
+      })
     kernels
-
-let profile_json profiles =
-  let open Obs.Json in
-  Arr
-    (List.map
-       (fun (kernel, optimal, nodes, rows) ->
-         Obj
-           ([ ("kernel", Str kernel); ("optimal", Bool optimal) ]
-           @ (match nodes with
-             | Some n -> [ ("node_budget", Num (float_of_int n)) ]
-             | None -> [])
-           @ [
-             ( "rows",
-               Arr
-                 (List.map
-                    (fun (name, p) ->
-                      Obj
-                        [
-                          ("name", Str name);
-                          ("runs", Num (float_of_int p.Obs.Agg.p_runs));
-                          ("wakes", Num (float_of_int p.Obs.Agg.p_wakes));
-                          ("prunes", Num (float_of_int p.Obs.Agg.p_prunes));
-                          ("entails", Num (float_of_int p.Obs.Agg.p_entails));
-                          ("time_ms", Num p.Obs.Agg.p_time_ms);
-                        ])
-                    rows) );
-             ]))
-       profiles)
 
 let print_profile_table profiles =
   List.iter
-    (fun (kernel, _, _, rows) ->
-      Format.printf "@.%s@.%-22s %8s %8s %8s %8s %12s@." kernel "propagator"
+    (fun (k : Bench_file.profile) ->
+      Format.printf "@.%s@.%-22s %8s %8s %8s %8s %12s@." k.p_kernel "propagator"
         "runs" "wakes" "prunes" "entails" "time (ms)";
       List.iter
-        (fun (name, p) ->
-          Format.printf "%-22s %8d %8d %8d %8d %12.2f@." name p.Obs.Agg.p_runs
-            p.Obs.Agg.p_wakes p.Obs.Agg.p_prunes p.Obs.Agg.p_entails
-            p.Obs.Agg.p_time_ms)
-        rows)
+        (fun (r : Bench_file.prow) ->
+          Format.printf "%-22s %8d %8d %8d %8d %12.2f@." r.pr_name r.pr_runs
+            r.pr_wakes r.pr_prunes r.pr_entails r.pr_time_ms)
+        k.p_rows)
     profiles
 
 (* The `profile` subcommand: regenerate only the propagator_profiles
    section of BENCH_solver.json, keeping the regression rows already in
-   the file (so a quick profile refresh needs no 30 s sweep). *)
+   the file (so a quick profile refresh needs no 30 s sweep).  A file
+   that exists but does not read as a report is left alone. *)
 let profile ?(path = "BENCH_solver.json") () =
   header (Printf.sprintf "Per-propagator hot-spot profiles -> %s" path);
-  let profiles = profile_rows (profile_kernels ()) in
-  print_profile_table profiles;
-  let suite, version, runs =
-    match Obs.Json.parse_file path with
-    | Ok j ->
-      ( (match Obs.Json.member "suite" j with
-        | Some (Obs.Json.Str s) -> s
-        | _ -> "vecsched-solver"),
-        (* the kept rows' minor_words belong to the compiler that
-           measured them *)
-        Option.to_list
-          (Option.map (fun v -> ("ocaml_version", v))
-             (Obs.Json.member "ocaml_version" j)),
-        match Obs.Json.member "runs" j with
-        | Some (Obs.Json.Arr rs) -> rs
-        | _ -> [] )
-    | Error _ -> ("vecsched-solver", [], [])
-  in
-  let doc =
-    Obs.Json.Obj
-      ((("suite", Obs.Json.Str suite) :: version)
-      @ [
-          ("runs", Obs.Json.Arr runs);
-          ("propagator_profiles", profile_json profiles);
-        ]
-      @ existing_sections path)
-  in
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  Format.printf "@.wrote %d kernel profiles to %s (%d runs kept)@."
-    (List.length profiles) path (List.length runs)
-
-(* ------------------------------------------------------------------ *)
-(* Service load generator: a replayable, seeded open-loop driver for
-   the batch scheduling service (lib/serve).  Open-loop means arrivals
-   follow the seeded exponential process regardless of completions, so
-   an overloaded service sheds (visible in the shed rate) instead of
-   silently slowing the generator down.  Results land in
-   BENCH_solver.json under a "service" key, alongside (never
-   replacing) the solver regression rows. *)
-
-let load ?(path = "BENCH_solver.json") ?(requests = 200) ?(pool = 4)
-    ?(queue = 64) ?(seed = 42) ?(chaos = false) ?(tail_keep = 0) ?flight_dir
-    ?(flight_buf = 4096) () =
-  header
-    (Printf.sprintf
-       "Service load: %d open-loop requests (mix qrd/arf/matmul/xml-import), \
-        pool=%d queue=%d seed=%d chaos=%b%s"
-       requests pool queue seed chaos
-       (match flight_dir with
-       | Some d ->
-         Printf.sprintf " flight-dir=%s buf=%d tail-keep=%d" d flight_buf
-           tail_keep
-       | None -> ""));
-  (* A survivable fault rate: the probabilities are per propagator
-     execution, and a 40 ms attempt runs thousands of them, so even
-     2e-5 crashes a visible minority of requests.  The point is a
-     tail-retention-realistic mix — mostly healthy traffic with a
-     scattering of crashed/retried anomalies — not the saturation soak
-     (that lives in test/t_serve.ml with crash_prob 0.02). *)
-  let chaos_t =
-    if chaos then
-      Some
-        (Fd.Chaos.create ~crash_prob:1e-4 ~delay_prob:0.05 ~delay_ms:1. ~seed ())
-    else None
-  in
-  let config =
-    {
-      Serve.Service.default_config with
-      pool;
-      queue;
-      default_budget_ms = 40.;
-      grace_ms = 300.;
-      watchdog_tick_ms = 10.;
-      seed;
-      chaos = chaos_t;
-      metrics = Some (Obs.Metrics.create ());
-      tail_keep;
-      flight_dir;
-      flight_buf;
-    }
-  in
-  let svc = Serve.Service.create ~config () in
-  let fir_xml = Vecsched.Xml.to_string (fir ()) in
-  let rng = Random.State.make [| seed; 0x10ad |] in
-  let t0 = Unix.gettimeofday () in
-  let tickets =
-    List.init requests (fun i ->
-        (* exponential inter-arrival, ~5 ms mean: about 2x the pool's
-           service rate at the 40 ms budget, so shedding is exercised *)
-        Unix.sleepf (-.0.005 *. log (1. -. Random.State.float rng 1.));
-        let id = Printf.sprintf "r%03d" i in
-        let workload =
-          match i mod 4 with
-          | 0 -> Serve.Service.Kernel "qrd"
-          | 1 -> Serve.Service.Kernel "arf"
-          | 2 -> Serve.Service.Kernel "matmul"
-          | _ -> Serve.Service.Xml_text fir_xml
-        in
-        Serve.Service.submit svc
-          (Serve.Service.request ~id ~budget_ms:40. ~deadline_ms:2_000. workload))
-  in
-  let responses = List.map Serve.Service.await tickets in
-  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  (* shut down before reading health: joining the pool guarantees every
-     completion's metrics observation has landed, so the histogram
-     count below equals the response count exactly *)
-  Serve.Service.shutdown svc;
-  let h = Serve.Service.health svc in
-  let lat =
-    Array.of_list (List.map (fun r -> r.Serve.Service.total_ms) responses)
-  in
-  Array.sort compare lat;
-  let statuses =
-    List.sort_uniq compare (List.map Serve.Service.status_string responses)
-  in
-  let count s =
-    List.length
-      (List.filter (fun r -> Serve.Service.status_string r = s) responses)
-  in
-  let throughput = float_of_int requests /. (wall_ms /. 1000.) in
-  Format.printf "%-24s %10.1f req/s@." "throughput" throughput;
-  Format.printf "%-24s %10.1f / %.1f / %.1f ms@." "latency p50/p95/p99"
-    (percentile lat 50.) (percentile lat 95.) (percentile lat 99.);
-  List.iter (fun s -> Format.printf "%-24s %10d@." s (count s)) statuses;
-  Format.printf "%-24s %10d@." "retries" h.Serve.Service.retries;
-  Format.printf "%-24s %10d@." "fallback rescues" h.Serve.Service.fallbacks;
-  Format.printf "%-24s %10d@." "workers revived" h.Serve.Service.revived;
-  (* Tail retention: kept + dropped = completed exactly (the winner-only
-     completion chokepoint settles every ring once), and the retained
-     fraction is the number the 10%-volume acceptance bound watches. *)
-  let retained_fraction =
-    if h.Serve.Service.completed = 0 then 0.
-    else
-      float_of_int h.Serve.Service.flight_kept
-      /. float_of_int h.Serve.Service.completed
-  in
-  if Option.is_some flight_dir then begin
-    Format.printf "%-24s %10d kept / %d dropped / %d dumped@." "flight traces"
-      h.Serve.Service.flight_kept h.Serve.Service.flight_dropped
-      h.Serve.Service.flight_dumped;
-    Format.printf "%-24s %10.1f %% of completions@." "retained fraction"
-      (100. *. retained_fraction)
-  end;
-  (* Cross-check the live latency histogram against ground truth: the
-     exact p99 of the full retained sample, computed with the
-     histogram's own rank convention (the ceil(q*n)-th smallest), must
-     agree within the histogram's stated relative-error bound. *)
-  let ht = h.Serve.Service.lat_total in
-  let n = Array.length lat in
-  let exact q =
-    if n = 0 then 0.
-    else lat.(max 1 (min n (int_of_float (ceil (q *. float_of_int n)))) - 1)
-  in
-  let bound =
-    Obs.Metrics.relative_error
-      (Obs.Metrics.histogram (Serve.Service.metrics svc) "serve.total_ms")
-  in
-  let p99_exact = exact 0.99 in
-  let p99_hist = ht.Obs.Metrics.p99 in
-  let rel =
-    if p99_exact > 0. then abs_float (p99_hist -. p99_exact) /. p99_exact
-    else abs_float (p99_hist -. p99_exact)
-  in
-  let within = rel <= bound +. 1e-9 in
-  Format.printf "%-24s %10.1f ms (exact %.1f; rel err %.5f <= %.5f: %s)@."
-    "histogram p99" p99_hist p99_exact rel bound
-    (if within then "OK" else "CROSS-CHECK FAILED");
-  if ht.Obs.Metrics.count <> n then
-    Format.printf "%-24s histogram count %d <> responses %d@." "WARNING"
-      ht.Obs.Metrics.count n;
-  Format.printf "%-24s %10.4f / %.4f@." "error / deadline-hit rate"
-    h.Serve.Service.slo.Obs.Metrics.error_rate
-    h.Serve.Service.slo.Obs.Metrics.deadline_hit_rate;
-  let service_json =
-    let num i = Obs.Json.Num (float_of_int i) in
-    Obs.Json.Obj
-      [
-        ("requests", num requests);
-        ("pool", num pool);
-        ("queue", num queue);
-        ("seed", num seed);
-        ("chaos", Obs.Json.Bool chaos);
-        ("wall_ms", Obs.Json.Num wall_ms);
-        ("throughput_rps", Obs.Json.Num throughput);
-        ("p50_ms", Obs.Json.Num (percentile lat 50.));
-        ("p95_ms", Obs.Json.Num (percentile lat 95.));
-        ("p99_ms", Obs.Json.Num (percentile lat 99.));
-        ( "statuses",
-          Obs.Json.Obj (List.map (fun s -> (s, num (count s))) statuses) );
-        ("shed", num h.Serve.Service.shed);
-        ("expired", num h.Serve.Service.expired);
-        ("wedged", num h.Serve.Service.wedged);
-        ("retries", num h.Serve.Service.retries);
-        ("fallbacks", num h.Serve.Service.fallbacks);
-        ("revived", num h.Serve.Service.revived);
-        ("tail_keep", num tail_keep);
-        ( "flight_dir",
-          match flight_dir with
-          | Some d -> Obs.Json.Str d
-          | None -> Obs.Json.Null );
-      ]
-  in
-  let metrics_json =
-    Obs.Json.Obj
-      [
-        ("count", Obs.Json.Num (float_of_int ht.Obs.Metrics.count));
-        ("p50_hist_ms", Obs.Json.Num ht.Obs.Metrics.p50);
-        ("p99_exact_ms", Obs.Json.Num p99_exact);
-        ("p99_hist_ms", Obs.Json.Num p99_hist);
-        ("rel_err", Obs.Json.Num rel);
-        ("rel_err_bound", Obs.Json.Num bound);
-        ("within_bound", Obs.Json.Bool within);
-        ( "error_rate",
-          Obs.Json.Num h.Serve.Service.slo.Obs.Metrics.error_rate );
-        ( "deadline_hit_rate",
-          Obs.Json.Num h.Serve.Service.slo.Obs.Metrics.deadline_hit_rate );
-        ("flight_kept", Obs.Json.Num (float_of_int h.Serve.Service.flight_kept));
-        ( "flight_dropped",
-          Obs.Json.Num (float_of_int h.Serve.Service.flight_dropped) );
-        ( "flight_dumped",
-          Obs.Json.Num (float_of_int h.Serve.Service.flight_dumped) );
-        ("retained_fraction", Obs.Json.Num retained_fraction);
-      ]
-  in
-  let doc =
-    match Obs.Json.parse_file path with
-    | Ok j -> set_member "metrics" metrics_json (set_member "service" service_json j)
-    | Error _ ->
-      Obs.Json.Obj
-        [
-          ("suite", Obs.Json.Str "vecsched-solver");
-          ("runs", Obs.Json.Arr []);
-          ("service", service_json);
-          ("metrics", metrics_json);
-        ]
-  in
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  Format.printf "@.merged \"service\" + \"metrics\" sections into %s@." path
-
-(* ------------------------------------------------------------------ *)
-(* Solution-cache benchmark: hit rate under a repeat-heavy request mix
-   through a cache-enabled service.  Results land in BENCH_solver.json
-   under a "cache" key, which every other writer passes through
-   (Vecsched_core.Bench_sections). *)
-
-let cache_bench ?(path = "BENCH_solver.json") ?(requests = 120) ?(pool = 2)
-    ?(seed = 42) () =
-  header
-    (Printf.sprintf
-       "Solution cache: %d repeat-heavy requests (mix qrd/arf/matmul, \
-        pool=%d, 64-entry cache)"
-       requests pool);
-  let config =
-    {
-      Serve.Service.default_config with
-      pool;
-      queue = max 64 requests;
-      default_budget_ms = 10_000.;
-      grace_ms = 300.;
-      watchdog_tick_ms = 10.;
-      seed;
-      cache_capacity = 64;
-    }
-  in
-  let svc = Serve.Service.create ~config () in
-  let mix = [| "qrd"; "arf"; "qrd"; "matmul"; "qrd"; "arf" |] in
-  let t0 = Unix.gettimeofday () in
-  let tickets =
-    List.init requests (fun i ->
-        let id = Printf.sprintf "c%03d" i in
-        Serve.Service.submit svc
-          (Serve.Service.request ~id ~budget_ms:10_000. ~deadline_ms:120_000.
-             (Serve.Service.Kernel mix.(i mod Array.length mix))))
-  in
-  let responses = List.map Serve.Service.await tickets in
-  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  let h = Serve.Service.health svc in
-  Serve.Service.shutdown svc;
-  let cached_responses =
-    List.length
-      (List.filter
-         (fun r ->
-           match r.Serve.Service.reply with
-           | Serve.Service.Solved s -> s.Serve.Service.cached
-           | _ -> false)
-         responses)
-  in
-  let lookups = h.Serve.Service.cache_hits + h.Serve.Service.cache_misses in
-  let hit_rate =
-    if lookups = 0 then 0.
-    else float_of_int h.Serve.Service.cache_hits /. float_of_int lookups
-  in
-  Format.printf "%-24s %10d@." "requests" requests;
-  Format.printf "%-24s %10d / %d@." "cache hits/misses"
-    h.Serve.Service.cache_hits h.Serve.Service.cache_misses;
-  Format.printf "%-24s %10.2f@." "hit rate" hit_rate;
-  Format.printf "%-24s %10d@." "cached responses" cached_responses;
-  Format.printf "%-24s %10.1f ms@." "wall" wall_ms;
-  let cache_json =
-    let num i = Obs.Json.Num (float_of_int i) in
-    Obs.Json.Obj
-      [
-        ("requests", num requests);
-        ("pool", num pool);
-        ("hits", num h.Serve.Service.cache_hits);
-        ("misses", num h.Serve.Service.cache_misses);
-        ("evictions", num h.Serve.Service.cache_evictions);
-        ("hit_rate", Obs.Json.Num hit_rate);
-        ("cached_responses", num cached_responses);
-        ("wall_ms", Obs.Json.Num wall_ms);
-      ]
-  in
-  let doc =
-    match Obs.Json.parse_file path with
-    | Ok j -> set_member "cache" cache_json j
-    | Error _ ->
-      Obs.Json.Obj
-        [
-          ("suite", Obs.Json.Str "vecsched-solver");
-          ("runs", Obs.Json.Arr []);
-          ("cache", cache_json);
-        ]
-  in
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string doc);
-  output_string oc "\n";
-  close_out oc;
-  Format.printf "@.merged \"cache\" section into %s@." path
-
-(* ------------------------------------------------------------------ *)
-(* ------------------------------------------------------------------ *)
-(* `bench history`: one CSV row per invocation — commit, the kernels'
-   sequential optima and deterministic propagation counts, the service
-   latency quantiles, the histogram cross-check estimate and the cache
-   hit rate, all read from BENCH_solver.json's sections — plus a
-   regenerated Markdown trend table next to it, so drift across
-   commits is visible at a glance. *)
-
-let git_commit () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-  | exception _ -> "unknown"
-  | ic ->
-    let line = try String.trim (input_line ic) with End_of_file -> "" in
-    (match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ | (exception _) -> "unknown")
-
-let history_columns =
-  [ "commit"; "qrd_makespan"; "arf_makespan"; "matmul_makespan";
-    "qrd_propagations"; "service_p50_ms"; "service_p95_ms";
-    "service_p99_ms"; "hist_p99_ms"; "cache_hit_rate" ]
-
-let history ?(path = "BENCH_solver.json") ?(csv = "bench_history.csv") () =
-  let md = Filename.remove_extension csv ^ ".md" in
-  header (Printf.sprintf "Bench history: %s -> %s + %s" path csv md);
-  match Obs.Json.parse_file path with
+  match
+    if Sys.file_exists path then Bench_file.read path else Ok Bench_file.empty
+  with
   | Error e ->
-    Format.printf "cannot read %s: %s (run `bench perfjson` / `bench load` \
-                   first)@." path e;
+    Format.printf "cannot read %s: %s (left unchanged)@." path e;
     1
-  | Ok j ->
-    let module J = Obs.Json in
-    let runs =
-      match J.member "runs" j with Some (J.Arr rs) -> rs | _ -> []
-    in
-    (* the deterministic anchor rows: sequential, default 64 slots *)
-    let runf kernel field =
-      List.find_opt
-        (fun r ->
-          J.member "kernel" r = Some (J.Str kernel)
-          && J.member "mode" r = Some (J.Str "sequential")
-          && J.member "slots" r = Some (J.Num 64.))
-        runs
-      |> Option.map (J.member field)
-      |> function Some (Some (J.Num f)) -> Some f | _ -> None
-    in
-    let sect name field =
-      match J.member name j with
-      | Some s -> (
-        match J.member field s with Some (J.Num f) -> Some f | _ -> None)
-      | None -> None
-    in
-    let cell = function
-      | None -> ""
-      | Some f ->
-        if Float.is_integer f then Printf.sprintf "%.0f" f
-        else Printf.sprintf "%.3f" f
-    in
-    let commit = git_commit () in
-    let row =
-      [
-        commit;
-        cell (runf "QRD" "makespan");
-        cell (runf "ARF" "makespan");
-        cell (runf "MATMUL" "makespan");
-        cell (runf "QRD" "propagations");
-        cell (sect "service" "p50_ms");
-        cell (sect "service" "p95_ms");
-        cell (sect "service" "p99_ms");
-        cell (sect "metrics" "p99_hist_ms");
-        cell (sect "cache" "hit_rate");
-      ]
-    in
-    let fresh = not (Sys.file_exists csv) in
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 csv in
-    if fresh then output_string oc (String.concat "," history_columns ^ "\n");
-    output_string oc (String.concat "," row ^ "\n");
-    close_out oc;
-    (* regenerate the Markdown table from the whole CSV, latest last *)
-    let lines =
-      let ic = open_in csv in
-      let acc = ref [] in
-      (try
-         while true do
-           let l = input_line ic in
-           if String.trim l <> "" then acc := l :: !acc
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !acc
-    in
-    (match lines with
-    | hd :: rows ->
-      let cells l = String.split_on_char ',' l in
-      let moc = open_out md in
-      output_string moc "# Bench history\n\n";
-      output_string moc
-        "One row per `bench history` run; sections come from \
-         `BENCH_solver.json` (`perfjson`, `load`, `cache`).\n\n";
-      output_string moc ("| " ^ String.concat " | " (cells hd) ^ " |\n");
-      output_string moc
-        ("|" ^ String.concat "|" (List.map (fun _ -> "---") (cells hd))
-        ^ "|\n");
-      List.iter
-        (fun l -> output_string moc ("| " ^ String.concat " | " (cells l) ^ " |\n"))
-        rows;
-      close_out moc
-    | [] -> ());
-    Format.printf "%-12s %s@." "commit" commit;
-    List.iter2
-      (fun k v -> if v <> "" then Format.printf "%-20s %s@." k v)
-      (List.tl history_columns) (List.tl row);
-    Format.printf "@.appended row to %s (%d total), wrote %s@." csv
-      (List.length lines - 1) md;
+  | Ok doc ->
+    let profiles = profile_rows (profile_kernels ()) in
+    print_profile_table profiles;
+    (* the kept rows keep the ocaml_version that measured their
+       minor_words *)
+    Bench_file.write path { doc with profiles };
+    Format.printf "@.wrote %d kernel profiles to %s (%d runs kept)@."
+      (List.length profiles) path
+      (List.length doc.Bench_file.runs);
     0
 
 (* perfjson / compare: machine-readable solver metrics for regression
@@ -1165,26 +698,7 @@ let history ?(path = "BENCH_solver.json") ?(csv = "bench_history.csv") () =
    to BENCH_solver.json, `compare` diffs it against the committed file
    and gates CI on deterministic-counter regressions. *)
 
-type run_row = {
-  r_kernel : string;
-  r_mode : string;
-  r_slots : int;
-  r_status : string;
-  r_engine : string;
-  r_makespan : int option;
-  r_fallback : int option;
-  r_nodes : int;
-  r_failures : int;
-  r_propagations : int;
-  r_time_ms : float;
-  r_optimal : bool;
-  r_minor_words : int option;
-      (* minor-heap words the solve allocated in the calling domain;
-         [None] only in a baseline written before the column existed *)
-  r_node_budget : int option;  (* run under a node budget, no time limit *)
-}
-
-let row_key r = (r.r_kernel, r.r_mode, r.r_slots)
+let row_key (r : Bench_file.run) = (r.r_kernel, r.r_mode, r.r_slots)
 
 let run_row ~kernel ~mode ~slots ?(arch = Vecsched.Arch.default) ?node_budget
     ~g solve =
@@ -1193,7 +707,7 @@ let run_row ~kernel ~mode ~slots ?(arch = Vecsched.Arch.default) ?node_budget
   let words = Gc.minor_words () -. w0 in
   let st = o.Sched.Solve.stats in
   {
-    r_kernel = kernel;
+    Bench_file.r_kernel = kernel;
     r_mode = mode;
     r_slots = slots;
     r_status = Format.asprintf "%a" Sched.Solve.pp_status o.Sched.Solve.status;
@@ -1208,7 +722,7 @@ let run_row ~kernel ~mode ~slots ?(arch = Vecsched.Arch.default) ?node_budget
     r_propagations = st.Fd.Search.propagations;
     r_time_ms = st.Fd.Search.time_ms;
     r_optimal = st.Fd.Search.optimal;
-    r_minor_words = Some (int_of_float words);
+    r_minor_words = int_of_float words;
     r_node_budget = node_budget;
   }
 
@@ -1274,149 +788,16 @@ let suite_rows ?(budget = Fd.Search.time_budget 30_000.) () =
     [ ("BLOCKED8", blocked8, blocked8_nodes); ("BLOCKED12", blocked12, blocked12_nodes) ];
   List.rev !rows
 
-let row_json r =
-  let opt = function Some m -> string_of_int m | None -> "null" in
-  Printf.sprintf
-    "    { \"kernel\": %S, \"mode\": %S, \"slots\": %d, \"status\": %S,\n\
-    \      \"engine\": %S, \"makespan\": %s, \"fallback_makespan\": %s,\n\
-    \      \"nodes\": %d, \"failures\": %d,\n\
-    \      \"propagations\": %d, \"time_ms\": %.1f, \"optimal\": %b,\n\
-    \      \"minor_words\": %s, \"node_budget\": %s }"
-    r.r_kernel r.r_mode r.r_slots r.r_status r.r_engine (opt r.r_makespan)
-    (opt r.r_fallback) r.r_nodes r.r_failures r.r_propagations r.r_time_ms
-    r.r_optimal (opt r.r_minor_words) (opt r.r_node_budget)
-
 let perfjson ?(path = "BENCH_solver.json") () =
   header (Printf.sprintf "Solver performance metrics -> %s" path);
-  let rows = suite_rows () in
+  let runs = suite_rows () in
   (* The hot-spot table rides along in the same file (separate,
      instrumented runs -- see profile_rows). *)
   let profiles = profile_rows (profile_kernels ()) in
-  (* keep sections written by other generators (`load`, `cache`) *)
-  let sections = existing_sections path in
-  let oc = open_out path in
-  output_string oc
-    (Printf.sprintf
-       "{\n  \"suite\": \"vecsched-solver\",\n  \"ocaml_version\": %S,\n  \"runs\": [\n"
-       Sys.ocaml_version);
-  output_string oc (String.concat ",\n" (List.map row_json rows));
-  output_string oc "\n  ],\n  \"propagator_profiles\": ";
-  output_string oc (Obs.Json.to_string (profile_json profiles));
-  List.iter
-    (fun (name, sec) ->
-      output_string oc (Printf.sprintf ",\n  %S: " name);
-      output_string oc (Obs.Json.to_string sec))
-    sections;
-  output_string oc "\n}\n";
-  close_out oc;
+  Bench_file.write path
+    { Bench_file.ocaml_version = Sys.ocaml_version; runs; profiles };
   Format.printf "wrote %d runs and %d kernel profiles to %s@."
-    (List.length rows) (List.length profiles) path
-
-let parse_baseline path : (run_row list, string) result =
-  match Obs.Json.parse_file path with
-  | Error e -> Error e
-  | Ok j -> (
-    match Obs.Json.member "runs" j with
-    | Some (Obs.Json.Arr rs) ->
-      Ok
-        (List.filter_map
-           (fun r ->
-             let str k =
-               match Obs.Json.member k r with
-               | Some (Obs.Json.Str s) -> Some s
-               | _ -> None
-             in
-             let num k =
-               match Obs.Json.member k r with
-               | Some (Obs.Json.Num f) -> Some f
-               | _ -> None
-             in
-             let int ?(default = 0) k =
-               match num k with Some f -> int_of_float f | None -> default
-             in
-             match (str "kernel", str "mode", num "slots") with
-             | Some kernel, Some mode, Some slots ->
-               Some
-                 {
-                   r_kernel = kernel;
-                   r_mode = mode;
-                   r_slots = int_of_float slots;
-                   r_status = Option.value ~default:"" (str "status");
-                   r_engine = Option.value ~default:"" (str "engine");
-                   r_makespan = Option.map int_of_float (num "makespan");
-                   r_fallback =
-                     Option.map int_of_float (num "fallback_makespan");
-                   r_nodes = int "nodes";
-                   r_failures = int "failures";
-                   r_propagations = int "propagations";
-                   r_time_ms = Option.value ~default:0. (num "time_ms");
-                   r_optimal =
-                     (match Obs.Json.member "optimal" r with
-                     | Some (Obs.Json.Bool b) -> b
-                     | _ -> false);
-                   r_minor_words = Option.map int_of_float (num "minor_words");
-                   r_node_budget = Option.map int_of_float (num "node_budget");
-                 }
-             | _ -> None)
-           rs)
-    | _ -> Error "missing \"runs\" array")
-
-(* The compiler the baseline's rows were measured on.  Allocation
-   counts, unlike nodes and propagations, depend on the compiler and
-   its stdlib, so [compare] gates minor_words only when this matches
-   the running one. *)
-let baseline_ocaml_version path =
-  match Obs.Json.parse_file path with
-  | Ok j -> (
-    match Obs.Json.member "ocaml_version" j with
-    | Some (Obs.Json.Str v) -> Some v
-    | _ -> None)
-  | Error _ -> None
-
-(* Per-kernel propagator run counts from the baseline's
-   propagator_profiles section: (kernel, deterministic, (name, runs)
-   list).  A kernel is deterministic when it proved optimality or ran
-   under a node budget.  Baselines written before the "optimal" field
-   existed were all proved-optimal sequential runs, so a missing field
-   defaults to [true]. *)
-let parse_profile_baseline path :
-    ((string * bool * (string * int) list) list, string) result =
-  match Obs.Json.parse_file path with
-  | Error e -> Error e
-  | Ok j -> (
-    match Obs.Json.member "propagator_profiles" j with
-    | Some (Obs.Json.Arr ks) ->
-      Ok
-        (List.filter_map
-           (fun k ->
-             match Obs.Json.member "kernel" k with
-             | Some (Obs.Json.Str kernel) ->
-               let deterministic =
-                 match
-                   (Obs.Json.member "optimal" k, Obs.Json.member "node_budget" k)
-                 with
-                 | _, Some (Obs.Json.Num _) -> true
-                 | Some (Obs.Json.Bool b), _ -> b
-                 | _ -> true
-               in
-               let rows =
-                 match Obs.Json.member "rows" k with
-                 | Some (Obs.Json.Arr rs) ->
-                   List.filter_map
-                     (fun r ->
-                       match
-                         (Obs.Json.member "name" r, Obs.Json.member "runs" r)
-                       with
-                       | Some (Obs.Json.Str n), Some (Obs.Json.Num f) ->
-                         Some (n, int_of_float f)
-                       | _ -> None)
-                     rs
-                 | _ -> []
-               in
-               Some (kernel, deterministic, rows)
-             | _ -> None)
-           ks)
-    | _ -> Error "missing \"propagator_profiles\"")
+    (List.length runs) (List.length profiles) path
 
 (* Only rows whose counters are reproducible can gate: portfolio rows
    race OCaml 5 domains (nodes/propagations vary run to run) and
@@ -1429,9 +810,12 @@ let parse_profile_baseline path :
    gating. *)
 let gate_threshold = 25.
 
-let is_deterministic_row b =
+let is_deterministic_row (b : Bench_file.run) =
   (not (String.starts_with ~prefix:"portfolio" b.r_mode))
   && (b.r_optimal || b.r_node_budget <> None)
+
+let is_deterministic_profile (p : Bench_file.profile) =
+  p.p_optimal || p.p_node_budget <> None
 
 let compare_run ?(against = "BENCH_solver.json") () =
   header
@@ -1439,7 +823,7 @@ let compare_run ?(against = "BENCH_solver.json") () =
        "Regression compare vs %s (gate: propagations/nodes/minor_words \
         and per-propagator runs +%.0f%% on deterministic rows)"
        against gate_threshold);
-  match parse_baseline against with
+  match Bench_file.read against with
   | Error e ->
     Format.printf "cannot load baseline %s: %s@." against e;
     1
@@ -1451,28 +835,19 @@ let compare_run ?(against = "BENCH_solver.json") () =
     in
     let regressions = ref [] in
     let regression fmt = Printf.ksprintf (fun r -> regressions := r :: !regressions) fmt in
-    if List.exists (fun b -> b.r_minor_words = None) base then
+    let words_gated = base.ocaml_version = Sys.ocaml_version in
+    if not words_gated then
       Format.printf
-        "(baseline rows without minor_words: allocation gate skipped for \
-         them)@.";
-    let words_gated =
-      match baseline_ocaml_version against with
-      | Some v when v = Sys.ocaml_version -> true
-      | v ->
-        Format.printf
-          "(baseline minor_words measured on %s, this is OCaml %s: \
-           allocation gate advisory)@."
-          (match v with Some v -> "OCaml " ^ v | None -> "an unrecorded compiler")
-          Sys.ocaml_version;
-        false
-    in
+        "(baseline minor_words measured on OCaml %s, this is OCaml %s: \
+         allocation gate advisory)@."
+        base.ocaml_version Sys.ocaml_version;
     Format.printf
       "%-8s %-12s %6s | %10s %10s %7s | %8s %8s %7s | %11s %11s %7s | %8s \
        %8s@."
       "kernel" "mode" "slots" "props(b)" "props(a)" "d%" "nodes(b)"
       "nodes(a)" "d%" "words(b)" "words(a)" "d%" "ms(b)" "ms(a)";
     List.iter
-      (fun b ->
+      (fun (b : Bench_file.run) ->
         match List.find_opt (fun f -> row_key f = row_key b) fresh with
         | None ->
           Format.printf "%-8s %-12s %6d | row vanished from the suite@."
@@ -1486,11 +861,7 @@ let compare_run ?(against = "BENCH_solver.json") () =
           in
           let dp = pct b.r_propagations f.r_propagations in
           let dn = pct b.r_nodes f.r_nodes in
-          let dw =
-            match (b.r_minor_words, f.r_minor_words) with
-            | Some bw, Some fw -> Some (pct bw fw)
-            | _ -> None
-          in
+          let dw = pct b.r_minor_words f.r_minor_words in
           let flag metric d =
             if deterministic && d > gate_threshold then
               regression "%s/%s/%d %s +%.1f%%" b.r_kernel b.r_mode b.r_slots
@@ -1498,21 +869,18 @@ let compare_run ?(against = "BENCH_solver.json") () =
           in
           flag "propagations" dp;
           flag "nodes" dn;
-          if words_gated then Option.iter (flag "minor_words") dw;
-          let words = function Some w -> string_of_int w | None -> "-" in
+          if words_gated then flag "minor_words" dw;
           Format.printf
-            "%-8s %-12s %6d | %10d %10d %+6.1f%% | %8d %8d %+6.1f%% | %11s \
-             %11s %7s | %8.1f %8.1f%s@."
+            "%-8s %-12s %6d | %10d %10d %+6.1f%% | %8d %8d %+6.1f%% | %11d \
+             %11d %+6.1f%% | %8.1f %8.1f%s@."
             b.r_kernel b.r_mode b.r_slots b.r_propagations f.r_propagations dp
-            b.r_nodes f.r_nodes dn (words b.r_minor_words)
-            (words f.r_minor_words)
-            (match dw with Some d -> Printf.sprintf "%+.1f%%" d | None -> "-")
+            b.r_nodes f.r_nodes dn b.r_minor_words f.r_minor_words dw
             b.r_time_ms f.r_time_ms
             (if deterministic then "" else "  (advisory)"))
-      base;
+      base.runs;
     List.iter
-      (fun f ->
-        if not (List.exists (fun b -> row_key b = row_key f) base) then
+      (fun (f : Bench_file.run) ->
+        if not (List.exists (fun b -> row_key b = row_key f) base.runs) then
           Format.printf "%-8s %-12s %6d | new row (not in baseline)@."
             f.r_kernel f.r_mode f.r_slots)
       fresh;
@@ -1522,38 +890,45 @@ let compare_run ?(against = "BENCH_solver.json") () =
        gate.  Sequential profile runs are deterministic whenever both
        sides proved optimality or ran under a node budget, so the same
        threshold gates them. *)
-    (match parse_profile_baseline against with
-    | Error e -> Format.printf "@.(no propagator-runs baseline: %s)@." e
-    | Ok prof_base ->
-      let prof_fresh = profile_rows (profile_kernels ()) in
-      Format.printf "@.%-8s %-22s %10s %10s %8s@." "kernel" "propagator"
-        "runs(b)" "runs(a)" "d%";
-      List.iter
-        (fun (kernel, b_det, b_rows) ->
-          match
-            List.find_opt (fun (k, _, _, _) -> k = kernel) prof_fresh
-          with
-          | None ->
-            Format.printf "%-8s | kernel vanished from the profile suite@."
-              kernel;
-            if b_det then regression "%s deterministic profile kernel vanished" kernel
-          | Some (_, f_opt, f_nodes, f_rows) ->
-            let deterministic = b_det && (f_opt || f_nodes <> None) in
-            List.iter
-              (fun (name, b_runs) ->
-                let f_runs =
-                  match List.find_opt (fun (n, _) -> n = name) f_rows with
-                  | Some (_, p) -> p.Obs.Agg.p_runs
-                  | None -> 0
-                in
-                let d = pct b_runs f_runs in
-                if deterministic && d > gate_threshold then
-                  regression "%s propagator %s runs +%.1f%%" kernel name d;
-                Format.printf "%-8s %-22s %10d %10d %+7.1f%%%s@." kernel name
-                  b_runs f_runs d
-                  (if deterministic then "" else "  (advisory)"))
-              b_rows)
-        prof_base);
+    let prof_fresh = profile_rows (profile_kernels ()) in
+    Format.printf "@.%-8s %-22s %10s %10s %8s@." "kernel" "propagator"
+      "runs(b)" "runs(a)" "d%";
+    List.iter
+      (fun (b : Bench_file.profile) ->
+        match
+          List.find_opt
+            (fun (f : Bench_file.profile) -> f.p_kernel = b.p_kernel)
+            prof_fresh
+        with
+        | None ->
+          Format.printf "%-8s | kernel vanished from the profile suite@."
+            b.p_kernel;
+          if is_deterministic_profile b then
+            regression "%s deterministic profile kernel vanished" b.p_kernel
+        | Some f ->
+          let deterministic =
+            is_deterministic_profile b && is_deterministic_profile f
+          in
+          List.iter
+            (fun (br : Bench_file.prow) ->
+              let f_runs =
+                match
+                  List.find_opt
+                    (fun (fr : Bench_file.prow) -> fr.pr_name = br.pr_name)
+                    f.p_rows
+                with
+                | Some fr -> fr.pr_runs
+                | None -> 0
+              in
+              let d = pct br.pr_runs f_runs in
+              if deterministic && d > gate_threshold then
+                regression "%s propagator %s runs +%.1f%%" b.p_kernel
+                  br.pr_name d;
+              Format.printf "%-8s %-22s %10d %10d %+7.1f%%%s@." b.p_kernel
+                br.pr_name br.pr_runs f_runs d
+                (if deterministic then "" else "  (advisory)"))
+            b.p_rows)
+      base.profiles;
     (match !regressions with
     | [] ->
       Format.printf "@.no solver-counter regressions vs %s@." against;
@@ -1578,8 +953,9 @@ let all () =
   dynamic ()
 
 (* `--trace FILE` (any experiment: the whole sweep lands in one
-   Perfetto-loadable trace, one named track per suite run) and
-   `--against PATH` (for `compare`) are extracted before dispatch. *)
+   Perfetto-loadable trace, one named track per suite run),
+   `--against PATH` (for `compare`) and `--path FILE` (for `perfjson`
+   and `profile`) are extracted before dispatch. *)
 let extract_opt name args =
   let rec go = function
     | [] -> (None, [])
@@ -1595,18 +971,7 @@ let extract_opt name args =
 let () =
   let trace, args = extract_opt "--trace" (List.tl (Array.to_list Sys.argv)) in
   let against, args = extract_opt "--against" args in
-  let requests, args = extract_opt "--requests" args in
-  let pool, args = extract_opt "--pool" args in
-  let lqueue, args = extract_opt "--queue" args in
-  let seed, args = extract_opt "--seed" args in
   let lpath, args = extract_opt "--path" args in
-  let csv, args = extract_opt "--csv" args in
-  let tail_keep, args = extract_opt "--tail-keep" args in
-  let flight_dir, args = extract_opt "--flight-dir" args in
-  let flight_buf, args = extract_opt "--flight-buf" args in
-  let chaos = List.mem "--chaos" args in
-  let args = List.filter (fun a -> a <> "--chaos") args in
-  let iopt = Option.map int_of_string in
   let dispatch () =
     match args with
     | [] | [ "all" ] -> all (); 0
@@ -1628,28 +993,15 @@ let () =
     | [ "expressiveness" ] -> expressiveness (); 0
     | [ "bechamel" ] -> bechamel (); 0
     | [ "perfjson" ] -> perfjson ?path:lpath (); 0
-    | [ "profile" ] -> profile ?path:lpath (); 0
+    | [ "profile" ] -> profile ?path:lpath ()
     | [ "robustness" ] -> robustness (); 0
-    | [ "load" ] ->
-      load ?path:lpath ?requests:(iopt requests) ?pool:(iopt pool)
-        ?queue:(iopt lqueue) ?seed:(iopt seed) ~chaos
-        ?tail_keep:(iopt tail_keep) ?flight_dir ?flight_buf:(iopt flight_buf)
-        ();
-      0
-    | [ "cache" ] ->
-      cache_bench ?path:lpath ?requests:(iopt requests) ?pool:(iopt pool)
-        ?seed:(iopt seed) ();
-      0
-    | [ "history" ] -> history ?path:lpath ?csv ()
     | [ "compare" ] -> compare_run ?against ()
     | other ->
       Format.eprintf
         "unknown experiment %s (use: graphs table1 table2 table3 fig3 fig45 \
          fig6 fig8 utilization dynamic ablations archsweep bechamel perfjson \
-         profile compare robustness load cache history; options: --trace \
-         FILE, --against PATH, --path FILE, --csv FILE, \
-         --requests/--pool/--queue/--seed N, --chaos, --tail-keep N, \
-         --flight-dir DIR, --flight-buf EVENTS)@."
+         profile compare robustness; options: --trace FILE, --against \
+         PATH, --path FILE)@."
         (String.concat " " other);
       exit 2
   in

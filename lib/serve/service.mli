@@ -122,7 +122,7 @@ type config = {
           {!health}'s latency/SLO aggregates read as zero) while its
           counters still count.  Pass an enabled registry
           ([Obs.Metrics.create ()]) to turn the aggregates on, as
-          [eitc serve] and [bench load] do. *)
+          [eitc serve] does. *)
   flight_dir : string option;
       (** tail-based flight recorder: when set, every request records
           its full event stream into a preallocated per-worker ring
@@ -208,7 +208,7 @@ val health : t -> health
 val metrics : t -> Obs.Metrics.registry
 (** The registry this service feeds ([config.metrics], or the private
     one created at {!create}) — for {!Obs.Metrics.exporter_start},
-    snapshots, or the [bench load] cross-check. *)
+    snapshots, or checking {!health}'s quantiles against ground truth. *)
 
 val flight_dump_all : t -> reason:string -> string option
 (** The daemon-fatal black box: dump every live flight ring (plus the

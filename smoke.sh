@@ -1,10 +1,11 @@
 #!/bin/sh
 # End-to-end smokes over the built `eitc` binary: the fallback sweep,
 # trace and trace-analytics smokes, the MATMUL bound guard, the
-# serve / cache / telemetry / postmortem smokes, and a guard that
-# `bench profile --path` leaves BENCH_solver.json alone.  `check.sh`
-# runs this after the build and the test suite; run it on its own to
-# reach these checks while a test fails.  Exits non-zero on any failure.
+# serve / cache / telemetry / postmortem / tail-keep smokes, and a guard
+# that `bench profile --path` leaves BENCH_solver.json, and any file
+# that is not a report, alone.  `check.sh` runs this after the build
+# and the test suite; run it on its own to reach these checks while a
+# test fails.  Exits non-zero on any failure.
 set -e
 cd "$(dirname "$0")"
 dune build ./bin/eitc.exe
@@ -322,10 +323,42 @@ fi
 rm -rf "$fdir"
 echo "smoke.sh: postmortem smoke OK (1 wedge black box, healthy request dropped, postmortem renders)"
 
+# Tail-keep smoke: with --tail-keep 4, the recorder also keeps every
+# 4th healthy request by admission order as a baseline slice.  Eight
+# healthy FIR requests (t0..t7) must leave exactly the two sampled
+# black boxes, t0 and t4, and `eitc postmortem` must render them.
+tdir=$(mktemp -d /tmp/eitc-tailkeep.XXXXXX)
+tk_out=$( for i in 0 1 2 3 4 5 6 7; do
+    printf '{"id":"t%d","kernel":"fir"}\n' "$i"
+  done | "$EITC" serve --pool 2 --queue 16 --flight-dir "$tdir" --tail-keep 4) || {
+  echo "smoke.sh: tail-keep serve exited non-zero" >&2
+  echo "$tk_out" >&2
+  rm -rf "$tdir"
+  exit 1
+}
+fail_tk() {
+  echo "smoke.sh: $1" >&2
+  ls "$tdir" >&2
+  rm -rf "$tdir"
+  exit 1
+}
+dumps=$(ls "$tdir"/flight-*.jsonl 2>/dev/null | wc -l)
+if [ "$dumps" -ne 2 ]; then
+  fail_tk "expected exactly 2 sampled flight dumps with --tail-keep 4, found $dumps"
+fi
+for id in t0 t4; do
+  ls "$tdir"/flight-*-"$id"-sampled.jsonl > /dev/null 2>&1 \
+    || fail_tk "no sampled flight dump for $id"
+done
+"$EITC" postmortem "$tdir" > /dev/null || fail_tk "eitc postmortem failed on the sampled dumps"
+rm -rf "$tdir"
+echo "smoke.sh: tail-keep smoke OK (t0 and t4 sampled of 8 healthy requests, postmortem renders)"
+
 # Baseline guard: `bench profile --path F` must write its profiles to F
-# and leave the committed BENCH_solver.json byte-for-byte alone: a
-# scratch profile must never replace the baseline `bench compare`
-# gates against.
+# (starting empty when F does not exist) and leave the committed
+# BENCH_solver.json byte-for-byte alone: a throwaway profile must never
+# replace the baseline `bench compare` gates against.  An F that exists
+# but is not a report must make it fail and stay byte-for-byte as it was.
 dune build ./bench/main.exe
 ptmp=$(mktemp -d /tmp/eitc-profile.XXXXXX)
 cp BENCH_solver.json "$ptmp/before.json"
@@ -340,5 +373,12 @@ cmp -s BENCH_solver.json "$ptmp/before.json" \
   || fail_prof "bench profile --path rewrote BENCH_solver.json"
 grep -q '"propagator_profiles"' "$ptmp/p.json" \
   || fail_prof "bench profile --path wrote no propagator_profiles"
+printf 'notes, not a report\n' > "$ptmp/notes.txt"
+cp "$ptmp/notes.txt" "$ptmp/notes.orig"
+if _build/default/bench/main.exe profile --path "$ptmp/notes.txt" > /dev/null; then
+  fail_prof "bench profile --path on a non-report exited 0"
+fi
+cmp -s "$ptmp/notes.txt" "$ptmp/notes.orig" \
+  || fail_prof "bench profile --path overwrote a file that is not a report"
 rm -rf "$ptmp"
-echo "smoke.sh: profile --path smoke OK (profiles in the given file, baseline untouched)"
+echo "smoke.sh: profile --path smoke OK (profiles in the given file, baseline and non-report untouched)"

@@ -766,7 +766,8 @@ let test_crashed_attempt_never_populates_cache () =
 (* [health] is a view over the service's registry: after a mixed
    session each of its 14 counter fields equals the same counter in the
    JSON snapshot and in the Prometheus text — whether the caller passed
-   an enabled registry or left [metrics = None]. *)
+   an enabled registry or left [metrics = None].  With an enabled
+   registry the live p99 is also checked against the exact one. *)
 let test_health_is_the_registry metrics () =
   let flight_dir =
     Filename.concat
@@ -784,23 +785,27 @@ let test_health_is_the_registry metrics () =
     }
   in
   let svc = S.create ~config () in
-  let answer tk = ignore (await_or_fail tk) in
   (* optimal, its cached repeat, an invalid kernel, a zero-budget
      fallback — one at a time, so none is shed *)
-  List.iter
-    (fun r -> answer (S.submit svc r))
-    [
-      S.request ~id:"opt" ~budget_ms:10_000. (S.Kernel "qrd");
-      S.request ~id:"hit" ~budget_ms:10_000. (S.Kernel "qrd");
-      S.request ~id:"bad" (S.Kernel "no-such-kernel");
-      S.request ~id:"fb" ~budget_ms:0. (S.Kernel "arf");
-    ];
+  let singles =
+    List.map
+      (fun r -> await_or_fail (S.submit svc r))
+      [
+        S.request ~id:"opt" ~budget_ms:10_000. (S.Kernel "qrd");
+        S.request ~id:"hit" ~budget_ms:10_000. (S.Kernel "qrd");
+        S.request ~id:"bad" (S.Kernel "no-such-kernel");
+        S.request ~id:"fb" ~budget_ms:0. (S.Kernel "arf");
+      ]
+  in
   (* a burst on 1 worker and 1 queue slot: at most two are admitted *)
   let slow = blocked8 () in
-  List.iter answer
-    (List.init 6 (fun i ->
-         S.submit svc
-           (S.request ~id:(Printf.sprintf "b%d" i) ~budget_ms:200. slow)));
+  let burst =
+    List.map await_or_fail
+      (List.init 6 (fun i ->
+           S.submit svc
+             (S.request ~id:(Printf.sprintf "b%d" i) ~budget_ms:200. slow)))
+  in
+  let responses = singles @ burst in
   S.shutdown svc;
   let h = S.health svc in
   let reg = S.metrics svc in
@@ -866,6 +871,27 @@ let test_health_is_the_registry metrics () =
   Alcotest.(check bool) "burst shed" true (h.S.shed >= 4);
   Alcotest.(check bool) "repeat hit the cache" true (h.S.cache_hits >= 1);
   Alcotest.(check bool) "zero budget fell back" true (h.S.fallbacks >= 1);
+  (* an enabled registry's latency histogram against ground truth: one
+     observation per response, and its p99 within the histogram's
+     error bound of the exact p99 of the same rank (the
+     ceil(0.99 n)-th smallest total_ms) *)
+  if Option.is_some metrics then begin
+    let n = List.length responses in
+    Alcotest.(check int) "one latency observation per response" n
+      h.S.lat_total.Obs.Metrics.count;
+    let sorted =
+      List.sort compare (List.map (fun r -> r.S.total_ms) responses)
+    in
+    let rank = int_of_float (ceil (0.99 *. float_of_int n)) in
+    let exact = List.nth sorted (rank - 1) in
+    let live = h.S.lat_total.Obs.Metrics.p99 in
+    let bound =
+      Obs.Metrics.relative_error (Obs.Metrics.histogram reg "serve.total_ms")
+    in
+    if abs_float (live -. exact) > (bound *. exact) +. 1e-9 then
+      Alcotest.failf "live p99 %.4f ms vs exact %.4f ms: beyond %.4f relative"
+        live exact bound
+  end;
   let dumps = Obs.Flight.dump_files flight_dir in
   Alcotest.(check int) "one dump per kept trace" h.S.flight_kept
     (List.length dumps);
