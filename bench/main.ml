@@ -700,6 +700,16 @@ let profile ?(path = "BENCH_solver.json") () =
 
 let row_key (r : Bench_file.run) = (r.r_kernel, r.r_mode, r.r_slots)
 
+(* The greedy's makespan for a row.  A solve without a validated CP
+   schedule already ran the greedy: its outcome holds the schedule the
+   greedy returned (engine [Fallback]) or its error (a crash entry of
+   worker -1), so only the other solves run it again. *)
+let row_fallback ~arch g (o : Sched.Solve.outcome) =
+  match (o.engine, o.schedule) with
+  | Fallback, Some sch -> Some sch.Sched.Schedule.makespan
+  | _ when List.exists (fun c -> c.Fd.Portfolio.worker = -1) o.crashes -> None
+  | _ -> fallback_makespan ~arch g
+
 let run_row ~kernel ~mode ~slots ?(arch = Vecsched.Arch.default) ?node_budget
     ~g solve =
   let w0 = Gc.minor_words () in
@@ -716,7 +726,7 @@ let run_row ~kernel ~mode ~slots ?(arch = Vecsched.Arch.default) ?node_budget
       Option.map
         (fun sch -> sch.Sched.Schedule.makespan)
         o.Sched.Solve.schedule;
-    r_fallback = fallback_makespan ~arch g;
+    r_fallback = row_fallback ~arch g o;
     r_nodes = st.Fd.Search.nodes;
     r_failures = st.Fd.Search.failures;
     r_propagations = st.Fd.Search.propagations;

@@ -109,28 +109,31 @@ let plus s x y z =
   ignore (post_now s ~name:"plus" ~event:On_bounds ~watches:[ x; y; z ] prop);
   propagate s
 
-(* m = max(xs), as one indexed propagator: a bounds change of x_i
-   advises index i, one of m advises index n.  The four rules
+(* m = max_i (x_i + o_i), as one indexed propagator: a bounds change of
+   x_i advises index i, one of m advises index n.  Writing lb and ub for
+   the bounds of x_i + o_i, the four rules
 
-     1. ub(m) <= max_i ub(x_i)
-     2. lb(m) >= max_i lb(x_i)
-     3. x_i <= ub(m) for every i
-     4. if x_c is the only x with ub(x_c) >= lb(m), then x_c >= lb(m)
+     1. ub(m) <= max_i ub(x_i + o_i)
+     2. lb(m) >= max_i lb(x_i + o_i)
+     3. x_i + o_i <= ub(m) for every i
+     4. if x_c + o_c is the only term with ub >= lb(m), then
+        x_c + o_c >= lb(m)
 
    are applied from the changed index alone, with their supports in
    reversible cells ({!Store.write}), so a backtrack restores them
    instead of forcing a rescan:
 
-   - [sup] is an argmax of ub(x) and [c_ub] its ub when it was found.
-     Upper bounds only drop below a level, so max_i ub(x_i) <= c_ub,
-     with equality while ub(x_sup) = c_ub: rule 1 rescans only when
-     the support's ub dropped, and rule 3 only when ub(m) < c_ub;
+   - [sup] is an argmax of ub(x + o) and [c_ub] that ub when it was
+     found.  Upper bounds only drop below a level, so
+     max_i ub(x_i + o_i) <= c_ub, with equality while the support's ub
+     is c_ub: rule 1 rescans only when the support's ub dropped, and
+     rule 3 only when ub(m) < c_ub;
    - rule 2 needs only the changed lb;
-   - [w1], [w2] are two distinct candidates for rule 4 (ub(x) >= lb(m)).
+   - [w1], [w2] are two distinct candidates for rule 4 (ub >= lb(m)).
      While both stand the rule cannot fire; a witness that falls is
      replaced by a scan, and [w2 = -1] records that at most [w1] was
      left (candidates only disappear below a level);
-   - [lbm] is an argmax of lb(x), for the entailment test.
+   - [lbm] is an argmax of lb(x + o), for the entailment test.
 
    [built] is 0 until the first run has applied every rule from
    scratch; a pop above that run undoes it, and the next run starts
@@ -142,27 +145,34 @@ let c_w1 = 3
 let c_w2 = 4
 let c_lbm = 5
 
-(* Does x_w stand as a rule-4 candidate against lb(m) = lo? *)
-let stands xs lo w = w >= 0 && vmax xs.(w) >= lo
-
-(* The first i >= from other than [excl] with ub(x_i) >= lo, or -1. *)
-let rec candidate xs lo excl from =
-  if from >= Array.length xs then -1
-  else if from <> excl && vmax xs.(from) >= lo then from
-  else candidate xs lo excl (from + 1)
-
-let max_of s xs m =
+let max_of s ?offsets xs m =
   if xs = [] then invalid_arg "Arith.max_of: empty list";
   let xs = Array.of_list xs in
   let n = Array.length xs in
+  let o =
+    match offsets with
+    | None -> Array.make n 0
+    | Some os ->
+      if List.length os <> n then invalid_arg "Arith.max_of: length mismatch";
+      Array.of_list os
+  in
+  let lo i = vmin xs.(i) + o.(i) and hi i = vmax xs.(i) + o.(i) in
+  (* does term w stand as a rule-4 candidate against lb(m) = mlo? *)
+  let stands mlo w = w >= 0 && hi w >= mlo in
+  (* the first i >= from other than [excl] with ub >= mlo, or -1 *)
+  let rec candidate mlo excl from =
+    if from >= n then -1
+    else if from <> excl && hi from >= mlo then from
+    else candidate mlo excl (from + 1)
+  in
   let c = Array.make 6 0 in
   (* rule 1, from scratch *)
   let rescan_ub st =
     let best = ref 0 and ub = ref min_int in
     for i = 0 to n - 1 do
-      let hi = vmax xs.(i) in
-      if hi > !ub then begin
-        ub := hi;
+      let h = hi i in
+      if h > !ub then begin
+        ub := h;
         best := i
       end
     done;
@@ -170,14 +180,14 @@ let max_of s xs m =
     write st c c_ub !ub;
     remove_above st m !ub
   in
-  (* rule 3, when ub(m) dropped below the largest ub(x): afterwards the
-     support's ub is ub(m) *)
+  (* rule 3, when ub(m) dropped below the largest ub(x + o): afterwards
+     the support's ub is ub(m) *)
   let cap st =
-    if vmax xs.(c.(c_sup)) < c.(c_ub) then rescan_ub st;
+    if hi c.(c_sup) < c.(c_ub) then rescan_ub st;
     let mhi = vmax m in
     if mhi < c.(c_ub) then begin
       for i = 0 to n - 1 do
-        if vmax xs.(i) > mhi then remove_above st xs.(i) mhi
+        if hi i > mhi then remove_above st xs.(i) (mhi - o.(i))
       done;
       write st c c_ub mhi
     end
@@ -187,33 +197,33 @@ let max_of s xs m =
     let mlo = vmin m in
     let w1 = c.(c_w1) and w2 = c.(c_w2) in
     if w2 < 0 then begin
-      if stands xs mlo w1 then remove_below st xs.(w1) mlo
+      if stands mlo w1 then remove_below st xs.(w1) (mlo - o.(w1))
     end
-    else if not (stands xs mlo w1 && stands xs mlo w2) then begin
+    else if not (stands mlo w1 && stands mlo w2) then begin
       let a =
-        if stands xs mlo w1 then w1
-        else if stands xs mlo w2 then w2
-        else candidate xs mlo (-1) 0
+        if stands mlo w1 then w1
+        else if stands mlo w2 then w2
+        else candidate mlo (-1) 0
       in
-      let b = if a < 0 then -1 else candidate xs mlo a 0 in
+      let b = if a < 0 then -1 else candidate mlo a 0 in
       write st c c_w1 a;
       write st c c_w2 b;
-      if a >= 0 && b < 0 then remove_below st xs.(a) mlo
+      if a >= 0 && b < 0 then remove_below st xs.(a) (mlo - o.(a))
     end
   in
   let build st =
     rescan_ub st;
     let lbm = ref 0 in
     for i = 1 to n - 1 do
-      if vmin xs.(i) > vmin xs.(!lbm) then lbm := i
+      if lo i > lo !lbm then lbm := i
     done;
     write st c c_lbm !lbm;
-    remove_below st m (vmin xs.(!lbm));
+    remove_below st m (lo !lbm);
     cap st;
     let mlo = vmin m in
-    let a = candidate xs mlo (-1) 0 in
+    let a = candidate mlo (-1) 0 in
     write st c c_w1 a;
-    write st c c_w2 (if a < 0 then -1 else candidate xs mlo a 0);
+    write st c c_w2 (if a < 0 then -1 else candidate mlo a 0);
     witnesses st;
     write st c c_built 1
   in
@@ -225,10 +235,9 @@ let max_of s xs m =
         witnesses st
       end
       else begin
-        let x = xs.(k) in
-        remove_below st m (vmin x);
-        if vmin x > vmin xs.(c.(c_lbm)) then write st c c_lbm k;
-        if k = c.(c_sup) && vmax x < c.(c_ub) then rescan_ub st;
+        remove_below st m (lo k);
+        if lo k > lo c.(c_lbm) then write st c c_lbm k;
+        if k = c.(c_sup) && hi k < c.(c_ub) then rescan_ub st;
         if k = c.(c_w1) || k = c.(c_w2) then witnesses st
       end;
       drain st
@@ -237,9 +246,9 @@ let max_of s xs m =
   let prop st =
     if c.(c_built) = 0 then build st;
     drain st;
-    (* entailed once the maximum is decided: m is fixed, every x_i is
-       capped at its value (rule 3) and some x_i is pinned there *)
-    if is_fixed m && vmin xs.(c.(c_lbm)) >= vmin m then entail_now st
+    (* entailed once the maximum is decided: m is fixed, every term is
+       capped at its value (rule 3) and some term is pinned there *)
+    if is_fixed m && lo c.(c_lbm) >= vmin m then entail_now st
   in
   let watches =
     (On_bounds, m, n) :: List.init n (fun i -> (On_bounds, xs.(i), i))

@@ -36,8 +36,10 @@ val neq_classes : t -> classes:int array -> var array -> unit
 val plus : t -> var -> var -> var -> unit
 (** [plus s x y z] posts [z = x + y]. *)
 
-val max_of : t -> var list -> var -> unit
-(** [max_of s xs m] posts [m = max(xs)].  [xs] must be non-empty. *)
+val max_of : t -> ?offsets:int list -> var list -> var -> unit
+(** [max_of s ~offsets xs m] posts [m = max_i (x_i + o_i)], where the
+    [o_i] are [offsets] (all 0 when omitted).  [xs] must be non-empty.
+    @raise Invalid_argument if [offsets] and [xs] differ in length. *)
 
 val min_of : t -> var list -> var -> unit
 

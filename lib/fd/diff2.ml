@@ -60,11 +60,37 @@ let pair st r r' =
   if must_overlap r.ox r.lx r'.ox r'.lx then separate st r.oy r.ly r'.oy r'.ly;
   if must_overlap r.oy r.ly r'.oy r'.ly then separate st r.ox r.lx r'.ox r'.lx
 
+(* Can no pair prune?  True when
+     max_k (min y_k + min h_k) <= min_k max y_k,
+   i.e. each rectangle can still end, in y, at or below every
+   rectangle's latest start:
+   - the first pair rule's y-separation then keeps both orders, so it
+     prunes nothing;
+   - no pair must overlap in y (that needs max y_i < min y_j + min h_j),
+     so the second rule never fires.
+   The test implies that no rectangle has a compulsory y-part.  An O(n)
+   scan of the bounds that allocates nothing. *)
+let rec quiet_from rects i top bottom =
+  if top > bottom then false
+  else if i = Array.length rects then true
+  else begin
+    let r = rects.(i) in
+    let t = vmin r.oy + vmin r.ly and b = vmax r.oy in
+    quiet_from rects (i + 1)
+      (if t > top then t else top)
+      (if b < bottom then b else bottom)
+  end
+
+let quiet rects = quiet_from rects 0 min_int max_int
+
 (* One indexed propagator for every pair: a bounds change of rectangle
    [i] advises index [i], and a run re-checks the pairs of each pending
-   rectangle only — including the rectangles its own prunes move.  The
-   rules are the pair rules, so the fixpoint is that of one propagator
-   per pair. *)
+   rectangle only — including the rectangles its own prunes move.  A
+   run in a {!quiet} state only drops its pending indices: none of
+   their pairs can prune, and a pair becomes prunable only through a
+   change of one of its rectangles, which advises it again.  The rules
+   are the pair rules, so the fixpoint is that of one propagator per
+   pair. *)
 let post s rects =
   let rects = Array.of_list rects in
   let n = Array.length rects in
@@ -81,6 +107,8 @@ let post s rects =
       drain st
     end
   in
+  let rec skip st = if next_index st >= 0 then skip st in
+  let run st = if quiet rects then skip st else drain st in
   let watches =
     List.concat
       (List.init n (fun i ->
@@ -89,5 +117,5 @@ let post s rects =
              (On_bounds, r.ly, i) ]))
   in
   if n > 1 then
-    ignore (post_indexed s ~name:"diff2" ~priority:prio_global ~size:n ~watches drain);
+    ignore (post_indexed s ~name:"diff2" ~priority:prio_global ~size:n ~watches run);
   propagate s

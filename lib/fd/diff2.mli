@@ -15,7 +15,8 @@
     dimension, which is then propagated as two conditional bound updates
     (and as value removal when the lengths are 1).  One indexed
     propagator carries every pair: a bounds change of a rectangle
-    re-checks that rectangle's pairs only. *)
+    re-checks that rectangle's pairs only, and none while an O(n) test
+    on the y-bounds shows that no pair can prune. *)
 
 open Store
 

@@ -64,7 +64,7 @@ and t = {
   mutable props : propagator list;
   mutable trail : trail_entry list;
   mutable depth : int;
-  queues : propagator Queue.t array;  (* one FIFO bucket per priority *)
+  queues : ring array;  (* one FIFO bucket per priority *)
   mutable steps : int;
   consts : (int, var) Hashtbl.t;
   mutable poll : (unit -> unit) option;
@@ -99,6 +99,16 @@ and t = {
   mutable cell_marks : int array;  (* [n_cells] at each open [push_level] *)
 }
 
+(* A FIFO of propagators: [len] entries from [head], wrapping at the
+   capacity, a power of two.  A full ring doubles, so once it has
+   reached the longest queue the store has seen, a wake allocates
+   nothing. *)
+and ring = {
+  mutable buf : propagator array;
+  mutable head : int;
+  mutable len : int;
+}
+
 (* How many fixpoint-loop iterations pass between two cancellation
    polls.  Small enough that even one long sweep observes a deadline
    within microseconds, large enough that the clock read disappears in
@@ -123,6 +133,38 @@ let idle =
     time_s = 0.; isubs = []; pend = [||]; marks = Bytes.empty; n_pend = 0;
     pend_gen = 0 }
 
+let ring_capacity = 64
+
+let ring_create () = { buf = Array.make ring_capacity idle; head = 0; len = 0 }
+
+let ring_push q p =
+  let cap = Array.length q.buf in
+  if q.len = cap then begin
+    let buf = Array.make (2 * cap) idle in
+    for k = 0 to cap - 1 do
+      buf.(k) <- q.buf.((q.head + k) land (cap - 1))
+    done;
+    q.buf <- buf;
+    q.head <- 0
+  end;
+  q.buf.((q.head + q.len) land (Array.length q.buf - 1)) <- p;
+  q.len <- q.len + 1
+
+let ring_pop q =
+  let p = q.buf.(q.head) in
+  q.head <- (q.head + 1) land (Array.length q.buf - 1);
+  q.len <- q.len - 1;
+  p
+
+(* Empty the ring, clearing the [queued] flag of what it held. *)
+let ring_flush q =
+  let mask = Array.length q.buf - 1 in
+  for k = 0 to q.len - 1 do
+    q.buf.((q.head + k) land mask).queued <- false
+  done;
+  q.head <- 0;
+  q.len <- 0
+
 let create () =
   {
     vars = [];
@@ -132,7 +174,7 @@ let create () =
     props = [];
     trail = [];
     depth = 0;
-    queues = Array.init n_priorities (fun _ -> Queue.create ());
+    queues = Array.init n_priorities (fun _ -> ring_create ());
     steps = 0;
     consts = Hashtbl.create 32;
     poll = None;
@@ -197,7 +239,7 @@ let schedule s p =
   if (not p.queued) && not p.entailed then begin
     p.queued <- true;
     p.wakes <- p.wakes + 1;
-    Queue.add p s.queues.(p.prio)
+    ring_push s.queues.(p.prio) p
   end
 
 (* Empty the pending stack. *)
@@ -413,7 +455,7 @@ let queue_depth_gauge s =
        [
          Array.to_list
            (Array.mapi
-              (fun i q -> (Printf.sprintf "p%d" i, Obs.I (Queue.length q)))
+              (fun i q -> (Printf.sprintf "p%d" i, Obs.I q.len))
               s.queues);
          [ ("steps", Obs.I s.steps); ("depth", Obs.I s.depth) ];
        ])
@@ -466,22 +508,25 @@ let rec propagate s =
    execution because cheap propagators may have been re-scheduled *)
 and drain_from s i =
   if i < n_priorities then
-    if Queue.is_empty s.queues.(i) then drain_from s (i + 1)
+    if s.queues.(i).len = 0 then drain_from s (i + 1)
     else begin
-      execute s (Queue.pop s.queues.(i));
+      execute s (ring_pop s.queues.(i));
       propagate s
     end
 
 (* Re-schedule every propagator (ignoring events): running [propagate]
    afterwards re-checks the fixpoint from scratch.  Used by tests to
    assert that event-filtered propagation reached the same fixpoint a
-   full sweep would. *)
-let reschedule_all s =
-  List.iter
-    (fun p ->
-      readvise s p p.isubs;
-      schedule s p)
-    s.props
+   full sweep would.  Allocates nothing once the queues have held every
+   propagator. *)
+let rec reschedule s = function
+  | [] -> ()
+  | p :: rest ->
+    readvise s p p.isubs;
+    schedule s p;
+    reschedule s rest
+
+let reschedule_all s = reschedule s s.props
 
 let stats s =
   let tbl = Hashtbl.create 16 in
@@ -557,11 +602,7 @@ let pop_level s =
   (* A failed propagation can leave stale entries in the queues; they are
      harmless (propagators are monotone re-checks) but we flush them so a
      restored state starts clean. *)
-  Array.iter
-    (fun q ->
-      Queue.iter (fun p -> p.queued <- false) q;
-      Queue.clear q)
-    s.queues;
+  Array.iter ring_flush s.queues;
   let rec unwind = function
     | [] -> failwith "Store.pop_level: no matching push_level"
     | Mark :: rest ->

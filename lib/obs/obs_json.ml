@@ -78,13 +78,21 @@ let parse (s : string) : (t, string) result =
     | Some c' when c' = c -> advance ()
     | _ -> error (Printf.sprintf "expected '%c'" c)
   in
+  (* the run of letters at [pos] (up to 24) must be [word]; a mismatch
+     names the run, so a text file reads as what it is, not as a broken
+     literal *)
   let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else error ("expected " ^ word)
+    let stop = ref !pos in
+    while
+      !stop < n && !stop - !pos < 24
+      && match s.[!stop] with 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false
+    do
+      incr stop
+    done;
+    let found = String.sub s !pos (!stop - !pos) in
+    if found <> word then error (Printf.sprintf "invalid literal %S" found);
+    pos := !stop;
+    v
   in
   let parse_string () =
     expect '"';

@@ -109,22 +109,17 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
   in
   let config = config_classes g vops in
   Fd.Arith.neq_classes s ~classes:config (Array.map (fun i -> start.(i)) vops);
-  (* eq. 5: makespan = max completion.  Seeding the lower bound (critical
-     path + per-resource loads) lets branch & bound prove optimality as
-     soon as it matches, instead of exhausting the subtree below it. *)
+  (* eq. 5: makespan = max completion s_i + lat_i.  Seeding the lower
+     bound (critical path + per-resource loads) lets branch & bound prove
+     optimality as soon as it matches, instead of exhausting the subtree
+     below it. *)
   let lb = (Bounds.compute g arch).Bounds.makespan in
   let makespan = St.interval_var s ~name:"makespan" (min lb horizon) horizon in
-  let completions =
-    List.map
-      (fun i ->
-        let c =
-          St.interval_var s ~name:(Printf.sprintf "c%d" i) 0 horizon
-        in
-        Fd.Arith.eq_offset s start.(i) (latency_of g arch i) c;
-        c)
-      (Ir.op_nodes g)
-  in
-  Fd.Arith.max_of s completions makespan;
+  let ops = Ir.op_nodes g in
+  Fd.Arith.max_of s
+    ~offsets:(List.map (latency_of g arch) ops)
+    (List.map (fun i -> start.(i)) ops)
+    makespan;
   (* ---------------- memory allocation ---------------- *)
   let slot = ref [] and life = ref [] in
   if memory then begin
@@ -234,13 +229,11 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
         in
         life := (d, lv) :: !life;
         life_of.(d) <- Some lv;
-        let last_use = St.interval_var s ~name:(Printf.sprintf "lu%d" d) 0 (horizon + 1) in
-        Fd.Arith.max_of s
-          (start.(d) :: List.map (fun c -> start.(c)) (Ir.succs g d))
-          last_use;
-        (* life = last_use + 1 - start *)
-        let lu1 = St.interval_var s 1 (horizon + 2) in
-        Fd.Arith.eq_offset s last_use 1 lu1;
+        (* lu1 = last use + 1 = max(s_d + 1, s_succ + 1), and
+           life = lu1 - start *)
+        let users = start.(d) :: List.map (fun c -> start.(c)) (Ir.succs g d) in
+        let lu1 = St.interval_var s ~name:(Printf.sprintf "lu%d" d) 1 (horizon + 2) in
+        Fd.Arith.max_of s ~offsets:(List.map (fun _ -> 1) users) users lu1;
         Fd.Arith.plus s start.(d) lv lu1)
       vdata;
     (* eq. 11: slot reuse as non-overlapping rectangles. *)

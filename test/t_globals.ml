@@ -1,7 +1,8 @@
 (* The scheduling model's four indexed globals against their pairwise
    references ([Reference]): Diff2 (eq. 11), configuration exclusion
    (eq. 3, [Arith.neq_classes]), the access rules (eqs. 8-9,
-   [Cond.access]) and [Arith.max_of] (eqs. 5 and 10).
+   [Cond.access]) and [Arith.max_of] (eqs. 5 and 10, whose offsets are
+   checked against the copy variables they replace).
 
    Each property builds two stores over the same random domains, posts
    the global in one and the reference in the other at level 1 after a
@@ -122,23 +123,35 @@ let agree ~doms ~global ~reference (pre, ops) =
            settle (fun s _ -> Store.propagate s))
        ops
 
-let property ~name ~count gen print check =
+let property ~name ~count ?collect gen print check =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count ~print gen check)
+    (QCheck2.Test.make ~name ~count ~print ?collect gen check)
 
 (* ---------------- eq. 11: Diff2 ---------------- *)
 
-(* rectangle r owns variables 4r .. 4r+3: ox, oy, lx, ly *)
+(* rectangle r owns variables 4r .. 4r+3: ox, oy, lx, ly.  Half the
+   cases draw every height >= 1 and every y-domain at least 2 wide:
+   they start in a state where no pair can prune ([Diff2.post]'s quiet
+   test), which the script's narrowings then leave. *)
 let gen_diff2 =
   QCheck2.Gen.(
     let* n = int_range 2 4 in
+    let* quiet = bool in
+    let ys = if quiet then int_range 1 2 else int_range 0 2 in
+    let height = if quiet then pure 1 else int_range 0 1 in
     let* shapes =
       list_repeat n
-        (quad (int_range 1 6) (int_range 0 2) (pair (int_range 0 2) (int_range 0 2))
-           (pair (int_range 0 1) (int_range 0 1)))
+        (quad (int_range 1 6) ys (pair (int_range 0 2) (int_range 0 2))
+           (pair height (int_range 0 1)))
     in
     let* script = gen_script ~nvars:(4 * n) ~hi:7 in
     return (shapes, script))
+
+(* Does a case start quiet?  Every y-origin starts at 0, so the quiet
+   test reads: the largest min height is at most the smallest max y. *)
+let starts_quiet (shapes, _) =
+  List.fold_left (fun acc (_, _, _, (k, _)) -> max acc k) 0 shapes
+  <= List.fold_left (fun acc (_, ys, _, _) -> min acc ys) max_int shapes
 
 let diff2_doms shapes =
   Array.of_list
@@ -154,13 +167,27 @@ let diff2_rects vars =
         ly = vars.((4 * r) + 3) })
 
 let diff2_property =
-  property ~name:"diff2 global fixpoints = pairwise reference" ~count:2000 gen_diff2
+  property ~name:"diff2 global fixpoints = pairwise reference" ~count:2000
+    ~collect:(fun case -> if starts_quiet case then "starts quiet" else "not quiet")
+    gen_diff2
     (fun (_, script) -> print_script script)
     (fun (shapes, script) ->
       agree ~doms:(diff2_doms shapes)
         ~global:(fun s vars -> Diff2.post s (diff2_rects vars))
         ~reference:(fun s vars -> Reference.diff2 s (diff2_rects vars))
         script)
+
+(* The property above runs both kinds of case: 2,000 draws from a fixed
+   seed hold at least a quarter of each. *)
+let test_diff2_cases () =
+  let cases =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 24 |]) ~n:2000 gen_diff2
+  in
+  let quiet = List.length (List.filter starts_quiet cases) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 2000 start quiet" quiet)
+    true
+    (quiet >= 500 && 2000 - quiet >= 500)
 
 (* ---------------- eq. 3: configuration exclusion ---------------- *)
 
@@ -260,11 +287,62 @@ let max_property =
         ~reference:(fun s vars -> Reference.max_of s (args vars) vars.(n))
         script)
 
+(* variables: n arguments, then m; each term is an argument, which may
+   repeat, and its offset *)
+let gen_max_offsets =
+  QCheck2.Gen.(
+    let* n = int_range 1 4 in
+    let* spans = list_repeat n (pair (int_range 0 4) (int_range 0 4)) in
+    let* terms =
+      list_size (int_range 1 4) (pair (int_bound (n - 1)) (int_range (-3) 7))
+    in
+    let* mlo = int_range (-3) 9 in
+    let* script = gen_script ~nvars:(n + 1) ~hi:13 in
+    return (spans, terms, mlo, script))
+
+(* [max_of] with offsets against what eqs. 5 and 10 posted before it
+   took them: a fresh copy c = x + o per term, tied by [Arith.eq_offset],
+   under the rescanning reference.  A copy's domain is wider than any
+   x + o, so only the equality narrows it. *)
+let max_offsets_property =
+  property ~name:"max_of with offsets = eq_offset copies + reference" ~count:2000
+    gen_max_offsets
+    (fun (spans, terms, mlo, script) ->
+      Printf.sprintf "spans=[%s] terms=[%s] m>=%d %s"
+        (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d+%d" a b) spans))
+        (String.concat ";" (List.map (fun (i, o) -> Printf.sprintf "x%d%+d" i o) terms))
+        mlo (print_script script))
+    (fun (spans, terms, mlo, script) ->
+      let n = List.length spans in
+      let doms =
+        Array.of_list
+          (List.map (fun (lo, w) -> Dom.interval lo (lo + w)) spans
+          @ [ Dom.interval mlo 16 ])
+      in
+      agree ~doms
+        ~global:(fun s vars ->
+          Arith.max_of s ~offsets:(List.map snd terms)
+            (List.map (fun (i, _) -> vars.(i)) terms)
+            vars.(n))
+        ~reference:(fun s vars ->
+          let copies =
+            List.map
+              (fun (i, o) ->
+                let c = Store.interval_var s (-10) 30 in
+                Arith.eq_offset s vars.(i) o c;
+                c)
+              terms
+          in
+          Reference.max_of s copies vars.(n))
+        script)
+
 (* ---------------- the model: one indexed global per family ----------- *)
 
 (* blocked8's model carries a few propagators per op, not per pair: the
    eq. 3 exclusion, the eq. 8-9 access rules and eq. 11 are one
-   propagator each. *)
+   propagator each, and eqs. 5 and 10 take their offsets in [max_of]
+   instead of copy variables, so the only equalities left are eq. 4's,
+   one per produced datum. *)
 let test_model_size () =
   let merged g = (Eit_dsl.Merge.run g).Eit_dsl.Merge.graph in
   let g = merged (Eit_dsl.Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx) in
@@ -279,8 +357,17 @@ let test_model_size () =
   Alcotest.(check int) "one eq. 3 exclusion" 1 (instances "neq_classes");
   Alcotest.(check int) "eq. 8 and eq. 9" 2 (instances "access");
   Alcotest.(check int) "no pairwise neq" 0 (instances "neq_offset");
-  Alcotest.(check bool) "at most 1,500 propagators" true
-    (Store.propagator_count m.Sched.Model.store <= 1_500)
+  let produced =
+    List.length
+      (List.filter
+         (fun d -> Eit_dsl.Ir.producer g d <> None)
+         (Eit_dsl.Ir.data_nodes g))
+  in
+  Alcotest.(check int) "produced data" 176 produced;
+  Alcotest.(check int) "one eq_offset per produced datum" produced
+    (instances "eq_offset");
+  Alcotest.(check bool) "at most 1,000 propagators" true
+    (Store.propagator_count m.Sched.Model.store <= 1_000)
 
 let suite =
   [
@@ -288,5 +375,7 @@ let suite =
     neq_property;
     access_property;
     max_property;
+    max_offsets_property;
+    Alcotest.test_case "diff2 cases: quiet and not" `Quick test_diff2_cases;
     Alcotest.test_case "model: one propagator per family" `Quick test_model_size;
   ]

@@ -29,6 +29,22 @@ let test_json_rejects () =
       | Error _ -> ())
     [ "{"; "[1,]"; "{\"a\" 1}"; "nul"; "\"unterminated"; "1 2" ]
 
+(* A word that is not a literal is named as found, whichever literal
+   its first letter suggests. *)
+let test_json_names_bad_literal () =
+  List.iter
+    (fun (src, msg) ->
+      match Obs.Json.parse src with
+      | Ok _ -> Alcotest.failf "accepted %S" src
+      | Error e -> Alcotest.(check string) src msg e)
+    [
+      ("notes: solver runs\n", {|invalid literal "notes" at byte 0|});
+      ("todo", {|invalid literal "todo" at byte 0|});
+      ("  falsehood", {|invalid literal "falsehood" at byte 2|});
+      ("[true, nul]", {|invalid literal "nul" at byte 7|});
+      ("nullnullnullnullnullnullnull", {|invalid literal "nullnullnullnullnullnull" at byte 0|});
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Chrome trace of a real solve: parses, spans balanced and present    *)
 
@@ -272,6 +288,7 @@ let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json rejects invalid" `Quick test_json_rejects;
+    Alcotest.test_case "json names a bad literal" `Quick test_json_names_bad_literal;
     Alcotest.test_case "trace well-formed + spans" `Quick test_trace_wellformed;
     Alcotest.test_case "checker catches misnesting" `Quick
       test_check_catches_misnesting;

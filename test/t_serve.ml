@@ -38,6 +38,15 @@ let with_service config f =
   let svc = S.create ~config () in
   Fun.protect ~finally:(fun () -> S.shutdown svc) (fun () -> f svc)
 
+(* Run [f], then remove [dir]'s flight dumps and [dir] itself, even when
+   an assertion in [f] fails. *)
+let with_flight_dir dir f =
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove (Obs.Flight.dump_files dir);
+      if Sys.file_exists dir then Sys.rmdir dir)
+    f
+
 let base_config =
   {
     S.default_config with
@@ -519,6 +528,7 @@ let test_chaos_soak () =
   let fir_xml =
     V.Xml.to_string (V.compile (Apps.Fir.graph (Apps.Fir.build ()))).V.ir
   in
+  with_flight_dir flight_dir @@ fun () ->
   with_service config (fun svc ->
       (* submit strictly in order: the wedge sites name specific
          sequence numbers, so request i must get seq i *)
@@ -655,9 +665,7 @@ let test_chaos_soak () =
             match Obs.Analyze.of_json (Obs.Flight.trace_of_dump d) with
             | Ok _ -> ()
             | Error e -> Alcotest.failf "%s: analyze: %s" p e))
-        dumps;
-      List.iter Sys.remove dumps;
-      if Sys.file_exists flight_dir then Sys.rmdir flight_dir)
+        dumps)
 
 (* ------------------------- cached soak ------------------------------- *)
 
@@ -784,7 +792,8 @@ let test_health_is_the_registry metrics () =
       flight_dir = Some flight_dir;
     }
   in
-  let svc = S.create ~config () in
+  with_flight_dir flight_dir @@ fun () ->
+  with_service config @@ fun svc ->
   (* optimal, its cached repeat, an invalid kernel, a zero-budget
      fallback — one at a time, so none is shed *)
   let singles =
@@ -894,9 +903,7 @@ let test_health_is_the_registry metrics () =
   end;
   let dumps = Obs.Flight.dump_files flight_dir in
   Alcotest.(check int) "one dump per kept trace" h.S.flight_kept
-    (List.length dumps);
-  List.iter Sys.remove dumps;
-  if Sys.file_exists flight_dir then Sys.rmdir flight_dir
+    (List.length dumps)
 
 (* after shutdown, submission is answered (shed), never hung *)
 let test_submit_after_shutdown () =

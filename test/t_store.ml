@@ -166,6 +166,86 @@ let test_priority_ordering () =
     [ "arith"; "channel"; "global" ]
     (List.rev !order)
 
+(* The propagation queue, one ring per priority: FIFO within a
+   priority, cheaper priorities drained first, order kept while a ring
+   wraps around and while it grows past its first capacity (the rings
+   start with 64 slots), and a pop empties the rings and clears the
+   queued flags, so what it dropped can be scheduled again.  Runs are
+   checked against a model of the queues built on [Stdlib.Queue]. *)
+let test_queue_rings () =
+  let s = Store.create () in
+  let n = 300 in
+  (* propagator k < n is arithmetic; n is a channel and n + 1 a global *)
+  let prio k =
+    if k < n then Store.prio_arith else if k = n then Store.prio_channel
+    else Store.prio_global
+  in
+  let log = ref [] and wakes = ref (fun _ -> []) in
+  let ps = Array.make (n + 2) None in
+  let handle k = Option.get ps.(k) in
+  for k = 0 to n + 1 do
+    ps.(k) <-
+      Some
+        (Store.post s ~priority:(prio k) ~watches:[] (fun st ->
+             log := k :: !log;
+             List.iter (fun j -> Store.schedule st (handle j)) (!wakes k)))
+  done;
+  (* what a FIFO per priority runs after [first] are scheduled *)
+  let model first =
+    let qs = Array.init 3 (fun _ -> Queue.create ()) in
+    let queued = Array.make (n + 2) false in
+    let sched k =
+      if not queued.(k) then begin
+        queued.(k) <- true;
+        Queue.add k qs.(prio k)
+      end
+    in
+    List.iter sched first;
+    let rec go acc =
+      match List.find_opt (fun q -> not (Queue.is_empty q)) (Array.to_list qs) with
+      | None -> List.rev acc
+      | Some q ->
+        let k = Queue.pop q in
+        queued.(k) <- false;
+        List.iter sched (!wakes k);
+        go (k :: acc)
+    in
+    go []
+  in
+  let run first =
+    log := [];
+    List.iter (fun k -> Store.schedule s (handle k)) first;
+    Store.propagate s;
+    List.rev !log
+  in
+  Alcotest.(check (list int)) "FIFO within a priority" [ 3; 1; 4; 0; 2 ]
+    (run [ 3; 1; 4; 0; 2 ]);
+  Alcotest.(check (list int)) "lower priorities drain first" [ 7; n; n + 1 ]
+    (run [ n + 1; n; 7 ]);
+  (* a chain keeps three entries queued while the head goes round the
+     ring several times; at k = 150 a burst of 140 overflows it while it
+     is wrapped, and k = 20 wakes the channel and the global *)
+  (wakes :=
+     fun k ->
+       (if k + 3 < n then [ k + 3 ] else [])
+       @ (if k = 20 then [ n + 1; n ] else [])
+       @ if k = 150 then List.init 140 (fun j -> n - 1 - j) else []);
+  let first = [ 2; 0; 1 ] in
+  let expected = model first in
+  Alcotest.(check int) "every propagator ran" (n + 2)
+    (List.length (List.sort_uniq compare expected));
+  Alcotest.(check (list int)) "wrap-around and growth keep FIFO order" expected
+    (run first);
+  (* scheduled, then dropped by a pop: nothing runs, and each can be
+     scheduled again *)
+  wakes := (fun _ -> []);
+  let dropped = List.init 100 (fun k -> (7 * k) mod n) @ [ n; n + 1 ] in
+  Store.push_level s;
+  List.iter (fun k -> Store.schedule s (handle k)) dropped;
+  Store.pop_level s;
+  Alcotest.(check (list int)) "pop_level empties the queues" [] (run []);
+  Alcotest.(check (list int)) "pop_level clears queued" (model dropped) (run dropped)
+
 (* Per-propagator run counters: Store.stats aggregates by name and the
    totals account for every executed step. *)
 let test_stats_counters () =
@@ -399,6 +479,7 @@ let suite =
     Alcotest.test_case "const cache" `Quick test_const_cached;
     Alcotest.test_case "event filtering" `Quick test_event_bounds_filtering;
     Alcotest.test_case "priority ordering" `Quick test_priority_ordering;
+    Alcotest.test_case "queue rings" `Quick test_queue_rings;
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
     Alcotest.test_case "event fixpoint complete" `Quick test_event_fixpoint_complete;
     cell_property;
