@@ -702,12 +702,12 @@ let row_key (r : Bench_file.run) = (r.r_kernel, r.r_mode, r.r_slots)
 
 (* The greedy's makespan for a row.  A solve without a validated CP
    schedule already ran the greedy: its outcome holds the schedule the
-   greedy returned (engine [Fallback]) or its error (a crash entry of
-   worker -1), so only the other solves run it again. *)
+   greedy returned (engine [Fallback]) or its error ([fallback_error]),
+   so only the other solves run it again. *)
 let row_fallback ~arch g (o : Sched.Solve.outcome) =
   match (o.engine, o.schedule) with
   | Fallback, Some sch -> Some sch.Sched.Schedule.makespan
-  | _ when List.exists (fun c -> c.Fd.Portfolio.worker = -1) o.crashes -> None
+  | _ when o.fallback_error <> None -> None
   | _ -> fallback_makespan ~arch g
 
 let run_row ~kernel ~mode ~slots ?(arch = Vecsched.Arch.default) ?node_budget

@@ -183,6 +183,7 @@ let report_outcome name arch o =
       Format.printf "  crash: worker %d: %s@." c.Fd.Portfolio.worker
         c.Fd.Portfolio.reason)
     o.Sched.Solve.crashes;
+  Option.iter (Format.printf "  fallback: %s@.") o.Sched.Solve.fallback_error;
   (match o.Sched.Solve.validation with
   | Ok () -> ()
   | Error r -> Format.printf "  validation: %a@." Sched.Validate.pp_report r);

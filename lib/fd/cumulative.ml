@@ -56,24 +56,37 @@ let check ~starts ~durations ~resources ~limit =
      unless every point conflicts), so filtering visits only the busy
      points under the task's window, a word at a time, and removes the
      starts each run of conflicts rules out as one interval.
-   - the size of each task's start (and duration) domain when it was
-     last filtered.  Domains only narrow below the write that recorded
-     it, so an equal size means an equal domain.  A task is re-filtered
-     only if its own domains changed or a range some *other* task's
-     part grew over intersects its window [vmin s_i, vmax s_i + dmax_i);
-     otherwise its previous filtering is still the fixpoint (its
-     residual profile under the window is unchanged) and the run skips
-     it.
    - the open tasks, as a doubly linked list in index order ([next],
      [prev], sentinel [n]).  A task leaves it once its start (and
-     duration) is fixed, its part has grown to that final value and it
-     has been filtered since: it can then neither grow the profile nor
-     lose a value.  Both passes walk only this list, in index order, so
-     prunes (and with them the propagation queue) come in the order a
-     walk over every task would give.
+     duration) is fixed and its part has grown to that final value: it
+     can then neither grow the profile nor lose a value.  The re-filter
+     walk visits only this list, in index order, so prunes (and with
+     them the propagation queue) come in the order a walk over every
+     task would give.
    - [built], set by the build.  The first run builds everything from
      scratch; popping above the level of that run undoes [built] along
      with the rest, and the next run builds again.
+
+   Which tasks a run visits:
+   - the propagator is posted with {!Store.post_advised}, so a run
+     knows which tasks' domains changed since the last one; only those
+     can have a grown part, and the first pass visits only them.
+   - a task's filtering depends on its own domains and on its residual
+     profile (the profile minus its own part).  The residual changes
+     only where some *other* task's part grew, and only a point where
+     it reaches limit - r_i + 1 can newly forbid a start: elsewhere the
+     task fits whatever its start.  So each range a part grew over
+     records its highest level (the overload check scans it anyway),
+     and a task is re-filtered only if a foreign range with level +
+     r_i > limit meets its window [vmin s_i, vmax s_i + dmax_i).  When
+     no range reaches limit - r_max + 1, r_max the largest resource of
+     a task with a positive duration, the walk is skipped outright.
+   - with fixed durations, a task's own narrowing cannot make it prune:
+     its conflicts are where they were, and its starts are a subset of
+     the ones its last filtering kept.  [post_var] also re-filters a
+     task whose own domains changed (a longer minimum duration, a start
+     now fixed whose duration [widest] caps), detected by the domain
+     sizes it was last filtered with.
 
    A failed run leaves the state half updated; the search backtracks on
    failure, which undoes every write made at that level.
@@ -85,6 +98,7 @@ let check ~starts ~durations ~resources ~limit =
 type tt = {
   res : int array;
   limit : int;
+  r_max : int;  (* largest resource of a task that can run *)
   n : int;
   built : int array;  (* one slot, 1 while the state below is live *)
   mutable t0 : int;  (* time point of profile.(0) *)
@@ -92,23 +106,23 @@ type tt = {
   mutable busy : int array;
   c_lo : int array;
   c_hi : int array;
-  seen_s : int array;  (* start domain size at the last filtering *)
-  seen_d : int array;  (* duration domain size, for [post_var] *)
   next : int array;
   prev : int array;
   (* per-run scratch, not reversible: ranges compulsory parts grew over
-     in the current run, as [nr] triples (lo, hi, owner); at most two
-     per task *)
+     in the current run, as [nr] quadruples (lo, hi, owner, highest
+     profile level); at most two per task *)
   r_lo : int array;
   r_hi : int array;
   r_own : int array;
+  r_lvl : int array;
   mutable nr : int;
 }
 
-let create ~resources ~limit n =
+let create ~resources ~limit ~r_max n =
   {
     res = resources;
     limit;
+    r_max;
     n;
     built = [| 0 |];
     t0 = 0;
@@ -116,13 +130,12 @@ let create ~resources ~limit n =
     busy = [||];
     c_lo = Array.make n 0;
     c_hi = Array.make n 0;
-    seen_s = Array.make n 0;
-    seen_d = Array.make n 0;
     next = Array.make (n + 1) 0;
     prev = Array.make (n + 1) 0;
     r_lo = Array.make (2 * n) 0;
     r_hi = Array.make (2 * n) 0;
     r_own = Array.make (2 * n) 0;
+    r_lvl = Array.make (2 * n) 0;
     nr = 0;
   }
 
@@ -147,11 +160,16 @@ let add_part st tt i lo hi =
     write st tt.profile k (p + r)
   done
 
-let check_overload tt lo hi =
+(* The highest profile level on [lo, hi); fails above the limit. *)
+let level tt lo hi =
   let p = tt.profile and base = tt.t0 in
+  let top = ref 0 in
   for t = lo to hi - 1 do
-    if p.(t - base) > tt.limit then raise (Fail "cumulative: overload")
-  done
+    let l = p.(t - base) in
+    if l > tt.limit then raise (Fail "cumulative: overload");
+    if l > !top then top := l
+  done;
+  !top
 
 (* The first busy point in [t, hi), or [hi]. *)
 let rec next_busy tt t hi =
@@ -239,12 +257,18 @@ let grow st tt i nlo nhi =
       else grown st tt i nlo nhi
   end
 
-(* Did some other task's part grow over the window [wlo, whi)? *)
+(* Did some other task's part grow over the window [wlo, whi) to a
+   level at which task [i] conflicts? *)
 let dirty tt i wlo whi =
+  let r = tt.res.(i) in
   let k = ref 0 in
   while
     !k < tt.nr
-    && not (tt.r_own.(!k) <> i && tt.r_lo.(!k) < whi && tt.r_hi.(!k) > wlo)
+    && not
+         (tt.r_own.(!k) <> i
+         && tt.r_lo.(!k) < whi
+         && tt.r_hi.(!k) > wlo
+         && tt.r_lvl.(!k) + r > tt.limit)
   do
     incr k
   done;
@@ -255,13 +279,20 @@ let unlink st tt i =
   write st tt.next p q;
   write st tt.prev q p
 
+(* An unlinked task keeps its old [prev], whose [next] never points
+   back at it: no later unlink or build makes a linked slot point at an
+   unlinked task. *)
+let linked tt i = tt.next.(tt.prev.(i)) = i
+
 (* From scratch: the window, every part, the busy index and the full
    list, then an overload check and a filtering of every task.  Only
    [built] needs the trail here: popping above this level undoes it,
-   and the build that follows re-initializes every other slot. *)
+   and the build that follows re-initializes every other slot.  The
+   changes advised so far are all covered, so they are dropped. *)
 let build tt ~starts ~dmin ~dmax ~closed ~prune st =
   let n = tt.n in
   write st tt.built 0 1;
+  while next_index st >= 0 do () done;
   let lo = ref max_int and hi = ref 0 in
   for i = 0 to n - 1 do
     if vmin starts.(i) < !lo then lo := vmin starts.(i);
@@ -288,7 +319,7 @@ let build tt ~starts ~dmin ~dmax ~closed ~prune st =
   done;
   tt.next.(n) <- 0;
   tt.prev.(0) <- n;
-  if width > 0 then check_overload tt !lo !hi;
+  if width > 0 then ignore (level tt !lo !hi);
   for i = 0 to n - 1 do
     prune st i;
     if closed i then unlink st tt i
@@ -296,36 +327,61 @@ let build tt ~starts ~dmin ~dmax ~closed ~prune st =
 
 (* One run of the shared timetable: task [i]'s compulsory part is
    [lst_i, est_i + dmin i) and its window [est_i, lst_i + dmax i);
-   [seen i] tells whether [i]'s domains are those its last filtering
-   saw, [prune st i] re-filters it and records them, and [closed i]
-   (asked right after) whether it can leave the open list. *)
-let timetable tt ~starts ~dmin ~dmax ~seen ~closed ~prune st =
+   [prune st i] re-filters it, [closed i] tells whether it can leave
+   the open list, and [moved], given for variable durations only,
+   whether [i]'s domains changed since its last filtering. *)
+let timetable tt ~starts ~dmin ~dmax ~moved ~closed ~prune st =
   if tt.built.(0) = 0 then build tt ~starts ~dmin ~dmax ~closed ~prune st
   else begin
     let n = tt.n in
-    (* pass 1: grow the parts and collect the dirty ranges (owner
-       tagged, to exempt the owner from re-filtering) *)
+    (* pass 1: grow the parts of the advised tasks, collecting the
+       dirty ranges (owner tagged, to exempt the owner from
+       re-filtering); a task whose part reached its final value leaves
+       the open list (only [reschedule_all] advises a task already
+       closed) *)
     tt.nr <- 0;
-    let i = ref tt.next.(n) in
-    while !i < n do
-      grow st tt !i (vmax starts.(!i)) (vmin starts.(!i) + dmin !i);
-      i := tt.next.(!i)
-    done;
-    for k = 0 to tt.nr - 1 do
-      check_overload tt tt.r_lo.(k) tt.r_hi.(k)
-    done;
-    (* pass 2: re-filter only the tasks whose fixpoint may have moved *)
-    let i = ref tt.next.(n) in
-    while !i < n do
+    let i = ref (next_index st) in
+    while !i >= 0 do
       let j = !i in
-      i := tt.next.(j);
-      if
-        (not (seen j))
-        || (tt.nr > 0 && dirty tt j (vmin starts.(j)) (vmax starts.(j) + dmax j))
-      then prune st j;
-      if closed j then unlink st tt j
-    done
+      grow st tt j (vmax starts.(j)) (vmin starts.(j) + dmin j);
+      if closed j && linked tt j then unlink st tt j;
+      i := next_index st
+    done;
+    let top = ref 0 in
+    for k = 0 to tt.nr - 1 do
+      let l = level tt tt.r_lo.(k) tt.r_hi.(k) in
+      tt.r_lvl.(k) <- l;
+      if l > !top then top := l
+    done;
+    (* pass 2: re-filter only the tasks a grown range can newly forbid
+       a start of (or, for variable durations, whose domains moved) *)
+    let own = Option.is_some moved in
+    if own || !top + tt.r_max > tt.limit then begin
+      let i = ref tt.next.(n) in
+      while !i < n do
+        let j = !i in
+        i := tt.next.(j);
+        if
+          (match moved with Some f -> f j | None -> false)
+          || !top + tt.res.(j) > tt.limit
+             && dirty tt j (vmin starts.(j)) (vmax starts.(j) + dmax j)
+        then prune st j
+      done
+    end
   end
+
+(* Subscribe the timetable: a bounds change of task [i]'s start (or
+   duration, [post_var]) wakes it as a plain watcher would, and
+   advises index [i]. *)
+let post_timetable s ~name ~watches run =
+  ignore
+    (post_advised s ~name ~priority:prio_arith ~size:(Array.length watches.(0))
+       ~watches:
+         (List.concat_map
+            (fun vs -> Array.to_list (Array.mapi (fun i v -> (On_bounds, v, i)) vs))
+            (Array.to_list watches))
+       run);
+  propagate s
 
 let post s ~starts ~durations ~resources ~limit =
   let n = Array.length starts in
@@ -340,9 +396,10 @@ let post s ~starts ~durations ~resources ~limit =
     resources;
   if n = 0 then ()
   else begin
-    let tt = create ~resources ~limit n in
+    let r_max = ref 0 in
+    Array.iteri (fun i r -> if durations.(i) > 0 && r > !r_max then r_max := r) resources;
+    let tt = create ~resources ~limit ~r_max:!r_max n in
     let dur i = durations.(i) in
-    let seen i = tt.seen_s.(i) = Dom.size (dom starts.(i)) in
     (* a fixed start's part is [v, v + d) once grown *)
     let closed i =
       let x = starts.(i) in
@@ -352,21 +409,20 @@ let post s ~starts ~durations ~resources ~limit =
        profile + r_i > limit *)
     let prune st i =
       let x = starts.(i) and d = durations.(i) in
-      if d > 0 && resources.(i) > 0 && not (is_fixed x) then prune_start st tt i x d;
-      write st tt.seen_s i (Dom.size (dom x))
+      if d > 0 && resources.(i) > 0 && not (is_fixed x) then prune_start st tt i x d
     in
-    ignore
-      (post_now s ~name:"cumulative" ~priority:prio_arith ~event:On_bounds
-         ~watches:(Array.to_list starts)
-         (timetable tt ~starts ~dmin:dur ~dmax:dur ~seen ~closed ~prune));
-    propagate s
+    post_timetable s ~name:"cumulative" ~watches:[| starts |]
+      (timetable tt ~starts ~dmin:dur ~dmax:dur ~moved:None ~closed ~prune)
   end
 
 (* Variable durations: the same incremental timetable where task [i]'s
    compulsory part is [lst_i, est_i + dmin_i), and both the start and
-   the duration of every task are pruned against the profile.  Duration
-   domains participate in the change detection exactly like start
-   domains, and a task stays open until its duration is fixed too. *)
+   the duration of every task are pruned against the profile.  A task
+   stays open until its duration is fixed too, and is also re-filtered
+   when its own domains changed since its last filtering: the sizes of
+   its start and duration domains then, in [seen_s] and [seen_d], tell
+   (domains only narrow below the write that recorded them, so an
+   equal size means an equal domain). *)
 let post_var s ~starts ~durations ~resources ~limit =
   let n = Array.length starts in
   if Array.length durations <> n || Array.length resources <> n then
@@ -378,11 +434,13 @@ let post_var s ~starts ~durations ~resources ~limit =
         invalid_arg "Cumulative.post_var: task exceeds resource limit")
     resources;
   if n > 0 then begin
-    let tt = create ~resources ~limit n in
+    (* any task may run: above the posting level a duration may widen *)
+    let tt = create ~resources ~limit ~r_max:(Array.fold_left max 0 resources) n in
+    let seen_s = Array.make n 0 and seen_d = Array.make n 0 in
     let dmin i = vmin durations.(i) and dmax i = vmax durations.(i) in
-    let seen i =
-      tt.seen_s.(i) = Dom.size (dom starts.(i))
-      && tt.seen_d.(i) = Dom.size (dom durations.(i))
+    let moved i =
+      seen_s.(i) <> Dom.size (dom starts.(i))
+      || seen_d.(i) <> Dom.size (dom durations.(i))
     in
     let closed i =
       let x = starts.(i) and dv = durations.(i) in
@@ -399,12 +457,9 @@ let post_var s ~starts ~durations ~resources ~limit =
         if is_fixed x then
           remove_above st dv (widest tt i (vmin x) (vmin dv) (vmax dv))
       end;
-      write st tt.seen_s i (Dom.size (dom x));
-      write st tt.seen_d i (Dom.size (dom dv))
+      write st seen_s i (Dom.size (dom x));
+      write st seen_d i (Dom.size (dom dv))
     in
-    let watches = Array.to_list starts @ Array.to_list durations in
-    ignore
-      (post_now s ~name:"cumulative_var" ~priority:prio_arith ~event:On_bounds
-         ~watches (timetable tt ~starts ~dmin ~dmax ~seen ~closed ~prune));
-    propagate s
+    post_timetable s ~name:"cumulative_var" ~watches:[| starts; durations |]
+      (timetable tt ~starts ~dmin ~dmax ~moved:(Some moved) ~closed ~prune)
   end

@@ -273,13 +273,19 @@ let rec advise_all s = function
     advise s a.ap a.ai;
     advise_all s rest
 
+let rec schedule_all s = function
+  | [] -> ()
+  | p :: rest ->
+    schedule s p;
+    schedule_all s rest
+
 (* Wake watchers according to what actually changed.  A variable that
    became fixed necessarily changed a bound, so [fixed] implies
-   [bounds]. *)
+   [bounds].  Closure-free: a wake allocates nothing. *)
 let notify s v ~bounds ~fixed =
-  List.iter (schedule s) v.w_change;
-  if bounds then List.iter (schedule s) v.w_bounds;
-  if fixed then List.iter (schedule s) v.w_fix;
+  schedule_all s v.w_change;
+  if bounds then schedule_all s v.w_bounds;
+  if fixed then schedule_all s v.w_fix;
   advise_all s v.a_change;
   if bounds then advise_all s v.a_bounds;
   if fixed then advise_all s v.a_fix
@@ -339,12 +345,19 @@ let attach p (event, v) =
   | On_bounds -> v.w_bounds <- p :: v.w_bounds
   | On_fix -> v.w_fix <- p :: v.w_fix
 
+(* [l] without the first occurrence of [x] (physical equality), sharing
+   the tail after it.  A subscription listed twice (a propagator
+   watching a variable twice) is detached twice, so removing one
+   occurrence per detach leaves what removing all of them would. *)
+let rec remove_first x = function
+  | [] -> []
+  | y :: rest -> if y == x then rest else y :: remove_first x rest
+
 let detach p (event, v) =
-  let rm l = List.filter (fun q -> q != p) l in
   match event with
-  | On_change -> v.w_change <- rm v.w_change
-  | On_bounds -> v.w_bounds <- rm v.w_bounds
-  | On_fix -> v.w_fix <- rm v.w_fix
+  | On_change -> v.w_change <- remove_first p v.w_change
+  | On_bounds -> v.w_bounds <- remove_first p v.w_bounds
+  | On_fix -> v.w_fix <- remove_first p v.w_fix
 
 let attach_advisor (event, v, a) =
   match event with
@@ -353,11 +366,10 @@ let attach_advisor (event, v, a) =
   | On_fix -> v.a_fix <- a :: v.a_fix
 
 let detach_advisor (event, v, a) =
-  let rm l = List.filter (fun b -> b != a) l in
   match event with
-  | On_change -> v.a_change <- rm v.a_change
-  | On_bounds -> v.a_bounds <- rm v.a_bounds
-  | On_fix -> v.a_fix <- rm v.a_fix
+  | On_change -> v.a_change <- remove_first a v.a_change
+  | On_bounds -> v.a_bounds <- remove_first a v.a_bounds
+  | On_fix -> v.a_fix <- remove_first a v.a_fix
 
 let make_propagator ?name ?(priority = prio_arith) s ~psubs ~size exec =
   let pid = s.next_pid in
@@ -390,17 +402,26 @@ let rec readvise s p = function
     advise s p a.ai;
     readvise s p rest
 
-let post_indexed ?name ?priority s ~size ~watches exec =
-  let p = make_propagator ?name ?priority s ~psubs:[] ~size exec in
-  p.isubs <-
-    List.map
-      (fun (event, v, i) ->
-        if i < 0 || i >= size then invalid_arg "Store.post_indexed: index out of range";
-        (event, v, { ap = p; ai = i }))
-      watches;
+(* An indexed propagator, with a plain watcher subscription on every
+   (event, var) of [watches] too when [wake]. *)
+let indexed ~wake ~fn ?name ?priority s ~size ~watches exec =
+  List.iter
+    (fun (_, _, i) ->
+      if i < 0 || i >= size then invalid_arg ("Store." ^ fn ^ ": index out of range"))
+    watches;
+  let psubs = if wake then List.map (fun (event, v, _) -> (event, v)) watches else [] in
+  let p = make_propagator ?name ?priority s ~psubs ~size exec in
+  List.iter (attach p) psubs;
+  p.isubs <- List.map (fun (event, v, i) -> (event, v, { ap = p; ai = i })) watches;
   List.iter attach_advisor p.isubs;
   readvise s p p.isubs;
   p
+
+let post_indexed ?name ?priority s ~size ~watches exec =
+  indexed ~wake:false ~fn:"post_indexed" ?name ?priority s ~size ~watches exec
+
+let post_advised ?name ?priority s ~size ~watches exec =
+  indexed ~wake:true ~fn:"post_advised" ?name ?priority s ~size ~watches exec
 
 let next_index s =
   let p = s.running in

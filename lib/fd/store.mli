@@ -179,6 +179,29 @@ val post_indexed :
     checks every index.  A variable may carry several indices.
     @raise Invalid_argument if an index is outside [\[0, size)]. *)
 
+val post_advised :
+  ?name:string ->
+  ?priority:int ->
+  t ->
+  size:int ->
+  watches:(event * var * int) list ->
+  (t -> unit) ->
+  propagator
+(** [post_advised s ~size ~watches f] is {!post_indexed} whose
+    propagator is {e also} a plain watcher: every [(event, var, i)]
+    subscribes it to [var] as {!post_on} would with [(event, var)], and
+    advises index [i].  Waking, and with it the queue position, is the
+    plain watcher's: the store wakes watchers before it advises, so
+    the propagator is queued where {!post_on} would queue it, and its
+    own prunes re-queue it as they re-queue any watcher.  The advisors
+    only record which indices changed, for {!next_index}.  Use it
+    instead of {!post_indexed} when a propagator that knows which
+    arguments changed must keep the wake order of a plain watcher
+    (Cumulative: a pure indexed run order changes the propagation
+    counts).  Every subscription is advised once and the propagator is
+    queued, as with {!post_indexed}.
+    @raise Invalid_argument if an index is outside [\[0, size)]. *)
+
 val next_index : t -> int
 (** [next_index s] pops one pending index of the propagator being
     executed, or returns [-1] when none is pending (always [-1] outside

@@ -121,56 +121,65 @@ let validate t =
       config_pairs rest
   in
   config_pairs vops;
+  (* each node's first slot binding, as [List.assoc] would find it *)
+  let slot = Array.make n None in
+  List.iter
+    (fun (d, k) -> if d >= 0 && d < n && slot.(d) = None then slot.(d) <- Some k)
+    t.slot;
   (* memory: every vector datum has a slot in range *)
   let vdata = List.filter (fun d -> Ir.category g d = Ir.Vector_data) (Ir.data_nodes g) in
   List.iter
     (fun d ->
-      match List.assoc_opt d t.slot with
+      match slot.(d) with
       | None -> add "memory" "vector data %d has no slot" d
       | Some k ->
         if k < 0 || k >= Eit.Arch.slots arch then
           add "memory" "vector data %d allocated out-of-range slot %d" d k)
     vdata;
-  let slot_ok d = List.mem_assoc d t.slot in
   (* eqs. 10-11: lifetimes of data sharing a slot must not overlap *)
   let rects =
     List.filter_map
       (fun d ->
-        if slot_ok d then Some (t.start.(d), List.assoc d t.slot, lifetime t d, 1)
-        else None)
+        match slot.(d) with
+        | Some k -> Some (t.start.(d), k, lifetime t d, 1)
+        | None -> None)
       vdata
   in
   if not (Fd.Diff2.check rects) then
     add "slot-reuse" "overlapping lifetimes share a slot";
   (* eqs. 7-9 + port limits, checked operationally: per cycle, gather the
      slots read (inputs of ops issued) and written (data nodes starting),
-     and run the architecture's access checker *)
+     and run the architecture's access checker.  Ops and written data
+     are bucketed by start cycle once; [Hashtbl.find_all] returns a
+     bucket in node order, since the nodes are added in reverse.  A
+     table, not an array over the horizon: a corrupt start may be
+     huge.  A cycle with no access gets the checker's verdict on no
+     access, computed once. *)
   let horizon = Array.fold_left max 0 t.start + 1 in
+  let bucket nodes keep =
+    let b = Hashtbl.create 64 in
+    List.iter (fun i -> if keep i then Hashtbl.add b t.start.(i) i) (List.rev nodes);
+    b
+  in
+  let issued = bucket (Ir.op_nodes g) (fun _ -> true) in
+  let written =
+    bucket vdata (fun d -> Ir.producer g d <> None && slot.(d) <> None)
+  in
+  let vector_slot p =
+    if Ir.category g p = Ir.Vector_data then slot.(p) else None
+  in
+  let idle = Eit.Mem.check_access arch ~reads:[] ~writes:[] in
   for cycle = 0 to horizon - 1 do
     let reads =
       List.concat_map
-        (fun i ->
-          if t.start.(i) = cycle then
-            List.filter_map
-              (fun p ->
-                if Ir.category g p = Ir.Vector_data && slot_ok p then
-                  Some (List.assoc p t.slot)
-                else None)
-              (Ir.preds g i)
-          else [])
-        (Ir.op_nodes g)
+        (fun i -> List.filter_map vector_slot (Ir.preds g i))
+        (Hashtbl.find_all issued cycle)
     in
-    let writes =
-      List.filter_map
-        (fun d ->
-          if t.start.(d) = cycle && Ir.producer g d <> None && slot_ok d then
-            Some (List.assoc d t.slot)
-          else None)
-        vdata
-    in
+    let writes = List.filter_map (fun d -> slot.(d)) (Hashtbl.find_all written cycle) in
     List.iter
       (fun v -> add "memory-access" "cycle %d: %a" cycle Eit.Mem.pp_violation v)
-      (Eit.Mem.check_access arch ~reads ~writes)
+      (if reads = [] && writes = [] then idle
+       else Eit.Mem.check_access arch ~reads ~writes)
   done;
   (* makespan consistency *)
   let real =

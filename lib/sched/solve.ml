@@ -20,6 +20,7 @@ type outcome = {
   schedule : Schedule.t option;
   stats : Fd.Search.stats;
   crashes : Fd.Portfolio.worker_crash list;
+  fallback_error : string option;
   validation : (unit, Validate.report) result;
   from_cache : bool;
   validate_ms : float;
@@ -227,6 +228,7 @@ let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
               schedule;
               stats = Fd.Search.zero_stats ~optimal:true;
               crashes = [];
+              fallback_error = None;
               validation = Ok ();
               from_cache = true;
               validate_ms = !vms;
@@ -277,10 +279,12 @@ let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
     match (cp_status, cp_checked) with
     | Infeasible, _ ->
       { status = Infeasible; engine = Cp; schedule = None; stats; crashes;
-        validation = Ok (); from_cache = false; validate_ms = !vms }
+        fallback_error = None; validation = Ok (); from_cache = false;
+        validate_ms = !vms }
     | _, Some (sch, Ok ()) ->
       { status = cp_status; engine = Cp; schedule = Some sch; stats; crashes;
-        validation = Ok (); from_cache = false; validate_ms = !vms }
+        fallback_error = None; validation = Ok (); from_cache = false;
+        validate_ms = !vms }
     | _, cp_checked -> (
       (* Either CP found nothing, or what it found fails validation (a
          solver or chaos casualty).  Keep the bad schedule's report. *)
@@ -299,19 +303,18 @@ let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
           (* A fallback result is never optimal and never hides a crash:
              the status says the degradation path was taken. *)
           { status = Feasible_timeout; engine = Fallback; schedule = Some sch;
-            stats; crashes; validation = Ok (); from_cache = false; validate_ms = !vms }
+            stats; crashes; fallback_error = None; validation = Ok ();
+            from_cache = false; validate_ms = !vms }
         | Error r ->
           { status = Crashed; engine = Fallback; schedule = None; stats;
-            crashes; validation = Error r; from_cache = false; validate_ms = !vms })
+            crashes; fallback_error = None; validation = Error r;
+            from_cache = false; validate_ms = !vms })
       | Error reason ->
         let validation =
           match cp_report with Some r -> Error r | None -> Ok ()
         in
-        let crashes =
-          if fallback then
-            crashes @ [ { Fd.Portfolio.worker = -1; reason = "fallback: " ^ reason } ]
-          else crashes
-        in
+        (* the greedy failing is no crash: nothing escaped *)
+        let fallback_error = if fallback then Some reason else None in
         let status =
           match cp_status with
           | Crashed -> Crashed
@@ -319,8 +322,8 @@ let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
             Crashed (* CP produced garbage and no fallback rescued it *)
           | _ -> Feasible_timeout (* an honest timeout, nothing crashed *)
         in
-        { status; engine = Cp; schedule = None; stats; crashes; validation;
-          from_cache = false; validate_ms = !vms })
+        { status; engine = Cp; schedule = None; stats; crashes; fallback_error;
+          validation; from_cache = false; validate_ms = !vms })
   in
   (* Populate the cache only with deadline-independent facts about the
      problem: a proven-optimal schedule that passed validation, or a

@@ -36,7 +36,12 @@ type outcome = {
   stats : Fd.Search.stats;
   crashes : Fd.Portfolio.worker_crash list;
       (** every isolated failure: portfolio workers by index, [0] for a
-          sequential solve, [-1] for the fallback itself *)
+          sequential solve *)
+  fallback_error : string option;
+      (** why the heuristic fallback found no schedule (e.g. "no legal
+          slot for datum 7"), when it ran and failed.  Not a crash:
+          with no CP schedule either, the status is [Feasible_timeout]
+          (or [Crashed] if the engine crashed) and the exit code 4 *)
   validation : (unit, Validate.report) result;
       (** the report of the last validation performed; [Error] only
           when an invalid schedule was produced and discarded *)

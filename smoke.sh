@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end smokes over the built `eitc` binary: the fallback sweep,
-# trace and trace-analytics smokes, the MATMUL bound guard, the
+# a fallback that fails without a crash, trace and trace-analytics
+# smokes, the MATMUL bound guard, the
 # serve / cache / telemetry / postmortem / tail-keep smokes, and a guard
 # that `bench profile --path` leaves BENCH_solver.json, and any file
 # that is not a report, alone.  `check.sh` runs this after the build
@@ -31,6 +32,32 @@ for k in matmul qrd qrd-sorted arf fir corr detect; do
   esac
 done
 echo "smoke.sh: fallback sweep OK (7 kernels, exit 2, validated)"
+
+# A fallback that fails is no crash: QRD in 7 slots at a 0 ms budget
+# has no CP schedule and the greedy finds no legal slot.  Exit 4, the
+# greedy's reason on a `fallback:` line, and no `crash:` line.
+out=$("$EITC" schedule qrd --slots 7 --budget 0) && code=0 || code=$?
+if [ "$code" -ne 4 ]; then
+  echo "smoke.sh: qrd --slots 7 --budget 0: expected exit 4, got $code" >&2
+  echo "$out" >&2
+  exit 1
+fi
+case "$out" in
+*"crash:"*)
+  echo "smoke.sh: qrd --slots 7 --budget 0: a failed fallback reported as a crash" >&2
+  echo "$out" >&2
+  exit 1
+  ;;
+esac
+case "$out" in
+*"fallback: no legal slot for datum"*) ;;
+*)
+  echo "smoke.sh: qrd --slots 7 --budget 0: the fallback's reason is missing" >&2
+  echo "$out" >&2
+  exit 1
+  ;;
+esac
+echo "smoke.sh: failed-fallback smoke OK (qrd, 7 slots: exit 4, reason, no crash)"
 
 # Observability smoke: a traced QRD solve must produce a structurally
 # valid Chrome trace (JSON parses, spans balanced per track) that the

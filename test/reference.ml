@@ -140,3 +140,66 @@ let max_of s xs m =
     (post_now s ~name:"max_of" ~event:On_bounds ~watches:(m :: Array.to_list xs)
        prop);
   propagate s
+
+(* The validator's memory checks (every vector datum has a slot in
+   range, eqs. 10-11, and eqs. 7-9 with the port limits) as the
+   per-cycle scan they were: [List.assoc] for every slot, and for every
+   cycle up to the horizon a pass over the whole graph.  The bucketed
+   [Sched.Schedule.validate] must report the same violations in the
+   same order. *)
+let memory_violations (t : Sched.Schedule.t) =
+  let open Eit_dsl in
+  let violations = ref [] in
+  let add where fmt =
+    Format.kasprintf
+      (fun msg -> violations := { Sched.Schedule.where; msg } :: !violations)
+      fmt
+  in
+  let g = t.ir and arch = t.arch in
+  let vdata = List.filter (fun d -> Ir.category g d = Ir.Vector_data) (Ir.data_nodes g) in
+  List.iter
+    (fun d ->
+      match List.assoc_opt d t.slot with
+      | None -> add "memory" "vector data %d has no slot" d
+      | Some k ->
+        if k < 0 || k >= Eit.Arch.slots arch then
+          add "memory" "vector data %d allocated out-of-range slot %d" d k)
+    vdata;
+  let slot_ok d = List.mem_assoc d t.slot in
+  let rects =
+    List.filter_map
+      (fun d ->
+        if slot_ok d then
+          Some (t.start.(d), List.assoc d t.slot, Sched.Schedule.lifetime t d, 1)
+        else None)
+      vdata
+  in
+  if not (Diff2.check rects) then add "slot-reuse" "overlapping lifetimes share a slot";
+  let horizon = Array.fold_left max 0 t.start + 1 in
+  for cycle = 0 to horizon - 1 do
+    let reads =
+      List.concat_map
+        (fun i ->
+          if t.start.(i) = cycle then
+            List.filter_map
+              (fun p ->
+                if Ir.category g p = Ir.Vector_data && slot_ok p then
+                  Some (List.assoc p t.slot)
+                else None)
+              (Ir.preds g i)
+          else [])
+        (Ir.op_nodes g)
+    in
+    let writes =
+      List.filter_map
+        (fun d ->
+          if t.start.(d) = cycle && Ir.producer g d <> None && slot_ok d then
+            Some (List.assoc d t.slot)
+          else None)
+        vdata
+    in
+    List.iter
+      (fun v -> add "memory-access" "cycle %d: %a" cycle Eit.Mem.pp_violation v)
+      (Eit.Mem.check_access arch ~reads ~writes)
+  done;
+  List.rev !violations

@@ -187,10 +187,26 @@ let test_trajectory_pins () =
     ~failures:115 ~propagations:2415 ~makespan:56 ~optimal:true;
   pin "MATMUL" (merged (Apps.Matmul.graph (Apps.Matmul.build ()))) proof
     ~nodes:28 ~failures:29 ~propagations:383 ~makespan:11 ~optimal:true;
-  pin "BLOCKED8"
-    (merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx))
-    (Fd.Search.node_budget 3_000) ~nodes:3000 ~failures:2846
-    ~propagations:99962 ~makespan:58 ~optimal:false
+  let blocked8 = merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx) in
+  pin "BLOCKED8" blocked8 (Fd.Search.node_budget 3_000) ~nodes:3000 ~failures:2846
+    ~propagations:99962 ~makespan:58 ~optimal:false;
+  (* and its Cumulative work, from the store's profile: when Cumulative
+     re-filters may change, what its runs prune may not *)
+  let m = Sched.Model.build ~memory:true blocked8 Arch.default in
+  let a =
+    Fd.Search.minimize_anytime ~budget:(Fd.Search.node_budget 3_000)
+      m.Sched.Model.store (Sched.Model.phases m) ~objective:m.Sched.Model.makespan
+      ~on_solution:ignore
+  in
+  let cumulative =
+    List.find
+      (fun p -> p.Fd.Store.pr_name = "cumulative")
+      (Fd.Store.profile m.Sched.Model.store)
+  in
+  Alcotest.(check (list int)) "BLOCKED8 cumulative: nodes, runs, prunes"
+    [ 3000; 19607; 17298 ]
+    [ a.Fd.Search.a_stats.Fd.Search.nodes; cumulative.Fd.Store.pr_runs;
+      cumulative.Fd.Store.pr_prunes ]
 
 let suite =
   [

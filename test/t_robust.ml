@@ -218,6 +218,23 @@ let test_too_wide_op_is_infeasible () =
           && String.ends_with ~suffix:"needs 4 lanes, the machine has 2" e))
     [ "detect"; "qrd-sorted" ]
 
+(* QRD in 7 slots with no search time: the greedy finds no legal slot
+   either.  Nothing crashed, so the outcome is an honest timeout with
+   no schedule (exit 4) that carries the greedy's reason in
+   [fallback_error], with no crash entry. *)
+let test_failed_fallback_is_no_crash () =
+  let g = (List.assoc "qrd" kernels) () in
+  let o =
+    Sched.Solve.run ~budget:(Fd.Search.time_budget 0.)
+      ~arch:(Eit.Arch.with_slots Eit.Arch.default 7) g
+  in
+  Alcotest.(check bool) "feasible-timeout" true
+    (o.Sched.Solve.status = Sched.Solve.Feasible_timeout);
+  Alcotest.(check int) "exit code" 4 (Sched.Solve.exit_code o);
+  Alcotest.(check int) "no crash entries" 0 (List.length o.Sched.Solve.crashes);
+  Alcotest.(check (option string)) "the greedy's reason"
+    (Some "no legal slot for datum 7") o.Sched.Solve.fallback_error
+
 let test_deadline_observed () =
   (* an already-expired deadline must come back (degraded) almost
      immediately, even though the budget alone would allow 10 s *)
@@ -436,6 +453,8 @@ let suite =
       test_budget_zero_falls_back;
     Alcotest.test_case "op wider than the machine is infeasible" `Quick
       test_too_wide_op_is_infeasible;
+    Alcotest.test_case "failed fallback is no crash" `Quick
+      test_failed_fallback_is_no_crash;
     Alcotest.test_case "deadline observed" `Quick test_deadline_observed;
     Alcotest.test_case "past deadline = zero budget fast path" `Quick
       test_past_deadline_equals_zero_budget;

@@ -126,6 +126,86 @@ let test_lifetime_and_slots_used () =
     (Sched.Schedule.slots_used sch >= 1
     && Sched.Schedule.slots_used sch <= Eit.Arch.slots sch.Sched.Schedule.arch)
 
+(* The bucketed validator against the per-cycle scan it replaced
+   ([Reference.memory_violations]), on valid schedules of the four
+   kernels with one to three corruptions each: a start shifted by one,
+   two slots swapped, a datum moved into a slot live at its start, a
+   slot binding dropped, a binding duplicated (a second slot for a
+   datum, before or after its first).  The memory violations must be
+   the same, in the same order. *)
+let base_schedules =
+  lazy
+    (let merged g = (Merge.run g).Merge.graph in
+     let cp g =
+       Option.get
+         (Sched.Solve.run ~budget:(Fd.Search.time_budget 20_000.) g).Sched.Solve.schedule
+     in
+     [|
+       Lazy.force solved_qrd;
+       cp (merged (Apps.Arf.graph (Apps.Arf.build ())));
+       cp (merged (Apps.Matmul.graph (Apps.Matmul.build ())));
+       Result.get_ok
+         (Sched.Heuristic.run
+            (merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx)));
+     |])
+
+let corrupt (sch : Sched.Schedule.t) (kind, (a, b, c)) =
+  let start = Array.copy sch.start and slots = Array.of_list sch.slot in
+  let len = Array.length slots in
+  let slot_list = Array.to_list slots in
+  let sch = { sch with start } in
+  match kind with
+  | 0 ->
+    let i = a mod Array.length start in
+    start.(i) <- (start.(i) + if b mod 2 = 0 then 1 else -1);
+    sch
+  | 1 when len >= 2 ->
+    let p = a mod len and q = b mod len in
+    let (dp, kp), (dq, kq) = (slots.(p), slots.(q)) in
+    slots.(p) <- (dp, kq);
+    slots.(q) <- (dq, kp);
+    { sch with slot = Array.to_list slots }
+  | 2 when len >= 2 ->
+    let d, _ = slots.(a mod len) in
+    let live =
+      List.filter
+        (fun (e, _) ->
+          e <> d
+          && start.(e) <= start.(d)
+          && start.(d) < start.(e) + Sched.Schedule.lifetime sch e)
+        slot_list
+    in
+    (match live with
+    | [] -> sch
+    | _ ->
+      let _, k = List.nth live (b mod List.length live) in
+      { sch with
+        slot = List.map (fun (e, k') -> if e = d then (e, k) else (e, k')) slot_list })
+  | 3 when len >= 1 ->
+    { sch with slot = List.filteri (fun j _ -> j <> a mod len) slot_list }
+  | 4 when len >= 1 ->
+    let d, _ = slots.(a mod len) in
+    let k = b mod Eit.Arch.slots sch.arch and at = c mod (len + 1) in
+    { sch with
+      slot =
+        List.filteri (fun j _ -> j < at) slot_list
+        @ ((d, k) :: List.filteri (fun j _ -> j >= at) slot_list) }
+  | _ -> sch
+
+let bucketed_equals_per_cycle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"bucketed validator = per-cycle scan" ~count:300
+       QCheck2.Gen.(
+         pair (int_bound 3)
+           (list_size (int_range 1 3)
+              (pair (int_bound 4) (triple nat nat nat))))
+       (fun (k, corruptions) ->
+         let sch = List.fold_left corrupt (Lazy.force base_schedules).(k) corruptions in
+         let memory v =
+           List.mem v.Sched.Schedule.where [ "memory"; "slot-reuse"; "memory-access" ]
+         in
+         List.filter memory (Sched.Schedule.validate sch) = Reference.memory_violations sch))
+
 let suite =
   [
     Alcotest.test_case "solver output validates" `Quick test_valid;
@@ -138,4 +218,5 @@ let suite =
     Alcotest.test_case "makespan lie" `Quick test_makespan_lie;
     Alcotest.test_case "data-start lie" `Quick test_data_start_lie;
     Alcotest.test_case "lifetimes + slots used" `Quick test_lifetime_and_slots_used;
+    bucketed_equals_per_cycle;
   ]

@@ -335,6 +335,33 @@ let test_indexed_subscriptions () =
   Alcotest.(check (list int)) "reschedule_all re-advises" [ 0; 1; 2 ]
     (step (fun () -> Store.reschedule_all s))
 
+(* A wake allocates nothing: a [remove_below] on a variable watched in
+   all three watcher lists allocates the new domain and its trail
+   record (a [Dom_change] and its cons cell, 6 words), nothing for
+   the watchers it queues.  Measured on a bound move (change + bounds
+   lists) and on a fix (all three). *)
+let test_wake_allocates_nothing () =
+  let s = Store.create () in
+  let x = Store.interval_var s 0 9 in
+  List.iter
+    (fun event -> ignore (Store.post s ~event ~watches:[ x ] ignore))
+    [ Store.On_change; Store.On_bounds; Store.On_fix ];
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun (label, b) ->
+      let dom_words =
+        words (fun () -> ignore (Sys.opaque_identity (Dom.remove_below b (Store.dom x))))
+      in
+      Alcotest.(check (float 0.)) label (dom_words +. 6.)
+        (words (fun () -> Store.remove_below s x b)))
+    [ ("bound move: domain + 6-word trail record", 3);
+      ("fix: domain + 6-word trail record", 9) ];
+  Alcotest.(check bool) "fixed" true (Store.is_fixed x)
+
 (* Reversible cells: random cell writes interleaved with push/pop,
    domain changes and propagator runs that write cells, entail
    themselves or fail half way.  A reference
@@ -484,4 +511,5 @@ let suite =
     Alcotest.test_case "event fixpoint complete" `Quick test_event_fixpoint_complete;
     cell_property;
     Alcotest.test_case "indexed subscriptions" `Quick test_indexed_subscriptions;
+    Alcotest.test_case "a wake allocates nothing" `Quick test_wake_allocates_nothing;
   ]
