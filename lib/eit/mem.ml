@@ -66,9 +66,14 @@ let check_one_port (a : Arch.t) kind ~limit slots =
     List.rev !violations
   end
 
+(* A cycle with no access, the common case in a simulation, allocates
+   nothing. *)
 let check_access (a : Arch.t) ~reads ~writes =
-  check_one_port a `Read ~limit:a.max_reads_per_cycle reads
-  @ check_one_port a `Write ~limit:a.max_writes_per_cycle writes
+  match (reads, writes) with
+  | [], [] -> []
+  | _ ->
+    check_one_port a `Read ~limit:a.max_reads_per_cycle reads
+    @ check_one_port a `Write ~limit:a.max_writes_per_cycle writes
 
 let access_ok a ~reads ~writes = check_access a ~reads ~writes = []
 

@@ -29,11 +29,10 @@ and propagator = {
   pname : string;
   prio : int;
   exec : t -> unit;
-  psubs : (event * var) list;
-      (* watcher-list subscriptions, kept so entailment can detach the
-         propagator and [pop_level] can re-attach it *)
   mutable queued : bool;
   mutable entailed : bool;
+      (* trailed: set by [entail], cleared by [pop_level] past it; an
+         entailed propagator stays on its watcher lists and is skipped *)
   mutable runs : int;
   mutable wakes : int;   (* false->true queued transitions *)
   mutable prunes : int;  (* domain commits made while executing *)
@@ -128,7 +127,7 @@ let prio_global = n_priorities - 1
 (* The [running] value between executions: a sentinel rather than an
    option, so starting an execution allocates nothing.  Never mutated. *)
 let idle =
-  { pid = -1; pname = ""; prio = 0; exec = ignore; psubs = []; queued = false;
+  { pid = -1; pname = ""; prio = 0; exec = ignore; queued = false;
     entailed = true; runs = 0; wakes = 0; prunes = 0; entails = 0;
     time_s = 0.; isubs = []; pend = [||]; marks = Bytes.empty; n_pend = 0;
     pend_gen = 0 }
@@ -345,33 +344,13 @@ let attach p (event, v) =
   | On_bounds -> v.w_bounds <- p :: v.w_bounds
   | On_fix -> v.w_fix <- p :: v.w_fix
 
-(* [l] without the first occurrence of [x] (physical equality), sharing
-   the tail after it.  A subscription listed twice (a propagator
-   watching a variable twice) is detached twice, so removing one
-   occurrence per detach leaves what removing all of them would. *)
-let rec remove_first x = function
-  | [] -> []
-  | y :: rest -> if y == x then rest else y :: remove_first x rest
-
-let detach p (event, v) =
-  match event with
-  | On_change -> v.w_change <- remove_first p v.w_change
-  | On_bounds -> v.w_bounds <- remove_first p v.w_bounds
-  | On_fix -> v.w_fix <- remove_first p v.w_fix
-
 let attach_advisor (event, v, a) =
   match event with
   | On_change -> v.a_change <- a :: v.a_change
   | On_bounds -> v.a_bounds <- a :: v.a_bounds
   | On_fix -> v.a_fix <- a :: v.a_fix
 
-let detach_advisor (event, v, a) =
-  match event with
-  | On_change -> v.a_change <- remove_first a v.a_change
-  | On_bounds -> v.a_bounds <- remove_first a v.a_bounds
-  | On_fix -> v.a_fix <- remove_first a v.a_fix
-
-let make_propagator ?name ?(priority = prio_arith) s ~psubs ~size exec =
+let make_propagator ?name ?(priority = prio_arith) s ~size exec =
   let pid = s.next_pid in
   s.next_pid <- pid + 1;
   s.n_props <- s.n_props + 1;
@@ -382,7 +361,7 @@ let make_propagator ?name ?(priority = prio_arith) s ~psubs ~size exec =
     else priority
   in
   let p =
-    { pid; pname; prio = priority; exec; psubs; queued = false;
+    { pid; pname; prio = priority; exec; queued = false;
       entailed = false; runs = 0; wakes = 0; prunes = 0; entails = 0;
       time_s = 0.; isubs = []; pend = Array.make size 0;
       marks = Bytes.make size '\000'; n_pend = 0; pend_gen = s.generation }
@@ -391,7 +370,7 @@ let make_propagator ?name ?(priority = prio_arith) s ~psubs ~size exec =
   p
 
 let post_on ?name ?priority s ~watches exec =
-  let p = make_propagator ?name ?priority s ~psubs:watches ~size:0 exec in
+  let p = make_propagator ?name ?priority s ~size:0 exec in
   List.iter (attach p) watches;
   p
 
@@ -409,9 +388,8 @@ let indexed ~wake ~fn ?name ?priority s ~size ~watches exec =
     (fun (_, _, i) ->
       if i < 0 || i >= size then invalid_arg ("Store." ^ fn ^ ": index out of range"))
     watches;
-  let psubs = if wake then List.map (fun (event, v, _) -> (event, v)) watches else [] in
-  let p = make_propagator ?name ?priority s ~psubs ~size exec in
-  List.iter (attach p) psubs;
+  let p = make_propagator ?name ?priority s ~size exec in
+  if wake then List.iter (fun (event, v, _) -> attach p (event, v)) watches;
   p.isubs <- List.map (fun (event, v, i) -> (event, v, { ap = p; ai = i })) watches;
   List.iter attach_advisor p.isubs;
   readvise s p p.isubs;
@@ -453,17 +431,16 @@ let post_now ?name ?priority ?event s ~watches exec =
   schedule s p;
   p
 
-(* Entailment removes the propagator from every watcher list it is
-   subscribed to, so it costs nothing on subsequent wakes of those
-   variables.  The removal is trailed: backtracking past this point
-   re-attaches the propagator (and clears the flag), so it resumes
-   firing in the wider state where its constraint may prune again. *)
+(* Entailment is a trailed flag: [schedule], [advise] and [execute]
+   skip an entailed propagator, so it costs one test per wake of its
+   variables, and backtracking past this point clears the flag, so it
+   resumes firing in the wider state where its constraint may prune
+   again.  Its watcher lists are left alone: an entailment costs one
+   trail entry, not a walk of every list it is on. *)
 let entail s p =
   if s.entail_on && not p.entailed then begin
     p.entailed <- true;
     p.entails <- p.entails + 1;
-    List.iter (detach p) p.psubs;
-    List.iter detach_advisor p.isubs;
     drop_pending p;
     s.trail <- Entailment p :: s.trail
   end
@@ -634,8 +611,6 @@ let pop_level s =
       unwind rest
     | Entailment p :: rest ->
       p.entailed <- false;
-      List.iter (attach p) p.psubs;
-      List.iter attach_advisor p.isubs;
       unwind rest
   in
   unwind s.trail;

@@ -162,7 +162,7 @@ val post_now_on :
       lives in reversible cells ({!write}).
     - {!reschedule_all} re-advises every indexed subscription, so a
       full sweep re-checks every index.
-    - Entailment detaches the indexed subscriptions too. *)
+    - An entailed propagator is not advised either. *)
 
 val post_indexed :
   ?name:string ->
@@ -211,11 +211,12 @@ val schedule : t -> propagator -> unit
 (** Put a propagator in the queue (idempotent while queued). *)
 
 val entail : t -> propagator -> unit
-(** Mark the propagator as entailed {e and detach it from every watcher
-    list}: it is neither woken nor scheduled again in this subtree and
-    costs nothing on subsequent domain changes of its variables.  The
-    detachment is trailed — {!pop_level} past the entailment point
-    re-attaches the propagator and clears the flag.  Only sound when the
+(** Mark the propagator as entailed: it is neither woken, advised nor
+    run again in this subtree, and costs one test per domain change of
+    its variables.  The flag is trailed — {!pop_level} past the
+    entailment point clears it.  The propagator stays on its watcher
+    lists, so entailing and backtracking cost no list surgery and the
+    wake order stays the posting order.  Only sound when the
     constraint is satisfied by {e every} remaining assignment of its
     variables (it can never prune nor fail again in this subtree). *)
 
@@ -313,7 +314,8 @@ type profile = {
   pr_runs : int;        (** executions *)
   pr_wakes : int;       (** queue insertions (false->queued transitions) *)
   pr_prunes : int;      (** domain changes committed while executing *)
-  pr_entails : int;     (** entailment reports (watcher-list removals) *)
+  pr_entails : int;     (** entailment reports (flag settings; each
+                            is undone on backtracking past it) *)
   pr_time_ms : float;   (** cumulative execution time; 0 unless timed *)
 }
 

@@ -1,11 +1,13 @@
 open Eit_dsl
 module St = Fd.Store
 
+type start = Var of St.var | Offset of St.var * int | Const of int
+
 type t = {
   store : St.t;
   ir : Ir.t;
   arch : Eit.Arch.t;
-  start : St.var array;
+  start : start array;
   slot : (int * St.var) list;
   life : (int * St.var) list;
   makespan : St.var;
@@ -67,21 +69,44 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
            if Fd.Deadline.expired deadline then
              raise (St.Interrupted "deadline")));
   let n = Ir.size g in
+  (* A start variable for every op, and for every datum a memory
+     constraint reads as a variable: the vector data, when [memory]. *)
+  let var =
+    Array.init n (fun i ->
+        let c = Ir.category g i in
+        if Ir.is_op c || (memory && c = Ir.Vector_data) then
+          Some (St.interval_var s ~name:(Printf.sprintf "s%d" i) 0 horizon)
+        else None)
+  in
+  let start_var i = Option.get var.(i) in
+  (* eq. 4 / inputs: data start = producer completion; inputs at 0.  A
+     datum without a variable takes it by substitution: it is read as
+     its producer's start plus the producer's latency. *)
   let start =
     Array.init n (fun i ->
-        St.interval_var s ~name:(Printf.sprintf "s%d" i) 0 horizon)
+        match (var.(i), Ir.producer g i) with
+        | Some v, _ -> Var v
+        | None, Some p -> Offset (start_var p, latency_of g arch p)
+        | None, None -> Const 0)
   in
-  (* eq. 4 / inputs: data start = producer completion; inputs at 0. *)
   List.iter
     (fun d ->
-      match Ir.producer g d with
-      | Some p -> Fd.Arith.eq_offset s start.(p) (latency_of g arch p) start.(d)
-      | None -> St.assign s start.(d) 0)
+      match (var.(d), Ir.producer g d) with
+      | Some v, Some p -> Fd.Arith.eq_offset s (start_var p) (latency_of g arch p) v
+      | Some v, None -> St.assign s v 0
+      | None, _ -> ())
     (Ir.data_nodes g);
   (* eq. 1: data -> op precedence (data latency is 0). *)
   List.iter
     (fun i ->
-      List.iter (fun p -> Fd.Arith.leq_offset s start.(p) 0 start.(i)) (Ir.preds g i))
+      let si = start_var i in
+      List.iter
+        (fun d ->
+          match start.(d) with
+          | Var v -> Fd.Arith.leq_offset s v 0 si
+          | Offset (v, k) -> Fd.Arith.leq_offset s v k si
+          | Const k -> St.remove_below s si k)
+        (Ir.preds g i))
     (Ir.op_nodes g);
   (* eq. 2 + the other execution resources. *)
   let post_cumulative rc limit resource_of =
@@ -90,7 +115,7 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
     in
     if ops <> [] then
       Fd.Cumulative.post s
-        ~starts:(Array.of_list (List.map (fun i -> start.(i)) ops))
+        ~starts:(Array.of_list (List.map start_var ops))
         ~durations:
           (Array.of_list (List.map (fun i -> Eit.Arch.duration arch (Ir.opcode g i)) ops))
         ~resources:(Array.of_list (List.map resource_of ops))
@@ -108,7 +133,7 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
          (Ir.op_nodes g))
   in
   let config = config_classes g vops in
-  Fd.Arith.neq_classes s ~classes:config (Array.map (fun i -> start.(i)) vops);
+  Fd.Arith.neq_classes s ~classes:config (Array.map start_var vops);
   (* eq. 5: makespan = max completion s_i + lat_i.  Seeding the lower
      bound (critical path + per-resource loads) lets branch & bound prove
      optimality as soon as it matches, instead of exhausting the subtree
@@ -118,7 +143,7 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
   let ops = Ir.op_nodes g in
   Fd.Arith.max_of s
     ~offsets:(List.map (latency_of g arch) ops)
-    (List.map (fun i -> start.(i)) ops)
+    (List.map start_var ops)
     makespan;
   (* ---------------- memory allocation ---------------- *)
   let slot = ref [] and life = ref [] in
@@ -175,7 +200,7 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
     let lines = Array.map (fun d -> (coords d).Fd.Geometry.line) vdata_a in
     let access accessors data classes =
       Fd.Cond.access s ~pages ~lines
-        ~starts:(Array.map (fun i -> start.(i)) accessors)
+        ~starts:(Array.map start_var accessors)
         ~acc:
           (Array.map
              (fun i -> Array.of_list (List.map (fun d -> index.(d)) (data i)))
@@ -203,17 +228,31 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
     access produced_a (fun d -> [ d ]) (Array.map (fun _ -> -1) produced_a);
     (* Port width limits (implied in §1.1: two matrices read, one
        written per cycle).  Conservative: simultaneous reads of the same
-       slot by different ops count once in hardware but twice here. *)
-    if readers <> [] then
+       slot by different ops count once in hardware but twice here.
+       The read port needs no propagator of its own when the lane
+       Cumulative (eq. 2) implies it: every reader is a vector-core op
+       that holds its lanes for at least one cycle and reads at most
+       [max_reads / n_lanes] vectors per lane.  Then at every cycle the
+       reads issued are at most [max_reads / n_lanes] times the lanes
+       busy, so whatever start or overload the read timetable would
+       find, the lane timetable finds too (DESIGN.md §5). *)
+    let implied i =
+      let op = Ir.opcode g i in
+      Eit.Opcode.resource op = Eit.Opcode.Vector_core
+      && Eit.Arch.duration arch op >= 1
+      && List.length reads.(i) * arch.Eit.Arch.n_lanes
+         <= Eit.Opcode.lanes op * arch.Eit.Arch.max_reads_per_cycle
+    in
+    if not (List.for_all implied readers) then
       Fd.Cumulative.post s
-        ~starts:(Array.of_list (List.map (fun i -> start.(i)) readers))
+        ~starts:(Array.of_list (List.map start_var readers))
         ~durations:(Array.of_list (List.map (fun _ -> 1) readers))
         ~resources:
           (Array.of_list (List.map (fun i -> List.length reads.(i)) readers))
         ~limit:arch.Eit.Arch.max_reads_per_cycle;
     if produced <> [] then
       Fd.Cumulative.post s
-        ~starts:(Array.of_list (List.map (fun d -> start.(d)) produced))
+        ~starts:(Array.of_list (List.map start_var produced))
         ~durations:(Array.of_list (List.map (fun _ -> 1) produced))
         ~resources:(Array.of_list (List.map (fun _ -> 1) produced))
         ~limit:arch.Eit.Arch.max_writes_per_cycle;
@@ -231,10 +270,10 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
         life_of.(d) <- Some lv;
         (* lu1 = last use + 1 = max(s_d + 1, s_succ + 1), and
            life = lu1 - start *)
-        let users = start.(d) :: List.map (fun c -> start.(c)) (Ir.succs g d) in
+        let users = start_var d :: List.map start_var (Ir.succs g d) in
         let lu1 = St.interval_var s ~name:(Printf.sprintf "lu%d" d) 1 (horizon + 2) in
         Fd.Arith.max_of s ~offsets:(List.map (fun _ -> 1) users) users lu1;
-        Fd.Arith.plus s start.(d) lv lu1)
+        Fd.Arith.plus s (start_var d) lv lu1)
       vdata;
     (* eq. 11: slot reuse as non-overlapping rectangles. *)
     let one = St.const s 1 in
@@ -242,7 +281,7 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
       (List.map
          (fun d ->
            {
-             Fd.Diff2.ox = start.(d);
+             Fd.Diff2.ox = start_var d;
              oy = Option.get slot_of.(d);
              lx = Option.get life_of.(d);
              ly = one;
@@ -252,10 +291,12 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
   St.propagate s;
   { store = s; ir = g; arch; start; slot = !slot; life = !life; makespan; horizon }
 
+let own_var m i = match m.start.(i) with Var v -> Some v | Offset _ | Const _ -> None
+
 let phases m =
   let g = m.ir in
-  let op_starts = List.map (fun i -> m.start.(i)) (Ir.op_nodes g) in
-  let data_starts = List.map (fun d -> m.start.(d)) (Ir.data_nodes g) in
+  let op_starts = List.filter_map (own_var m) (Ir.op_nodes g) in
+  let data_starts = List.filter_map (own_var m) (Ir.data_nodes g) in
   let slots = List.map snd m.slot in
   [
     Fd.Search.phase ~var_select:Fd.Search.smallest_min
@@ -268,7 +309,13 @@ let phases m =
 
 let extract m =
   let n = Ir.size m.ir in
-  let start = Array.init n (fun i -> St.vmin m.start.(i)) in
+  let start =
+    Array.init n (fun i ->
+        match m.start.(i) with
+        | Var v -> St.vmin v
+        | Offset (v, k) -> St.vmin v + k
+        | Const k -> k)
+  in
   let slot = List.map (fun (d, v) -> (d, St.vmin v)) m.slot in
   let makespan =
     List.fold_left

@@ -97,30 +97,41 @@ let validate t =
   check_resource Eit.Opcode.Vector_core arch.Eit.Arch.n_lanes;
   check_resource Eit.Opcode.Scalar_accel 1;
   check_resource Eit.Opcode.Index_merge 1;
-  (* eq. 3: co-scheduled vector-core ops share one configuration *)
-  let vops =
-    List.filter
-      (fun i -> Eit.Opcode.resource (Ir.opcode g i) = Eit.Opcode.Vector_core)
-      (Ir.op_nodes g)
+  (* Ops and written data bucketed by start cycle: [Hashtbl.find_all]
+     returns a bucket in node order, since the nodes are added in
+     reverse.  A table, not an array over the horizon: a corrupt start
+     may be huge. *)
+  let bucket nodes keep =
+    let b = Hashtbl.create 64 in
+    List.iter (fun i -> if keep i then Hashtbl.add b t.start.(i) i) (List.rev nodes);
+    b
   in
-  let rec config_pairs = function
-    | [] -> ()
-    | i :: rest ->
-      List.iter
-        (fun j ->
-          if
-            t.start.(i) = t.start.(j)
-            && not (Eit.Opcode.config_equal (Ir.opcode g i) (Ir.opcode g j))
-          then
-            add "configuration" "ops %d (%s) and %d (%s) co-scheduled at %d" i
-              (Eit.Opcode.name (Ir.opcode g i))
-              j
-              (Eit.Opcode.name (Ir.opcode g j))
-              t.start.(i))
-        rest;
-      config_pairs rest
+  let vector_core i = Eit.Opcode.resource (Ir.opcode g i) = Eit.Opcode.Vector_core in
+  let issued = bucket (Ir.op_nodes g) (fun _ -> true) in
+  (* eq. 3: co-scheduled vector-core ops share one configuration.  Each
+     vector-core op [i] is checked against the vector-core ops after it
+     in its own start bucket, so the pairs come in the order a scan of
+     every pair would report them. *)
+  let rec after i = function
+    | [] -> []
+    | j :: rest -> if j = i then rest else after i rest
   in
-  config_pairs vops;
+  List.iter
+    (fun i ->
+      if vector_core i then
+        List.iter
+          (fun j ->
+            if
+              vector_core j
+              && not (Eit.Opcode.config_equal (Ir.opcode g i) (Ir.opcode g j))
+            then
+              add "configuration" "ops %d (%s) and %d (%s) co-scheduled at %d" i
+                (Eit.Opcode.name (Ir.opcode g i))
+                j
+                (Eit.Opcode.name (Ir.opcode g j))
+                t.start.(i))
+          (after i (Hashtbl.find_all issued t.start.(i))))
+    (Ir.op_nodes g);
   (* each node's first slot binding, as [List.assoc] would find it *)
   let slot = Array.make n None in
   List.iter
@@ -149,26 +160,14 @@ let validate t =
     add "slot-reuse" "overlapping lifetimes share a slot";
   (* eqs. 7-9 + port limits, checked operationally: per cycle, gather the
      slots read (inputs of ops issued) and written (data nodes starting),
-     and run the architecture's access checker.  Ops and written data
-     are bucketed by start cycle once; [Hashtbl.find_all] returns a
-     bucket in node order, since the nodes are added in reverse.  A
-     table, not an array over the horizon: a corrupt start may be
-     huge.  A cycle with no access gets the checker's verdict on no
-     access, computed once. *)
+     and run the architecture's access checker. *)
   let horizon = Array.fold_left max 0 t.start + 1 in
-  let bucket nodes keep =
-    let b = Hashtbl.create 64 in
-    List.iter (fun i -> if keep i then Hashtbl.add b t.start.(i) i) (List.rev nodes);
-    b
-  in
-  let issued = bucket (Ir.op_nodes g) (fun _ -> true) in
   let written =
     bucket vdata (fun d -> Ir.producer g d <> None && slot.(d) <> None)
   in
   let vector_slot p =
     if Ir.category g p = Ir.Vector_data then slot.(p) else None
   in
-  let idle = Eit.Mem.check_access arch ~reads:[] ~writes:[] in
   for cycle = 0 to horizon - 1 do
     let reads =
       List.concat_map
@@ -178,8 +177,7 @@ let validate t =
     let writes = List.filter_map (fun d -> slot.(d)) (Hashtbl.find_all written cycle) in
     List.iter
       (fun v -> add "memory-access" "cycle %d: %a" cycle Eit.Mem.pp_violation v)
-      (if reads = [] && writes = [] then idle
-       else Eit.Mem.check_access arch ~reads ~writes)
+      (Eit.Mem.check_access arch ~reads ~writes)
   done;
   (* makespan consistency *)
   let real =

@@ -203,3 +203,41 @@ let memory_violations (t : Sched.Schedule.t) =
       (Eit.Mem.check_access arch ~reads ~writes)
   done;
   List.rev !violations
+
+(* The validator's eq. 3 check as the scan of every pair of vector-core
+   ops it was.  The bucketed [Sched.Schedule.validate] must report the
+   same configuration violations in the same order. *)
+let config_violations (t : Sched.Schedule.t) =
+  let open Eit_dsl in
+  let g = t.ir in
+  let vops =
+    List.filter
+      (fun i -> Eit.Opcode.resource (Ir.opcode g i) = Eit.Opcode.Vector_core)
+      (Ir.op_nodes g)
+  in
+  let violations = ref [] in
+  let rec config_pairs = function
+    | [] -> ()
+    | i :: rest ->
+      List.iter
+        (fun j ->
+          if
+            t.start.(i) = t.start.(j)
+            && not (Eit.Opcode.config_equal (Ir.opcode g i) (Ir.opcode g j))
+          then
+            violations :=
+              {
+                Sched.Schedule.where = "configuration";
+                msg =
+                  Printf.sprintf "ops %d (%s) and %d (%s) co-scheduled at %d" i
+                    (Eit.Opcode.name (Ir.opcode g i))
+                    j
+                    (Eit.Opcode.name (Ir.opcode g j))
+                    t.start.(i);
+              }
+              :: !violations)
+        rest;
+      config_pairs rest
+  in
+  config_pairs vops;
+  List.rev !violations

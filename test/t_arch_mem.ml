@@ -91,6 +91,18 @@ let test_two_matrices_one_write () =
   Alcotest.(check bool) "2 reads + 1 write matrices" true
     (Mem.access_ok arch ~reads:(m1 @ m2) ~writes:out)
 
+(* The simulator checks every cycle; one with no access allocates
+   nothing. *)
+let test_idle_cycle_allocates_nothing () =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    match Mem.check_access arch ~reads:[] ~writes:[] with
+    | [] -> ()
+    | _ -> Alcotest.fail "a violation without an access"
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "zero words allocated" 0. (w1 -. w0)
+
 let test_memory_cells () =
   let m = Mem.create arch in
   Alcotest.(check bool) "uninit" false (Mem.is_initialized m 3);
@@ -142,6 +154,8 @@ let suite =
     Alcotest.test_case "duplicate reads" `Quick test_duplicate_reads_count_once;
     Alcotest.test_case "1R+1W per bank" `Quick test_read_write_same_bank_ok;
     Alcotest.test_case "two matrices in, one out" `Quick test_two_matrices_one_write;
+    Alcotest.test_case "no access allocates nothing" `Quick
+      test_idle_cycle_allocates_nothing;
     Alcotest.test_case "memory cells" `Quick test_memory_cells;
   ]
   @ props

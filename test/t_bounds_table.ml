@@ -161,7 +161,9 @@ let brute_makespan g arch horizon =
 
 (* A tiny random program over every issue class: two vector-core
    configurations, a pre-stage one and a 4-lane matrix op, the scalar
-   accelerator at both latencies, and the index/merge unit. *)
+   accelerator at both latencies, and the index/merge unit.  Op 10, a
+   three-operand [v_mac], reads more vectors per lane than any other
+   op; only generators that draw up to 10 use it. *)
 let tiny_mixed script =
   let ctx = Dsl.create () in
   let vecs = ref [ Dsl.vector_input_f ctx [ 1.; 2.; 3.; 4. ] ] in
@@ -183,7 +185,8 @@ let tiny_mixed script =
         vecs :=
           Dsl.m_squsum ctx (Dsl.matrix_of_rows (v 0) (v 1) (v 2) (v 3))
           :: !vecs
-      | _ -> vecs := Dsl.merge ctx (sc 0) (sc 1) (sc 2) (sc 3) :: !vecs)
+      | 9 -> vecs := Dsl.merge ctx (sc 0) (sc 1) (sc 2) (sc 3) :: !vecs
+      | _ -> vecs := Dsl.v_mac ctx (v 0) (v 1) (v 2) :: !vecs)
     script;
   Dsl.graph ctx
 

@@ -1,6 +1,6 @@
-(* Entailment soundness: removing an entailed propagator from the
-   watcher lists must never change the fixpoint, and backtracking past
-   the entailment point must revive it.
+(* Entailment soundness: skipping an entailed propagator must never
+   change the fixpoint, and backtracking past the entailment point must
+   revive it.
 
    Two oracles on random models (arithmetic, conditional, reified and
    cumulative constraints under a random narrow/push/pop script):

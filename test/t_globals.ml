@@ -342,7 +342,8 @@ let max_offsets_property =
    eq. 3 exclusion, the eq. 8-9 access rules and eq. 11 are one
    propagator each, and eqs. 5 and 10 take their offsets in [max_of]
    instead of copy variables, so the only equalities left are eq. 4's,
-   one per produced datum. *)
+   one per produced vector datum.  A scalar datum has no variable: it
+   is read as its producer's start plus the producer's latency. *)
 let test_model_size () =
   let merged g = (Eit_dsl.Merge.run g).Eit_dsl.Merge.graph in
   let g = merged (Eit_dsl.Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx) in
@@ -358,13 +359,14 @@ let test_model_size () =
   Alcotest.(check int) "eq. 8 and eq. 9" 2 (instances "access");
   Alcotest.(check int) "no pairwise neq" 0 (instances "neq_offset");
   let produced =
-    List.length
-      (List.filter
-         (fun d -> Eit_dsl.Ir.producer g d <> None)
-         (Eit_dsl.Ir.data_nodes g))
+    List.filter (fun d -> Eit_dsl.Ir.producer g d <> None) (Eit_dsl.Ir.data_nodes g)
   in
-  Alcotest.(check int) "produced data" 176 produced;
-  Alcotest.(check int) "one eq_offset per produced datum" produced
+  let vectors =
+    List.filter (fun d -> Eit_dsl.Ir.category g d = Eit_dsl.Ir.Vector_data) produced
+  in
+  Alcotest.(check (pair int int)) "produced data, vectors" (176, 48)
+    (List.length produced, List.length vectors);
+  Alcotest.(check int) "one eq_offset per produced vector datum" (List.length vectors)
     (instances "eq_offset");
   Alcotest.(check bool) "at most 1,000 propagators" true
     (Store.propagator_count m.Sched.Model.store <= 1_000)

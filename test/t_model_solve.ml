@@ -15,6 +15,14 @@ let makespan o =
   | Some sch -> sch.Sched.Schedule.makespan
   | None -> -1
 
+(* The start variable of a node that has one: every op, and every
+   vector datum of a model with memory. *)
+let start_var (m : Sched.Model.t) i =
+  match m.Sched.Model.start.(i) with
+  | Sched.Model.Var v -> v
+  | Sched.Model.Offset _ | Sched.Model.Const _ ->
+    Alcotest.failf "node %d has no start variable" i
+
 (* chain of n dependent vector adds: optimal makespan = 7n *)
 let chain n =
   let ctx = Dsl.create () in
@@ -157,7 +165,7 @@ let test_fixpoint_rerun_allocates_nothing () =
   in
   Alcotest.(check (float 0.)) "same generation: zero words" 0. (rerun ());
   Fd.Store.push_level s;
-  let x = m.Sched.Model.start.(0) in
+  let x = start_var m 0 in
   Fd.Store.assign s x (Fd.Store.vmin x);
   Fd.Store.propagate s;
   Fd.Store.pop_level s;
@@ -182,14 +190,14 @@ let test_trajectory_pins () =
   in
   let proof = Fd.Search.time_budget 10_000. in
   pin "QRD" (merged (Apps.Qrd.graph (Apps.Qrd.build ()))) proof ~nodes:94
-    ~failures:95 ~propagations:1065 ~makespan:168 ~optimal:true;
+    ~failures:95 ~propagations:970 ~makespan:168 ~optimal:true;
   pin "ARF" (merged (Apps.Arf.graph (Apps.Arf.build ()))) proof ~nodes:114
-    ~failures:115 ~propagations:2415 ~makespan:56 ~optimal:true;
+    ~failures:115 ~propagations:2367 ~makespan:56 ~optimal:true;
   pin "MATMUL" (merged (Apps.Matmul.graph (Apps.Matmul.build ()))) proof
-    ~nodes:28 ~failures:29 ~propagations:383 ~makespan:11 ~optimal:true;
+    ~nodes:28 ~failures:29 ~propagations:303 ~makespan:11 ~optimal:true;
   let blocked8 = merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx) in
   pin "BLOCKED8" blocked8 (Fd.Search.node_budget 3_000) ~nodes:3000 ~failures:2846
-    ~propagations:99962 ~makespan:58 ~optimal:false;
+    ~propagations:82775 ~makespan:58 ~optimal:false;
   (* and its Cumulative work, from the store's profile: when Cumulative
      re-filters may change, what its runs prune may not *)
   let m = Sched.Model.build ~memory:true blocked8 Arch.default in
@@ -204,9 +212,175 @@ let test_trajectory_pins () =
       (Fd.Store.profile m.Sched.Model.store)
   in
   Alcotest.(check (list int)) "BLOCKED8 cumulative: nodes, runs, prunes"
-    [ 3000; 19607; 17298 ]
+    [ 3000; 14757; 17298 ]
     [ a.Fd.Search.a_stats.Fd.Search.nodes; cumulative.Fd.Store.pr_runs;
       cumulative.Fd.Store.pr_prunes ]
+
+(* The read-port Cumulative is left out when the lane Cumulative
+   (eq. 2) implies it (DESIGN.md §5).  Differential check: a model as
+   built, and the same model with a read-port Cumulative posted here,
+   run the same random script of push / assign / remove / pop.  After
+   every step both fail (and pop a level) or both keep equal domains:
+   starts, slots, lifetimes and makespan.  The programs are the memory
+   pressure ones ([T_bounds_table.tiny_mixed]) with [v_mac] drawn
+   often: its three reads on one lane exceed every preset's
+   reads-per-lane ratio, so two or three of them in one cycle overload
+   the read port and not the lanes. *)
+type step = Push | Pop | Assign of int * int | Remove of int * int
+
+let vector_reads g i =
+  List.length (List.filter (fun p -> Ir.category g p = Ir.Vector_data) (Ir.preds g i))
+
+(* The port-width Cumulative the model posts when the rule does not
+   hold. *)
+let post_read_port (m : Sched.Model.t) =
+  let g = m.Sched.Model.ir in
+  let readers = List.filter (fun i -> vector_reads g i > 0) (Ir.op_nodes g) in
+  if readers <> [] then
+    Fd.Cumulative.post m.Sched.Model.store
+      ~starts:(Array.of_list (List.map (start_var m) readers))
+      ~durations:(Array.of_list (List.map (fun _ -> 1) readers))
+      ~resources:(Array.of_list (List.map (vector_reads g) readers))
+      ~limit:m.Sched.Model.arch.Arch.max_reads_per_cycle
+
+let model_vars (m : Sched.Model.t) =
+  Array.of_list
+    (List.filter_map
+       (function Sched.Model.Var v -> Some v | Sched.Model.Offset _ | Sched.Model.Const _ -> None)
+       (Array.to_list m.Sched.Model.start)
+    @ List.map snd m.Sched.Model.slot
+    @ List.map snd m.Sched.Model.life
+    @ [ m.Sched.Model.makespan ])
+
+let read_port_agrees (program, (_, arch), steps) =
+  let g = T_bounds_table.tiny_mixed program in
+  match Sched.Model.build g arch with
+  | exception Fd.Store.Fail _ -> true
+  | m1 ->
+    let m2 = Sched.Model.build g arch in
+    let ok f = match f () with () -> true | exception Fd.Store.Fail _ -> false in
+    let s1 = m1.Sched.Model.store and s2 = m2.Sched.Model.store in
+    let v1 = model_vars m1 and v2 = model_vars m2 in
+    let same () =
+      Array.for_all2 (fun x y -> Fd.Dom.equal (Fd.Store.dom x) (Fd.Store.dom y)) v1 v2
+    in
+    let dead = ref false in
+    (* one step on both stores, then their fixpoints: both fail (and
+       pop, or end the script at the root) or both agree *)
+    let rec both f =
+      let ok1 = ok (fun () -> f s1 v1) and ok2 = ok (fun () -> f s2 v2) in
+      if ok1 <> ok2 then false
+      else if ok1 then same ()
+      else if Fd.Store.level s1 = 0 then begin
+        dead := true;
+        true
+      end
+      else pop ()
+    and pop () =
+      Fd.Store.pop_level s1;
+      Fd.Store.pop_level s2;
+      same ()
+    in
+    let narrow f (i, k) s vars =
+      let x = vars.(i mod Array.length vars) in
+      f s x (Fd.Store.vmin x + k);
+      Fd.Store.propagate s
+    in
+    ok (fun () -> post_read_port m2)
+    && same ()
+    && (Fd.Store.push_level s1;
+        Fd.Store.push_level s2;
+        List.for_all
+          (function
+            | _ when !dead -> true
+            | Push ->
+              Fd.Store.push_level s1;
+              Fd.Store.push_level s2;
+              true
+            | Pop -> Fd.Store.level s1 = 0 || pop ()
+            | Assign (i, k) -> both (narrow Fd.Store.assign (i, k))
+            | Remove (i, k) -> both (narrow Fd.Store.remove_value (i, k)))
+          steps)
+
+let read_port_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"implied read port: same fixpoints with it posted"
+       ~count:1000
+       ~print:(fun (program, (arch, _), steps) ->
+         Printf.sprintf "program=[%s] arch=%s steps=[%s]"
+           (String.concat ";" (List.map string_of_int program))
+           arch
+           (String.concat ";"
+              (List.map
+                 (function
+                   | Push -> "push"
+                   | Pop -> "pop"
+                   | Assign (i, k) -> Printf.sprintf "assign(%d,+%d)" i k
+                   | Remove (i, k) -> Printf.sprintf "remove(%d,+%d)" i k)
+                 steps)))
+       QCheck2.Gen.(
+         let* program =
+           list_size (int_range 2 8) (frequency [ (3, int_bound 9); (1, pure 10) ])
+         in
+         let* arch = oneofl Arch.presets in
+         let* steps =
+           list_size (int_range 1 30)
+             (frequency
+                [
+                  (2, pure Push);
+                  (1, pure Pop);
+                  (4, map2 (fun i k -> Assign (i, k)) nat (int_bound 3));
+                  (2, map2 (fun i k -> Remove (i, k)) nat (int_bound 3));
+                ])
+         in
+         return (program, arch, steps))
+       read_port_agrees)
+
+(* Where the rule fires: the model's Cumulatives are one per issue
+   class in use and the write port, plus the read port where the rule
+   does not hold.  It holds on the paper's kernels and on blocked8, not
+   on DETECT, whose index ops read vectors off the vector core. *)
+let test_read_port_rule () =
+  let merged g = (Merge.run g).Merge.graph in
+  let cumulatives g =
+    let m = Sched.Model.build g Arch.default in
+    match
+      List.find_opt
+        (fun p -> p.Fd.Store.pr_name = "cumulative")
+        (Fd.Store.profile m.Sched.Model.store)
+    with
+    | Some p -> p.Fd.Store.pr_count
+    | None -> 0
+  in
+  let without_read_port g =
+    let classes =
+      List.sort_uniq compare
+        (List.map (fun i -> Opcode.resource (Ir.opcode g i)) (Ir.op_nodes g))
+    in
+    let writes =
+      List.exists
+        (fun d -> Ir.producer g d <> None && Ir.category g d = Ir.Vector_data)
+        (Ir.data_nodes g)
+    in
+    List.length classes + if writes then 1 else 0
+  in
+  List.iter
+    (fun (name, g, fires) ->
+      Alcotest.(check int)
+        (name ^ (if fires then ": no read port" else ": a read port"))
+        (without_read_port g + if fires then 0 else 1)
+        (cumulatives g))
+    [
+      ("QRD", merged (Apps.Qrd.graph (Apps.Qrd.build ())), true);
+      ("ARF", merged (Apps.Arf.graph (Apps.Arf.build ())), true);
+      ("MATMUL", merged (Apps.Matmul.graph (Apps.Matmul.build ())), true);
+      ("FIR", merged (Apps.Fir.graph (Apps.Fir.build ())), true);
+      ("CORR", merged (Apps.Corr.graph (Apps.Corr.build ())), true);
+      ( "BLOCKED8",
+        merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx),
+        true );
+      ("DETECT", merged (Apps.Detect.graph (Apps.Detect.build ())), false);
+    ]
 
 let suite =
   [
@@ -224,4 +398,6 @@ let suite =
     Alcotest.test_case "fixpoint re-run allocates nothing" `Quick
       test_fixpoint_rerun_allocates_nothing;
     Alcotest.test_case "trajectory pins" `Quick test_trajectory_pins;
+    Alcotest.test_case "read port: where the rule fires" `Quick test_read_port_rule;
+    read_port_property;
   ]

@@ -190,6 +190,12 @@ let corrupt (sch : Sched.Schedule.t) (kind, (a, b, c)) =
       slot =
         List.filteri (fun j _ -> j < at) slot_list
         @ ((d, k) :: List.filteri (fun j _ -> j >= at) slot_list) }
+  | 5 ->
+    (* co-schedule two ops *)
+    let ops = Array.of_list (Ir.op_nodes sch.ir) in
+    let n = Array.length ops in
+    start.(ops.(a mod n)) <- start.(ops.(b mod n));
+    sch
   | _ -> sch
 
 let bucketed_equals_per_cycle =
@@ -206,6 +212,24 @@ let bucketed_equals_per_cycle =
          in
          List.filter memory (Sched.Schedule.validate sch) = Reference.memory_violations sch))
 
+(* The bucketed eq. 3 check against the scan of every pair of
+   vector-core ops it replaced ([Reference.config_violations]), on the
+   same corrupted schedules, plus two ops moved to one cycle.  The
+   configuration violations must be the same, in the same order. *)
+let config_buckets_equal_pairs =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"bucketed eq. 3 check = pairwise scan" ~count:300
+       QCheck2.Gen.(
+         pair (int_bound 3)
+           (list_size (int_range 1 3)
+              (pair (int_bound 5) (triple nat nat nat))))
+       (fun (k, corruptions) ->
+         let sch = List.fold_left corrupt (Lazy.force base_schedules).(k) corruptions in
+         List.filter
+           (fun v -> v.Sched.Schedule.where = "configuration")
+           (Sched.Schedule.validate sch)
+         = Reference.config_violations sch))
+
 let suite =
   [
     Alcotest.test_case "solver output validates" `Quick test_valid;
@@ -219,4 +243,5 @@ let suite =
     Alcotest.test_case "data-start lie" `Quick test_data_start_lie;
     Alcotest.test_case "lifetimes + slots used" `Quick test_lifetime_and_slots_used;
     bucketed_equals_per_cycle;
+    config_buckets_equal_pairs;
   ]
