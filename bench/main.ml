@@ -605,7 +605,7 @@ let robustness () =
      still deliver (and usually prove) the incumbent. *)
   Format.printf "@.chaos: 4-worker portfolio on QRD, worker 0 killed after 200 \
                  propagator executions@.";
-  let chaos = Fd.Chaos.create ~kill_workers:[ 0 ] ~kill_after:200 ~seed:42 () in
+  let chaos = Fd.Chaos.create ~crash_at:[ (0, 200) ] ~seed:42 () in
   let o =
     Sched.Solve.run ~budget:(Fd.Search.time_budget 30_000.) ~parallel:4 ~chaos
       (qrd ())

@@ -731,8 +731,7 @@ let serve_cmd =
         let chaos =
           Option.map
             (fun sq ->
-              Fd.Chaos.create ~wedge_workers:[ (sq * 8) + 1 ] ~wedge_after:1
-                ~seed ())
+              Fd.Chaos.create ~wedge_at:[ ((sq * 8) + 1, 1) ] ~seed ())
             chaos_wedge
         in
         let config =

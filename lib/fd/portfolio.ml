@@ -89,7 +89,7 @@ let run_worker incumbent budget deadline chaos chaos_base widx strat =
       Obs.thread_name ~cat:"search" ~tid:widx
         (Printf.sprintf "worker-%d" widx);
     (match chaos with
-    | Some c -> Chaos.instrument c ~worker:(chaos_base + widx) task.store
+    | Some c -> Chaos.instrument c ~site:(chaos_base + widx) task.store
     | None -> ());
     let last = ref None in
     let on_solution () =

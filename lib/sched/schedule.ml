@@ -160,25 +160,30 @@ let validate t =
     add "slot-reuse" "overlapping lifetimes share a slot";
   (* eqs. 7-9 + port limits, checked operationally: per cycle, gather the
      slots read (inputs of ops issued) and written (data nodes starting),
-     and run the architecture's access checker. *)
-  let horizon = Array.fold_left max 0 t.start + 1 in
+     and run the architecture's access checker.  Only the cycles >= 0
+     that hold an issue or a write can violate anything, so those are
+     the ones visited, in ascending order — a corrupt start of 10^12
+     costs one more cycle, not 10^12. *)
   let written =
     bucket vdata (fun d -> Ir.producer g d <> None && slot.(d) <> None)
   in
   let vector_slot p =
     if Ir.category g p = Ir.Vector_data then slot.(p) else None
   in
-  for cycle = 0 to horizon - 1 do
-    let reads =
-      List.concat_map
-        (fun i -> List.filter_map vector_slot (Ir.preds g i))
-        (Hashtbl.find_all issued cycle)
-    in
-    let writes = List.filter_map (fun d -> slot.(d)) (Hashtbl.find_all written cycle) in
-    List.iter
-      (fun v -> add "memory-access" "cycle %d: %a" cycle Eit.Mem.pp_violation v)
-      (Eit.Mem.check_access arch ~reads ~writes)
-  done;
+  let keys b = Hashtbl.fold (fun c _ acc -> c :: acc) b [] in
+  List.iter
+    (fun cycle ->
+      let reads =
+        List.concat_map
+          (fun i -> List.filter_map vector_slot (Ir.preds g i))
+          (Hashtbl.find_all issued cycle)
+      in
+      let writes = List.filter_map (fun d -> slot.(d)) (Hashtbl.find_all written cycle) in
+      List.iter
+        (fun v -> add "memory-access" "cycle %d: %a" cycle Eit.Mem.pp_violation v)
+        (Eit.Mem.check_access arch ~reads ~writes))
+    (List.filter (fun c -> c >= 0)
+       (List.sort_uniq compare (keys issued @ keys written)));
   (* makespan consistency *)
   let real =
     List.fold_left

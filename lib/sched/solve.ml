@@ -119,7 +119,7 @@ let run_cp ?metrics ~budget ~deadline ~chaos ~chaos_base ~memory ~arch
         [ { Fd.Portfolio.worker = 0; reason = Printexc.to_string e } ] )
     | m ->
       (match chaos with
-      | Some c -> Fd.Chaos.instrument c ~worker:chaos_base m.Model.store
+      | Some c -> Fd.Chaos.instrument c ~site:chaos_base m.Model.store
       | None -> ());
       let a =
         Obs.span ~cat:"sched" ~tid "cp-search" (fun () ->

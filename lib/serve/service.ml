@@ -753,8 +753,7 @@ let watchdog ctx pool stop =
 let create ?(config = default_config) () =
   (* The caller's registry, or a private one with histograms and SLO
      windows *disabled*: an embedded service with [metrics = None]
-     still counts but takes no instrument lock, which perturbs nothing
-     (the chaos soak's fault sites depend on that). *)
+     still counts but takes no instrument lock. *)
   let metrics =
     match config.metrics with
     | Some r -> r

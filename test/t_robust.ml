@@ -294,7 +294,7 @@ let test_chaos_sequential_crash_rescued () =
   (* kill the sequential engine early: the fallback must rescue, the
      crash must be recorded, and nothing may escape as an exception *)
   let g = merged (Apps.Matmul.graph (Apps.Matmul.build ())) in
-  let chaos = Fd.Chaos.create ~kill_workers:[ 0 ] ~kill_after:10 ~seed:7 () in
+  let chaos = Fd.Chaos.create ~crash_at:[ (0, 10) ] ~seed:7 () in
   let o = Sched.Solve.run ~budget:(Fd.Search.time_budget 10_000.) ~chaos g in
   Alcotest.(check bool) "crash recorded" true (o.Sched.Solve.crashes <> []);
   Alcotest.(check bool) "faults logged" true (Fd.Chaos.faults chaos <> []);
@@ -312,7 +312,7 @@ let test_chaos_portfolio_survivors_deliver () =
      surely reaches its 50th propagator execution; a kernel proven at
      the root could end the race before the kill fires. *)
   let g = merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx) in
-  let chaos = Fd.Chaos.create ~kill_workers:[ 1 ] ~kill_after:50 ~seed:11 () in
+  let chaos = Fd.Chaos.create ~crash_at:[ (1, 50) ] ~seed:11 () in
   let o =
     Sched.Solve.run ~budget:(Fd.Search.node_budget 3_000) ~parallel:3 ~chaos g
   in
@@ -332,7 +332,7 @@ let test_chaos_all_workers_killed () =
      produces a validated schedule, and Infeasible is never claimed *)
   let g = merged (Apps.Matmul.graph (Apps.Matmul.build ())) in
   let chaos =
-    Fd.Chaos.create ~kill_workers:[ 0; 1; 2 ] ~kill_after:5 ~seed:3 ()
+    Fd.Chaos.create ~crash_at:[ (0, 5); (1, 5); (2, 5) ] ~seed:3 ()
   in
   let o =
     Sched.Solve.run ~budget:(Fd.Search.time_budget 10_000.) ~parallel:3 ~chaos g
@@ -354,8 +354,11 @@ let chaos_never_escapes =
        QCheck2.Gen.(int_bound 1_000_000)
        (fun seed ->
          let g = merged (Apps.Matmul.graph (Apps.Matmul.build ())) in
+         (* crash_prob is the share of sites that crash: the run is
+            one site, so most seeds crash and the rest check that a
+            crash-free run under spurious wakes still proves 11 *)
          let chaos =
-           Fd.Chaos.create ~crash_prob:0.02 ~spurious_prob:0.02
+           Fd.Chaos.create ~crash_prob:0.75 ~spurious_prob:0.02
              ~delay_prob:0.01 ~delay_ms:0.05 ~seed ()
          in
          let o =
@@ -378,6 +381,31 @@ let chaos_never_escapes =
             match o.Sched.Solve.schedule with
             | Some sch -> sch.Sched.Schedule.makespan = 11
             | None -> false)))
+
+(* The plan is a function of (seed, site) alone: two instances agree
+   whatever order they are asked in, a [crash_prob] share of the sites
+   crash inside the window, a named site gets its named fault, and no
+   site may be named twice. *)
+let test_chaos_plan_from_seed () =
+  let sites = List.init 2_000 Fun.id in
+  let make () = Fd.Chaos.create ~crash_prob:0.1 ~wedge_at:[ (5, 3) ] ~seed:42 () in
+  let a = make () and b = make () in
+  let pa = List.map (Fd.Chaos.plan a) sites in
+  Alcotest.(check bool) "same plan, asked in reverse" true
+    (pa = List.rev_map (Fd.Chaos.plan b) (List.rev sites));
+  Alcotest.(check bool) "named wedge" true
+    (Fd.Chaos.plan a 5 = Some (Fd.Chaos.Wedge, 3));
+  let crashes =
+    List.filter_map (function Some (Fd.Chaos.Crash, e) -> Some e | _ -> None) pa
+  in
+  let share = float_of_int (List.length crashes) /. 2_000. in
+  Alcotest.(check bool) (Printf.sprintf "crash share %.3f near 0.1" share) true
+    (share > 0.08 && share < 0.12);
+  Alcotest.(check bool) "inside the window" true
+    (List.for_all (fun e -> e >= 1 && e <= Fd.Chaos.crash_window) crashes);
+  Alcotest.check_raises "a site named twice"
+    (Invalid_argument "Chaos.create: a site is named twice") (fun () ->
+      ignore (Fd.Chaos.create ~crash_at:[ (0, 1) ] ~wedge_at:[ (0, 2) ] ~seed:0 ()))
 
 (* ------------------- total parse / encode frontends ------------------ *)
 
@@ -470,4 +498,6 @@ let suite =
     Alcotest.test_case "xml errors are positioned" `Quick
       test_xml_errors_are_positioned;
     Alcotest.test_case "encode/decode are total" `Slow test_encode_result_total;
+    Alcotest.test_case "chaos: plan is a function of (seed, site)" `Quick
+      test_chaos_plan_from_seed;
   ]

@@ -230,6 +230,19 @@ let config_buckets_equal_pairs =
            (Sched.Schedule.validate sch)
          = Reference.config_violations sch))
 
+(* The memory-access check visits the cycles that hold an issue or a
+   write, not every cycle up to the largest start: QRD with one op
+   moved to cycle 10^12 is rejected at once. *)
+let test_far_start_rejected_fast () =
+  let sch = copy (Lazy.force solved_qrd) in
+  let op = List.hd (Ir.op_nodes sch.Sched.Schedule.ir) in
+  sch.Sched.Schedule.start.(op) <- 1_000_000_000_000;
+  let t0 = Unix.gettimeofday () in
+  let violations = Sched.Schedule.validate sch in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "rejected" true (violations <> []);
+  Alcotest.(check bool) (Printf.sprintf "in under 1 s (%.3f s)" dt) true (dt < 1.)
+
 let suite =
   [
     Alcotest.test_case "solver output validates" `Quick test_valid;
@@ -244,4 +257,6 @@ let suite =
     Alcotest.test_case "lifetimes + slots used" `Quick test_lifetime_and_slots_used;
     bucketed_equals_per_cycle;
     config_buckets_equal_pairs;
+    Alcotest.test_case "start at 10^12 rejected in under 1 s" `Quick
+      test_far_start_rejected_fast;
   ]

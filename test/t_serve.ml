@@ -241,11 +241,11 @@ let test_deadline_expires_in_queue () =
 
 (* ------------------------------ retries ------------------------------ *)
 
-(* fail_solves poisons the Nth instrumented attempt; on a 1-worker
-   service attempt numbering is deterministic, so [1] kills exactly the
-   first attempt and the retry must succeed with identical results. *)
+(* Crash the first request's first attempt (chaos site 0*8+1 = 1) on
+   its first propagator execution: the retry runs at site 2, which is
+   healthy, and must succeed with identical results. *)
 let test_retry_rescues_poisoned_attempt () =
-  let chaos = Fd.Chaos.create ~fail_solves:[ 1 ] ~seed:11 () in
+  let chaos = Fd.Chaos.create ~crash_at:[ (1, 1) ] ~seed:11 () in
   with_service
     { base_config with S.pool = 1; max_retries = 2; chaos = Some chaos }
     (fun svc ->
@@ -263,12 +263,14 @@ let test_retry_rescues_poisoned_attempt () =
       Alcotest.(check int) "attempts" 2 r.S.attempts;
       Alcotest.(check int) "retry counter" 1 (S.health svc).S.retries;
       Alcotest.(check bool) "fault logged" true
-        (List.exists (fun f -> f.Fd.Chaos.worker = 1) (Fd.Chaos.faults chaos)))
+        (List.exists (fun f -> f.Fd.Chaos.site = 1) (Fd.Chaos.faults chaos)))
 
 (* When the remaining deadline cannot fund the backoff pause, the retry
    is skipped and the degradation ladder answers instead. *)
 let test_retry_bounded_by_deadline () =
-  let chaos = Fd.Chaos.create ~fail_solves:[ 1; 2; 3; 4 ] ~seed:11 () in
+  let chaos =
+    Fd.Chaos.create ~crash_at:[ (1, 1); (2, 1); (3, 1); (4, 1) ] ~seed:11 ()
+  in
   with_service
     {
       base_config with
@@ -301,8 +303,7 @@ let test_retry_bounded_by_deadline () =
    request must be served normally by the fresh worker. *)
 let test_wedge_detected_and_worker_revived () =
   let chaos =
-    Fd.Chaos.create ~wedge_workers:[ 1 ] ~wedge_after:5 ~wedge_max_ms:20_000.
-      ~seed:3 ()
+    Fd.Chaos.create ~wedge_at:[ (1, 5) ] ~wedge_max_ms:20_000. ~seed:3 ()
   in
   with_service
     {
@@ -347,8 +348,7 @@ let test_wedge_ceiling_without_watchdog () =
   let g = qrd_ir () in
   let run () =
     let chaos =
-      Fd.Chaos.create ~wedge_workers:[ 0 ] ~wedge_after:5 ~wedge_max_ms:100.
-        ~seed:3 ()
+      Fd.Chaos.create ~wedge_at:[ (0, 5) ] ~wedge_max_ms:100. ~seed:3 ()
     in
     Sched.Solve.run ~budget:(Fd.Search.time_budget 10_000.) ~chaos
       ~fallback:false g
@@ -475,33 +475,51 @@ let test_wire_response_roundtrip () =
 
 (* ----------------------------- chaos soak ---------------------------- *)
 
-(* The headline guarantee, under fire: ~210 mixed requests (including
-   malformed ones) against a 4-worker service with probabilistic
-   crashes and delays, two deterministic wedges and two poisoned
-   attempts.  Every request gets exactly one typed response, nothing
-   hangs, and the pool ends healthy. *)
+(* The headline guarantee, under fire: 210 mixed requests (one in five
+   malformed) against a 4-worker service with planned crashes, random
+   delays and two wedges.  Every fault is planned from the seed
+   ({!Fd.Chaos.plan}), and no healthy solve uses up its 10 s budget, so
+   each response's (status, attempts) is known before the run: every
+   request gets exactly that typed response, nothing hangs, the pool
+   ends healthy, and the flight dumps hold every anomaly. *)
 let i_mod5 id = int_of_string (String.sub id 1 3) mod 5
 
-let test_chaos_soak () =
+(* Request [seq]'s (status, attempts) as the plan makes it: its first
+   attempt runs at site seq*8+1 and its one retry at seq*8+2; a crashed
+   retry leaves the answer to the heuristic rescue. *)
+let soak_expected chaos seq =
+  if seq mod 5 = 4 then ("error", 0)
+  else
+    match Fd.Chaos.plan chaos ((seq * 8) + 1) with
+    | None -> ("optimal", 1)
+    | Some (Fd.Chaos.Wedge, _) -> ("wedged", 1)
+    | Some (Fd.Chaos.Crash, _) -> (
+      match Fd.Chaos.plan chaos ((seq * 8) + 2) with
+      | None -> ("optimal", 2)
+      | Some _ -> ("feasible_timeout", 2))
+
+let test_chaos_soak metrics () =
   let n = 210 in
   let chaos =
-    (* wedge_after:1 wedges those sites on their very first propagator
-       execution, ahead of any probabilistic crash draw — the two
-       wedges fire no matter how the random crashes land *)
-    Fd.Chaos.create ~crash_prob:0.02 ~delay_prob:0.05 ~delay_ms:1.
-      ~wedge_workers:[ (10 * 8) + 1; (100 * 8) + 1 ] (* seq 10 and 100 *)
-      (* the poison counter is global and scheduling-dependent (attempts
-         that expire inside model build consume no solve number), so a
-         poison can land on a wedge target's first execution — the hook
-         gives named wedge sites precedence, so the wedges fire no
-         matter which solves the poisons hit *)
-      ~wedge_after:1 ~wedge_max_ms:20_000. ~fail_solves:[ 3; 5 ] ~seed:42 ()
+    Fd.Chaos.create ~crash_prob:0.1 ~delay_prob:0.05 ~delay_ms:1.
+      ~wedge_at:[ ((10 * 8) + 1, 1); ((100 * 8) + 1, 1) ] (* seq 10 and 100 *)
+      ~wedge_max_ms:20_000. ~seed:42 ()
   in
-  (* flight recorder on, tail_keep off, metrics off: the only retention
-     triggers left are the anomaly verdicts (error / expired / wedged /
-     crashed / retried) — p99-based "slow" retention needs a live
-     histogram and the healthy slice needs tail_keep > 0 — so the dump
-     set below must equal the anomaly set exactly *)
+  let expected = List.init n (soak_expected chaos) in
+  (* the plan exercises both rescues: a retry that succeeds, and a
+     crashed retry answered by the fallback *)
+  let count p = List.length (List.filter p expected) in
+  let retried = count (fun (_, a) -> a = 2) in
+  let rescued = count (( = ) ("feasible_timeout", 2)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "plan: %d retried, %d of them by the fallback" retried
+       rescued)
+    true
+    (rescued > 0 && retried > rescued);
+  (* flight recorder on, tail_keep off: the retention triggers left are
+     the anomaly verdicts (error / expired / wedged / crashed / retried)
+     and, with an enabled registry, "slow" (a live p99) — so with
+     metrics off the dump set must equal the anomaly set exactly *)
   let flight_dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -511,7 +529,7 @@ let test_chaos_soak () =
     {
       S.pool = 4;
       queue = 256;
-      default_budget_ms = 20.;
+      default_budget_ms = 10_000.;
       grace_ms = 200.;
       watchdog_tick_ms = 10.;
       max_retries = 1;
@@ -519,7 +537,7 @@ let test_chaos_soak () =
       seed = 42;
       chaos = Some chaos;
       cache_capacity = 0;
-      metrics = None;
+      metrics;
       flight_dir = Some flight_dir;
       flight_buf = 512;
       tail_keep = 0;
@@ -530,7 +548,7 @@ let test_chaos_soak () =
   in
   with_flight_dir flight_dir @@ fun () ->
   with_service config (fun svc ->
-      (* submit strictly in order: the wedge sites name specific
+      (* submit strictly in order: the fault sites name specific
          sequence numbers, so request i must get seq i *)
       let tks =
         List.rev
@@ -539,12 +557,6 @@ let test_chaos_soak () =
                let id = Printf.sprintf "s%03d" i in
                let req =
                  match i mod 5 with
-                 (* the two wedge targets get a roomy budget so their
-                    first attempt reliably reaches the solver (and so
-                    the wedge site) even under full pool contention *)
-                 | _ when i = 10 || i = 100 ->
-                   S.request ~id ~budget_ms:10_000. ~deadline_ms:10_000.
-                     (S.Kernel "qrd")
                  | 0 -> S.request ~id ~deadline_ms:10_000. (S.Kernel "qrd")
                  | 1 -> S.request ~id ~deadline_ms:10_000. (S.Kernel "arf")
                  | 2 -> S.request ~id ~deadline_ms:10_000. (S.Kernel "matmul")
@@ -556,29 +568,35 @@ let test_chaos_soak () =
              (List.init n Fun.id))
       in
       let seen = Hashtbl.create n in
-      let resps = ref [] in
-      List.iter
-        (fun (id, tk) ->
-          let r = await_or_fail ~ms:60_000. tk in
-          resps := r :: !resps;
-          Alcotest.(check string) "response id matches" id r.S.r_id;
-          Alcotest.(check bool) ("duplicate response for " ^ id) false
-            (Hashtbl.mem seen id);
-          Hashtbl.add seen id ();
-          (* every reply is a typed verdict with a defined status/code *)
-          let st = S.status_string r in
-          Alcotest.(check bool) ("known status " ^ st) true
-            (List.mem st
-               [ "optimal"; "feasible_timeout"; "infeasible"; "crashed";
-                 "rejected_overload"; "expired"; "wedged"; "error" ]);
-          if i_mod5 id = 4 then
-            Alcotest.(check string) ("invalid -> error: " ^ id) "error" st)
-        tks;
+      let resps =
+        List.map2
+          (fun (id, tk) (want_st, want_attempts) ->
+            let r = await_or_fail ~ms:60_000. tk in
+            Alcotest.(check string) "response id matches" id r.S.r_id;
+            Alcotest.(check bool) ("duplicate response for " ^ id) false
+              (Hashtbl.mem seen id);
+            Hashtbl.add seen id ();
+            (* every reply is a typed verdict with a defined status/code *)
+            let st = S.status_string r in
+            Alcotest.(check bool) ("known status " ^ st) true
+              (List.mem st
+                 [ "optimal"; "feasible_timeout"; "infeasible"; "crashed";
+                   "rejected_overload"; "expired"; "wedged"; "error" ]);
+            if i_mod5 id = 4 then
+              Alcotest.(check string) ("invalid -> error: " ^ id) "error" st;
+            Alcotest.(check (pair string int))
+              (id ^ ": (status, attempts) as planned")
+              (want_st, want_attempts) (st, r.S.attempts);
+            r)
+          tks expected
+      in
       let h = S.health svc in
       Alcotest.(check int) "all answered exactly once" n h.S.completed;
       Alcotest.(check int) "queue drained" 0 h.S.queue_depth;
       Alcotest.(check int) "pool fully alive" 4 h.S.alive;
       Alcotest.(check int) "invalids counted" (n / 5) h.S.invalid;
+      Alcotest.(check int) "one retry per planned first-attempt crash"
+        retried h.S.retries;
       let all_faults = Fd.Chaos.faults chaos in
       let wedge_faults =
         List.filter
@@ -592,9 +610,7 @@ let test_chaos_soak () =
            "both wedges caught and revived (wedged=%d revived=%d sites=[%s])"
            h.S.wedged h.S.revived
            (String.concat ";"
-              (List.map
-                 (fun f -> string_of_int f.Fd.Chaos.worker)
-                 wedge_faults)))
+              (List.map (fun f -> string_of_int f.Fd.Chaos.site) wedge_faults)))
         true
         (h.S.wedged >= 2 && h.S.revived = h.S.wedged);
       (* the watchdog claims before it cancels, so a released wedge
@@ -604,12 +620,11 @@ let test_chaos_soak () =
           if r.S.r_id = "s010" || r.S.r_id = "s100" then
             Alcotest.(check string) (r.S.r_id ^ " answered by the watchdog")
               "wedged" (S.status_string r))
-        !resps;
+        resps;
       Alcotest.(check bool)
         (Printf.sprintf "faults were actually injected (%d)"
-           (List.length (Fd.Chaos.faults chaos)))
-        true
-        (List.length (Fd.Chaos.faults chaos) > 0);
+           (List.length all_faults))
+        true (all_faults <> []);
       (* ------------- tail retention: dumps = anomaly set ------------- *)
       (* every completion settled its ring exactly once *)
       Alcotest.(check int) "kept + dropped = completed" n
@@ -628,34 +643,41 @@ let test_chaos_soak () =
         h.S.flight_dumped (List.length dumps);
       let dumps_for id = List.filter (fun p -> contains p ("-" ^ id ^ "-")) dumps in
       let anomalies = ref 0 in
-      List.iter
-        (fun (r : S.response) ->
-          (* mirror the service's retention policy: with metrics off and
-             tail_keep 0, exactly the anomalous verdicts retain *)
-          let anomaly =
-            match r.S.reply with
-            | S.Overloaded -> false
-            | S.Expired | S.Wedged _ | S.Invalid _ -> true
-            | S.Solved s ->
-              s.S.st = Sched.Solve.Crashed || r.S.attempts > 1
-              || s.S.crashes > 0
-          in
+      List.iter2
+        (fun (r : S.response) planned ->
+          (* everything but a healthy first-attempt answer is an
+             anomaly, and the service always retains one *)
+          let anomaly = planned <> ("optimal", 1) in
           if anomaly then incr anomalies;
-          Alcotest.(check int)
-            (Printf.sprintf "%s (%s): %s" r.S.r_id (S.status_string r)
-               (if anomaly then "exactly one flight dump"
-                else "no flight dump"))
-            (if anomaly then 1 else 0)
-            (List.length (dumps_for r.S.r_id)))
-        !resps;
-      Alcotest.(check int) "anomalies = retained traces" !anomalies
-        h.S.flight_kept;
-      (* retention is selective: the anomaly slice, not the traffic *)
-      Alcotest.(check bool)
-        (Printf.sprintf "most completions dropped (%d kept of %d)"
-           h.S.flight_kept n)
-        true
-        (h.S.flight_kept < n / 2);
+          let got = List.length (dumps_for r.S.r_id) in
+          if anomaly || metrics = None then
+            Alcotest.(check int)
+              (Printf.sprintf "%s (%s): %s" r.S.r_id (S.status_string r)
+                 (if anomaly then "exactly one flight dump"
+                  else "no flight dump"))
+              (if anomaly then 1 else 0)
+              got
+          else
+            Alcotest.(check bool)
+              (r.S.r_id ^ ": at most one (slow) flight dump")
+              true (got <= 1))
+        resps expected;
+      if metrics = None then begin
+        Alcotest.(check int) "anomalies = retained traces" !anomalies
+          h.S.flight_kept;
+        (* retention is selective: the anomaly slice, not the traffic *)
+        Alcotest.(check bool)
+          (Printf.sprintf "most completions dropped (%d kept of %d)"
+             h.S.flight_kept n)
+          true
+          (h.S.flight_kept < n / 2)
+      end
+      else
+        Alcotest.(check bool)
+          (Printf.sprintf "anomalies (%d) among retained traces (%d)"
+             !anomalies h.S.flight_kept)
+          true
+          (!anomalies <= h.S.flight_kept);
       (* each dump is a loadable, analyzable black box *)
       List.iter
         (fun p ->
@@ -734,7 +756,7 @@ let test_cached_soak () =
    runs bypass the cache wholesale — never consulted, never populated —
    and the retried solve still reports the true optimum. *)
 let test_crashed_attempt_never_populates_cache () =
-  let chaos = Fd.Chaos.create ~fail_solves:[ 1 ] ~seed:9 () in
+  let chaos = Fd.Chaos.create ~crash_at:[ (1, 1) ] ~seed:9 () in
   let config =
     {
       base_config with
@@ -937,7 +959,8 @@ let suite =
       test_trace_tagged_with_request_ids;
     Alcotest.test_case "wire: request parsing" `Quick test_wire_requests;
     Alcotest.test_case "wire: response json" `Quick test_wire_response_roundtrip;
-    Alcotest.test_case "chaos soak: 210 mixed requests" `Slow test_chaos_soak;
+    Alcotest.test_case "chaos soak: 210 mixed requests" `Slow
+      (test_chaos_soak None);
     Alcotest.test_case "cached soak: repeat-heavy mix" `Slow test_cached_soak;
     Alcotest.test_case "crashed attempt never populates cache" `Quick
       test_crashed_attempt_never_populates_cache;
@@ -949,4 +972,6 @@ let suite =
       (test_health_is_the_registry (Some (Obs.Metrics.create ())));
     Alcotest.test_case "op wider than the machine -> infeasible" `Quick
       test_too_wide_op_infeasible;
+    Alcotest.test_case "chaos soak: enabled registry" `Slow
+      (test_chaos_soak (Some (Obs.Metrics.create ())));
   ]
