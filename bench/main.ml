@@ -621,10 +621,10 @@ let robustness () =
 
 (* ------------------------------------------------------------------ *)
 (* Per-propagator hot-spot profiles: one sequential solve per kernel
-   with an [Obs.Agg] sink attached (store timing is auto-enabled by the
-   search when a sink is live).  These runs are separate from the
-   timed regression rows so the <5% instrumentation overhead never
-   pollutes the tracked time_ms numbers. *)
+   with a live [Obs.Analyze] sink attached (store timing is
+   auto-enabled by the search when a sink is live).  These runs are
+   separate from the timed regression rows so the <5% instrumentation
+   overhead never pollutes the tracked time_ms numbers. *)
 
 let profile_rows kernels =
   List.map
@@ -634,9 +634,9 @@ let profile_rows kernels =
         | Some n -> Fd.Search.node_budget n
         | None -> Fd.Search.time_budget 10_000.
       in
-      let agg = Obs.Agg.create () in
+      let live = Obs.Analyze.create () in
       let optimal = ref false in
-      Obs.with_sink (Obs.Agg.sink agg) (fun () ->
+      Obs.with_sink (Obs.Analyze.sink live) (fun () ->
           let o = Sched.Solve.run ~budget g in
           optimal := o.Sched.Solve.stats.Fd.Search.optimal);
       {
@@ -645,16 +645,16 @@ let profile_rows kernels =
         p_node_budget = nodes;
         p_rows =
           List.map
-            (fun (name, p) ->
+            (fun (name, (p : Obs.Analyze.profile)) ->
               {
                 Bench_file.pr_name = name;
-                pr_runs = p.Obs.Agg.p_runs;
-                pr_wakes = p.Obs.Agg.p_wakes;
-                pr_prunes = p.Obs.Agg.p_prunes;
-                pr_entails = p.Obs.Agg.p_entails;
-                pr_time_ms = p.Obs.Agg.p_time_ms;
+                pr_runs = p.a_runs;
+                pr_wakes = p.a_wakes;
+                pr_prunes = p.a_prunes;
+                pr_entails = p.a_entails;
+                pr_time_ms = p.a_time_ms;
               })
-            (Obs.Agg.profiles agg);
+            (Obs.Analyze.summary live).sm_profiles;
       })
     kernels
 

@@ -91,39 +91,42 @@ let metrics_arg =
              "Print aggregated metrics after the run: span totals, event \
               counts, gauge peaks and the per-propagator profile table.")
 
-let print_metrics agg =
-  let open Obs.Agg in
-  (match spans agg with
-  | [] -> ()
-  | sp ->
+(* The four --metrics tables, from the live summary: spans by name
+   over every track, instant counts, counter series, propagator rows. *)
+let print_metrics (s : Obs.Analyze.summary) =
+  let spans =
+    List.fold_left
+      (fun acc ((_, name), (c, tot)) ->
+        let c0, t0 = Option.value ~default:(0, 0.) (List.assoc_opt name acc) in
+        (name, (c0 + c, t0 +. tot)) :: List.remove_assoc name acc)
+      [] s.sm_span_stats
+    |> List.sort (fun (_, (_, a)) (_, (_, b)) -> compare b a)
+  in
+  if spans <> [] then begin
     Format.printf "@.%-24s %8s %14s@." "span" "count" "total (ms)";
     List.iter
-      (fun (n, s) ->
-        Format.printf "%-24s %8d %14.2f@." n s.s_count (s.s_total_us /. 1000.))
-      sp);
-  (match counts agg with
-  | [] -> ()
-  | cs ->
+      (fun (n, (c, tot)) -> Format.printf "%-24s %8d %14.2f@." n c (tot /. 1000.))
+      spans
+  end;
+  if s.sm_counts <> [] then begin
     Format.printf "@.%-24s %8s@." "event" "count";
-    List.iter (fun (n, c) -> Format.printf "%-24s %8d@." n c) cs);
-  (match gauges agg with
-  | [] -> ()
-  | gs ->
+    List.iter (fun (n, c) -> Format.printf "%-24s %8d@." n c) s.sm_counts
+  end;
+  if s.sm_gauges <> [] then begin
     Format.printf "@.%-24s %10s %10s@." "gauge" "last" "max";
     List.iter
-      (fun (n, (last, mx)) ->
-        Format.printf "%-24s %10.0f %10.0f@." n last mx)
-      gs);
-  match profiles agg with
-  | [] -> ()
-  | ps ->
+      (fun (n, (last, mx)) -> Format.printf "%-24s %10.0f %10.0f@." n last mx)
+      s.sm_gauges
+  end;
+  if s.sm_profiles <> [] then begin
     Format.printf "@.%-22s %8s %8s %8s %8s %12s %8s@." "propagator" "runs"
       "wakes" "prunes" "entails" "time (ms)" "workers";
     List.iter
-      (fun (n, p) ->
-        Format.printf "%-22s %8d %8d %8d %8d %12.2f %8d@." n p.p_runs p.p_wakes
-          p.p_prunes p.p_entails p.p_time_ms p.p_workers)
-      ps
+      (fun (n, (p : Obs.Analyze.profile)) ->
+        Format.printf "%-22s %8d %8d %8d %8d %12.2f %8d@." n p.a_runs p.a_wakes
+          p.a_prunes p.a_entails p.a_time_ms p.a_rows)
+      s.sm_profiles
+  end
 
 (* Attach the requested sinks around [f], detach afterwards (flushing
    the trace file) and only then print the metrics tables, so they land
@@ -134,16 +137,16 @@ let with_obs ?(other_data = []) ~trace ~metrics f =
       (fun path -> Obs.attach (Obs.Chrome.sink ~other_data ~path ()))
       trace
   in
-  let agg =
+  let live =
     if metrics then begin
-      let a = Obs.Agg.create () in
-      Some (a, Obs.attach (Obs.Agg.sink a))
+      let a = Obs.Analyze.create () in
+      Some (a, Obs.attach (Obs.Analyze.sink a))
     end
     else None
   in
   let detach_all () =
     Option.iter Obs.detach chrome;
-    Option.iter (fun (_, h) -> Obs.detach h) agg
+    Option.iter (fun (_, h) -> Obs.detach h) live
   in
   let r =
     match f () with
@@ -154,7 +157,7 @@ let with_obs ?(other_data = []) ~trace ~metrics f =
   in
   detach_all ();
   Option.iter (fun path -> Format.printf "wrote trace %s@." path) trace;
-  Option.iter (fun (a, _) -> print_metrics a) agg;
+  Option.iter (fun (a, _) -> print_metrics (Obs.Analyze.summary a)) live;
   r
 
 (* ------------------------------------------------------------------ *)
@@ -895,12 +898,13 @@ let serve_cmd =
                "Turn on the tail-based flight recorder: every request \
                 records its full event stream into a preallocated \
                 per-worker ring, and the completion path keeps anomalies \
-                (error / expired / wedged / crashed / retried), anything \
-                at or beyond the live p99, and a $(b,--tail-keep) slice \
-                of healthy traffic -- each written as a self-contained \
-                JSONL black box under $(docv), read back with \
-                $(b,eitc postmortem).  Everything else is reset without \
-                serializing a byte.")
+                (error / expired / wedged / crashed / retried), any \
+                request whose solve took at least the live solve-time p99 \
+                (the ring holds the execution, not the queue wait), and a \
+                $(b,--tail-keep) slice of healthy traffic -- each written \
+                as a self-contained JSONL black box under $(docv), read \
+                back with $(b,eitc postmortem).  Everything else is reset \
+                without serializing a byte.")
   in
   let flight_buf_arg =
     Arg.(value & opt int 4096

@@ -151,7 +151,7 @@ let minimize_result ?budget ?deadline ?chaos ?(chaos_base = 0) ?workers
       List.filteri (fun i _ -> i < n) strategies
     | _ -> strategies
   in
-  if strategies = [] then invalid_arg "Portfolio.minimize: no strategies";
+  if strategies = [] then invalid_arg "Portfolio.minimize_result: no strategies";
   let t0 = Unix.gettimeofday () in
   let incumbent = Atomic.make max_int in
   let spawn_and_join () =
@@ -245,13 +245,3 @@ let minimize_result ?budget ?deadline ?chaos ?(chaos_base = 0) ?workers
       else (Search.Crashed, None)
   in
   { incumbent = incumbent_snap; r_status; r_stats = stats; crashes }
-
-let minimize ?budget ?deadline ?workers strategies =
-  let r = minimize_result ?budget ?deadline ?workers strategies in
-  match (r.r_status, r.incumbent) with
-  | Search.Optimal, Some s -> Search.Solution (s, r.r_stats)
-  | (Search.Feasible_timeout | Search.Crashed), Some s ->
-    Search.Best (s, r.r_stats)
-  | Search.Infeasible, _ -> Search.Unsat r.r_stats
-  | (Search.Optimal | Search.Feasible_timeout | Search.Crashed), None ->
-    Search.Timeout r.r_stats

@@ -67,17 +67,3 @@ val minimize_result :
     base 0), so a caller serving many requests through one chaos
     instance can give each request a disjoint fault-target range.
     @raise Invalid_argument on an empty strategy list. *)
-
-val minimize :
-  ?budget:Search.budget ->
-  ?deadline:Deadline.t ->
-  ?workers:int ->
-  'a strategy list ->
-  'a Search.outcome
-(** Compatibility wrapper over {!minimize_result}: [Solution] is a
-    proven-optimal incumbent, [Best] an unproven one, [Unsat] a
-    crash-free infeasibility proof, [Timeout] no solution.
-
-    Each worker receives the full [budget]; with more workers than
-    cores, wall-clock time is shared.
-    @raise Invalid_argument on an empty strategy list. *)

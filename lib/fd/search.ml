@@ -464,22 +464,7 @@ type 'a anytime = {
   crash : string option;
 }
 
-(* Per-search work distributions, fed into the live-metrics registry
-   (the caller's, or the process default when it is enabled) — the
-   "how much search does a solve cost" histograms behind
-   `eitc metrics-report`.  One observation per search, never inside
-   the engine's hot loop. *)
-let record_metrics metrics (st : stats) =
-  let reg = match metrics with Some r -> r | None -> Obs.Metrics.default in
-  if Obs.Metrics.is_enabled reg then begin
-    let h name = Obs.Metrics.histogram reg name in
-    Obs.Metrics.observe (h "search.nodes") (float_of_int st.nodes);
-    Obs.Metrics.observe (h "search.propagations") (float_of_int st.propagations);
-    Obs.Metrics.observe (h "search.time_ms") st.time_ms;
-    Obs.Metrics.incr (Obs.Metrics.counter reg "search.runs")
-  end
-
-let minimize_anytime ?budget ?deadline ?tid ?metrics store phases ~objective
+let minimize_anytime ?budget ?deadline ?tid store phases ~objective
     ~on_solution =
   (* Keep the latest snapshot outside the engine so it survives a
      crash: [on_solution] already runs at every improving solution. *)
@@ -489,11 +474,9 @@ let minimize_anytime ?budget ?deadline ?tid ?metrics store phases ~objective
     last := Some s;
     s
   in
-  let a =
-    match
-      minimize ?budget ?deadline ?tid store phases ~objective
-        ~on_solution:snap
-    with
+  match
+    minimize ?budget ?deadline ?tid store phases ~objective ~on_solution:snap
+  with
   | Solution (s, st) ->
     { a_status = Optimal; incumbent = Some s; a_stats = st; crash = None }
   | Best (s, st) ->
@@ -502,16 +485,13 @@ let minimize_anytime ?budget ?deadline ?tid ?metrics store phases ~objective
     { a_status = Infeasible; incumbent = None; a_stats = st; crash = None }
   | Timeout st ->
     { a_status = Feasible_timeout; incumbent = None; a_stats = st; crash = None }
-    | exception e ->
-      (* A propagator, heuristic or snapshot crashed (or a fault was
-         injected): degrade to the best incumbent found so far.  The
-         store is left as-is — a crashed store is not reused. *)
-      {
-        a_status = Crashed;
-        incumbent = !last;
-        a_stats = zero_stats ~optimal:false;
-        crash = Some (Printexc.to_string e);
-      }
-  in
-  record_metrics metrics a.a_stats;
-  a
+  | exception e ->
+    (* A propagator, heuristic or snapshot crashed (or a fault was
+       injected): degrade to the best incumbent found so far.  The
+       store is left as-is — a crashed store is not reused. *)
+    {
+      a_status = Crashed;
+      incumbent = !last;
+      a_stats = zero_stats ~optimal:false;
+      crash = Some (Printexc.to_string e);
+    }

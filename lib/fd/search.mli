@@ -179,7 +179,6 @@ val minimize_anytime :
   ?budget:budget ->
   ?deadline:Deadline.t ->
   ?tid:int ->
-  ?metrics:Obs.Metrics.registry ->
   Store.t ->
   phase list ->
   objective:var ->
@@ -187,9 +186,4 @@ val minimize_anytime :
   'a anytime
 (** {!minimize}, repackaged: never raises.  Incumbent snapshots are
     retained outside the engine, so even a mid-search crash returns the
-    best solution found before it.
-
-    Each call feeds one observation per run into the [search.nodes] /
-    [search.propagations] / [search.time_ms] histograms of [metrics]
-    (default: {!Obs.Metrics.default}, which is disabled unless the
-    process enabled it — standalone solves then pay one atomic load). *)
+    best solution found before it. *)

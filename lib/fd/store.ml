@@ -526,17 +526,6 @@ let rec reschedule s = function
 
 let reschedule_all s = reschedule s s.props
 
-let stats s =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun p ->
-      let k = p.pname in
-      Hashtbl.replace tbl k (p.runs + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    s.props;
-  List.sort
-    (fun (_, a) (_, b) -> compare b a)
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
 type profile = {
   pr_name : string;
   pr_count : int;

@@ -296,10 +296,6 @@ val pp_var : Format.formatter -> var -> unit
 val propagation_steps : t -> int
 (** Number of propagator executions so far (for statistics). *)
 
-val stats : t -> (string * int) list
-(** Cumulative execution counts aggregated by propagator name, most
-    executed first. *)
-
 (** {1 Profiling}
 
     Wake, run and prune counters are always maintained (plain int

@@ -1,19 +1,21 @@
 (* Trace analytics: the read side of the observability layer.
 
-   [Obs] and its sinks *emit* Chrome trace_event files; this module
-   turns them back into decisions.  From a parsed trace it rebuilds the
-   span forest per (pid, tid) track, computes inclusive/exclusive
-   times, folds the forest into collapsed-stack lines (the
-   FlameGraph/speedscope format), extracts the critical path through
-   the scheduler's phase spans, derives machine utilization from the
-   pid-2 cycle timeline, and structurally diffs two traces — the last
-   of which backs the `eitc trace-diff` CI regression gate.
-
-   Everything operates on [Obs_json.t] (exposed as [Obs.Json.t]), so a
-   trace written by any tool that speaks the Chrome format can be
-   analyzed, not only our own sink's output. *)
+   One incremental fold reads every event stream: a live [Obs] sink
+   (the glue is in obs.ml), a Chrome trace from [--trace], or a flight
+   recorder's black box.  It rebuilds the span forest per (pid, tid)
+   track, tallies instants, merges propagator rows and keeps counter
+   series, and it records each defect it meets — a malformed event, a
+   misnested or backwards end, an orphan end, a span left open —
+   instead of silently re-nesting the spans.  [Obs.Check] is this fold
+   failing on its first defect.  From the summary the rest of this
+   module computes inclusive/exclusive times, collapsed-stack lines
+   (the FlameGraph/speedscope format), the critical path through the
+   scheduler's phase spans, machine utilization from the pid-2 cycle
+   timeline, and a structural diff of two traces — the last of which
+   backs the `eitc trace-diff` CI regression gate. *)
 
 module Json = Obs_json
+module E = Obs_event
 
 (* ------------------------------------------------------------------ *)
 (* Data model                                                          *)
@@ -38,7 +40,9 @@ type profile = {
   a_runs : int;
   a_wakes : int;
   a_prunes : int;
+  a_entails : int;
   a_time_ms : float;
+  a_rows : int;  (* per-worker rows merged in *)
 }
 
 type machine = {
@@ -54,6 +58,10 @@ type machine = {
   mc_peak_accesses : int;    (* max reads+writes in any one cycle *)
 }
 
+type defect_kind = Malformed | Misnested | Backwards | Orphan_end | Left_open
+
+type defect = { de_event : int; de_kind : defect_kind; de_msg : string }
+
 type summary = {
   sm_other : (string * Json.t) list;   (* otherData: kernel, slots, ... *)
   sm_tracks : track list;              (* sorted by (pid, tid) *)
@@ -61,25 +69,11 @@ type summary = {
       (* (track label, span name) -> count, total inclusive us *)
   sm_profiles : (string * profile) list;  (* propagator rows, merged *)
   sm_counts : (string * int) list;        (* instant tallies *)
+  sm_gauges : (string * (float * float)) list;  (* counter key -> last, max *)
   sm_machine : machine option;
+  sm_defects : defect list;               (* in stream order *)
   sm_events : int;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Parsing helpers                                                     *)
-
-let str_mem k j =
-  match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-
-let num_mem k j =
-  match Json.member k j with Some (Json.Num f) -> Some f | _ -> None
-
-let int_mem k j = Option.map int_of_float (num_mem k j)
-
-let arg_num ev k =
-  match Json.member "args" ev with
-  | Some args -> num_mem k args
-  | None -> None
 
 let label_of other =
   let field k =
@@ -91,9 +85,9 @@ let label_of other =
   String.concat " " (List.filter_map field [ "kernel"; "mode"; "slots"; "bench" ])
 
 (* ------------------------------------------------------------------ *)
-(* Span-forest reconstruction                                          *)
+(* The fold                                                            *)
 
-(* An open span: children collect reversed until the matching End. *)
+(* An open span: children collect reversed until its End. *)
 type frame = {
   f_name : string;
   f_cat : string;
@@ -101,8 +95,47 @@ type frame = {
   mutable f_children : node list;
 }
 
-let close_frame f ~end_ts =
-  let children = List.rev f.f_children in
+type t = {
+  stacks : (int * int, frame list) Hashtbl.t;  (* open spans, innermost first *)
+  roots : (int * int, node list) Hashtbl.t;    (* closed top-level spans, newest first *)
+  last_ts : (int * int, float) Hashtbl.t;
+  procs : (int, string) Hashtbl.t;
+  threads : (int * int, string) Hashtbl.t;
+  counts : (string, int) Hashtbl.t;
+  profiles : (string, profile) Hashtbl.t;
+  gauges : (string, float * float) Hashtbl.t;
+  (* the pid-2 machine timeline, keyed by cycle *)
+  lanes : (int, int) Hashtbl.t;
+  reads : (int, int) Hashtbl.t;
+  writes : (int, int) Hashtbl.t;
+  mutable events : int;
+  mutable defects : defect list;  (* newest first *)
+}
+
+let create () =
+  {
+    stacks = Hashtbl.create 8;
+    roots = Hashtbl.create 8;
+    last_ts = Hashtbl.create 8;
+    procs = Hashtbl.create 4;
+    threads = Hashtbl.create 8;
+    counts = Hashtbl.create 32;
+    profiles = Hashtbl.create 16;
+    gauges = Hashtbl.create 16;
+    lanes = Hashtbl.create 64;
+    reads = Hashtbl.create 64;
+    writes = Hashtbl.create 64;
+    events = 0;
+    defects = [];
+  }
+
+(* Defects are numbered by the event that shows them. *)
+let defect t kind msg =
+  let msg = Printf.sprintf "event %d: %s" t.events msg in
+  t.defects <- { de_event = t.events; de_kind = kind; de_msg = msg } :: t.defects
+
+let node_of f ~children ~end_ts =
+  let children = List.rev children in
   let incl = Float.max 0. (end_ts -. f.f_ts) in
   let child_sum = List.fold_left (fun a c -> a +. c.n_incl) 0. children in
   {
@@ -113,6 +146,315 @@ let close_frame f ~end_ts =
     n_excl = Float.max 0. (incl -. child_sum);
     n_children = children;
   }
+
+let find tbl k ~default = Option.value ~default (Hashtbl.find_opt tbl k)
+let stack t key = find t.stacks key ~default:[]
+
+(* A closed span becomes the newest child of the innermost of [frames]
+   (the spans open around it), or a root. *)
+let attach t key frames n =
+  match frames with
+  | f :: _ -> f.f_children <- n :: f.f_children
+  | [] -> Hashtbl.replace t.roots key (n :: find t.roots key ~default:[])
+
+let arg args k =
+  match List.assoc_opt k args with
+  | Some (E.I i) -> Some (float_of_int i)
+  | Some (E.F f) -> Some f
+  | _ -> None
+
+let num args k = Option.value ~default:0. (arg args k)
+
+(* An End closes the innermost open span on its track.  When that span
+   has another name the stream is misnested: the End closes the
+   innermost open span of its own name, and the spans opened inside
+   that one stay open and later close into its parent. *)
+let close_span t key (ev : E.event) =
+  match stack t key with
+  | [] -> defect t Orphan_end (Printf.sprintf "end of %S with no open span" ev.name)
+  | f :: rest when f.f_name = ev.name ->
+    if ev.ts_us < f.f_ts then
+      defect t Backwards (Printf.sprintf "span %S ends before it begins" ev.name);
+    Hashtbl.replace t.stacks key rest;
+    attach t key rest (node_of f ~children:f.f_children ~end_ts:ev.ts_us)
+  | top :: _ as frames -> (
+    defect t Misnested
+      (Printf.sprintf "end of %S while %S is open (misnested)" ev.name top.f_name);
+    let rec split inner = function
+      | f :: outer when f.f_name = ev.name -> Some (List.rev inner, f, outer)
+      | f :: outer -> split (f :: inner) outer
+      | [] -> None
+    in
+    match split [] frames with
+    | None -> ()
+    | Some (inner, f, outer) ->
+      Hashtbl.replace t.stacks key (inner @ outer);
+      attach t key outer (node_of f ~children:f.f_children ~end_ts:ev.ts_us))
+
+let step t ~pid (ev : E.event) =
+  let key = (pid, ev.tid) in
+  (* a track's last timestamp closes what is still open at the end *)
+  let last =
+    match ev.ph with
+    | E.Meta -> None
+    | E.Complete dur -> Some (ev.ts_us +. Float.max 0. dur)
+    | _ -> Some ev.ts_us
+  in
+  Option.iter
+    (fun ts ->
+      Hashtbl.replace t.last_ts key (Float.max ts (find t.last_ts key ~default:ts)))
+    last;
+  match ev.ph with
+  | E.Meta -> (
+    match (ev.name, List.assoc_opt "name" ev.args) with
+    | "process_name", Some (E.S label) -> Hashtbl.replace t.procs pid label
+    | "thread_name", Some (E.S label) -> Hashtbl.replace t.threads key label
+    | _ -> ())
+  | E.Begin ->
+    Hashtbl.replace t.stacks key
+      ({ f_name = ev.name; f_cat = ev.cat; f_ts = ev.ts_us; f_children = [] }
+      :: stack t key)
+  | E.End -> close_span t key ev
+  | E.Complete dur ->
+    attach t key (stack t key)
+      {
+        n_name = ev.name;
+        n_cat = ev.cat;
+        n_ts = ev.ts_us;
+        n_incl = dur;
+        n_excl = dur;
+        n_children = [];
+      }
+  | E.Instant when ev.cat = E.cat_propagator ->
+    let g k = int_of_float (num ev.args k) in
+    let p =
+      find t.profiles ev.name
+        ~default:
+          { a_runs = 0; a_wakes = 0; a_prunes = 0; a_entails = 0;
+            a_time_ms = 0.; a_rows = 0 }
+    in
+    Hashtbl.replace t.profiles ev.name
+      {
+        a_runs = p.a_runs + g "runs";
+        a_wakes = p.a_wakes + g "wakes";
+        a_prunes = p.a_prunes + g "prunes";
+        a_entails = p.a_entails + g "entails";
+        a_time_ms = p.a_time_ms +. num ev.args "time_ms";
+        a_rows = p.a_rows + 1;
+      }
+  | E.Instant ->
+    Hashtbl.replace t.counts ev.name (1 + find t.counts ev.name ~default:0)
+  | E.Counter ->
+    List.iter
+      (fun (k, _) ->
+        let v = num ev.args k in
+        let key = if k = "value" then ev.name else ev.name ^ "." ^ k in
+        let _, mx = find t.gauges key ~default:(v, v) in
+        Hashtbl.replace t.gauges key (v, Float.max mx v))
+      ev.args;
+    if pid = 2 then begin
+      let cycle = int_of_float ev.ts_us in
+      let put tbl k =
+        Option.iter (fun v -> Hashtbl.replace tbl cycle (int_of_float v)) (arg ev.args k)
+      in
+      match ev.name with
+      | "lanes" -> put t.lanes "busy"
+      | "bank-ports" ->
+        put t.reads "reads";
+        put t.writes "writes"
+      | _ -> ()
+    end
+
+let add ?pid t (ev : E.event) =
+  let pid = match pid with Some p -> p | None -> E.pid_of_cat ev.cat in
+  step t ~pid ev;
+  t.events <- t.events + 1
+
+let add_json t j =
+  match E.event_of_json j with
+  | Ok (pid, ev) -> add ~pid t ev
+  | Error msg ->
+    defect t Malformed msg;
+    t.events <- t.events + 1
+
+(* ------------------------------------------------------------------ *)
+(* Summary                                                             *)
+
+let sorted_assoc tbl cmp =
+  List.sort cmp (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+(* The summary of what was folded so far; the fold itself is left as
+   it is.  Spans still open are closed at their track's last
+   timestamp. *)
+let summary t =
+  let roots = Hashtbl.copy t.roots in
+  let left_open = ref 0 in
+  Hashtbl.iter
+    (fun key frames ->
+      let end_ts = find t.last_ts key ~default:0. in
+      (* innermost first: each closed span is the newest child of the
+         next one out *)
+      let outermost =
+        List.fold_left
+          (fun inner f ->
+            incr left_open;
+            let children =
+              match inner with Some n -> n :: f.f_children | None -> f.f_children
+            in
+            Some (node_of f ~children ~end_ts))
+          None frames
+      in
+      Option.iter
+        (fun n -> Hashtbl.replace roots key (n :: find roots key ~default:[]))
+        outermost)
+    t.stacks;
+  let defects =
+    List.rev t.defects
+    @
+    if !left_open = 0 then []
+    else
+      [
+        {
+          de_event = t.events;
+          de_kind = Left_open;
+          de_msg = Printf.sprintf "%d span(s) left open" !left_open;
+        };
+      ]
+  in
+  let label_for (pid, tid) =
+    let proc =
+      match Hashtbl.find_opt t.procs pid with
+      | Some p -> (
+        (* "eit-machine (1us = 1 cycle)" -> "eit-machine" *)
+        match String.index_opt p ' ' with
+        | Some i -> String.sub p 0 i
+        | None -> p)
+      | None -> Printf.sprintf "pid%d" pid
+    in
+    let thr =
+      match Hashtbl.find_opt t.threads (pid, tid) with
+      | Some t -> t
+      | None -> Printf.sprintf "tid%d" tid
+    in
+    proc ^ "/" ^ thr
+  in
+  let tracks =
+    List.map
+      (fun ((pid, tid) as key, rs) ->
+        { tr_pid = pid; tr_tid = tid; tr_label = label_for key; tr_roots = List.rev rs })
+      (sorted_assoc roots (fun (a, _) (b, _) -> compare a b))
+  in
+  (* span statistics per (track label, name), all nesting depths *)
+  let span_stats : (string * string, int * float) Hashtbl.t =
+    Hashtbl.create 32
+  in
+  List.iter
+    (fun tr ->
+      let rec walk n =
+        let k = (tr.tr_label, n.n_name) in
+        let c, tot = find span_stats k ~default:(0, 0.) in
+        Hashtbl.replace span_stats k (c + 1, tot +. n.n_incl);
+        List.iter walk n.n_children
+      in
+      List.iter walk tr.tr_roots)
+    tracks;
+  let machine =
+    let series tbl = Hashtbl.fold (fun c v acc -> (c, v) :: acc) tbl [] in
+    let lane_s = series t.lanes and read_s = series t.reads
+    and write_s = series t.writes in
+    let unit_intervals =
+      List.concat_map
+        (fun tr ->
+          if tr.tr_pid <> 2 then []
+          else List.map (fun n -> (tr.tr_label, n.n_ts, n.n_incl)) tr.tr_roots)
+        tracks
+    in
+    if lane_s = [] && read_s = [] && unit_intervals = [] then None
+    else begin
+      let horizon =
+        List.fold_left
+          (fun acc (c, _) -> max acc c)
+          (List.fold_left
+             (fun acc (_, ts, d) -> max acc (int_of_float (ts +. d) - 1))
+             (-1) unit_intervals)
+          (lane_s @ read_s @ write_s)
+      in
+      let cycles = horizon + 1 in
+      let busy = List.fold_left (fun a (_, v) -> a + v) 0 lane_s in
+      let peak = List.fold_left (fun a (_, v) -> max a v) 0 lane_s in
+      let hist s =
+        let h = Hashtbl.create 8 in
+        List.iter (fun (_, v) -> Hashtbl.replace h v (1 + find h v ~default:0)) s;
+        sorted_assoc h compare
+      in
+      (* busy cycles per functional unit: union of issue intervals *)
+      let unit_busy =
+        let by_unit = Hashtbl.create 4 in
+        List.iter
+          (fun (u, ts, d) ->
+            Hashtbl.replace by_unit u
+              ((ts, ts +. Float.max 1. d) :: find by_unit u ~default:[]))
+          unit_intervals;
+        Hashtbl.fold
+          (fun u ivs acc ->
+            let covered, _ =
+              List.fold_left
+                (fun (cov, last) (s, e) ->
+                  if e <= last then (cov, last)
+                  else (cov +. (e -. Float.max s last), Float.max last e))
+                (0., neg_infinity) (List.sort compare ivs)
+            in
+            (u, int_of_float covered) :: acc)
+          by_unit []
+        |> List.sort compare
+      in
+      let peak_reads = List.fold_left (fun a (_, r) -> max a r) 0 read_s in
+      let peak_accesses =
+        List.fold_left
+          (fun acc (c, r) ->
+            max acc (r + Option.value ~default:0 (List.assoc_opt c write_s)))
+          (List.fold_left (fun a (_, w) -> max a w) 0 write_s)
+          read_s
+      in
+      Some
+        {
+          mc_cycles = cycles;
+          mc_busy_lane_cycles = busy;
+          mc_peak_lanes = peak;
+          mc_avg_lanes =
+            (if cycles = 0 then 0. else float_of_int busy /. float_of_int cycles);
+          mc_lane_util =
+            (if cycles = 0 || peak = 0 then 0.
+             else
+               100. *. float_of_int busy
+               /. (float_of_int cycles *. float_of_int peak));
+          mc_unit_busy = unit_busy;
+          mc_read_hist = hist read_s;
+          mc_write_hist = hist write_s;
+          mc_peak_reads = peak_reads;
+          mc_peak_accesses = peak_accesses;
+        }
+    end
+  in
+  {
+    sm_other = [];
+    sm_tracks = tracks;
+    sm_span_stats =
+      sorted_assoc span_stats (fun (_, (_, a)) (_, (_, b)) -> compare b a);
+    sm_profiles =
+      sorted_assoc t.profiles (fun (_, a) (_, b) ->
+          match compare b.a_time_ms a.a_time_ms with
+          | 0 -> compare b.a_runs a.a_runs
+          | c -> c);
+    sm_counts = sorted_assoc t.counts (fun (_, a) (_, b) -> compare b a);
+    sm_gauges = sorted_assoc t.gauges (fun (a, _) (b, _) -> compare (a : string) b);
+    sm_machine = machine;
+    sm_defects = defects;
+    sm_events = t.events;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Recorded traces                                                     *)
 
 let of_json (j : Json.t) : (summary, string) result =
   let events =
@@ -125,312 +467,42 @@ let of_json (j : Json.t) : (summary, string) result =
       | None -> Error "missing \"traceEvents\"")
     | _ -> Error "trace is neither an object nor an array"
   in
-  match events with
-  | Error e -> Error e
-  | Ok events ->
-    let other =
-      match Json.member "otherData" j with
-      | Some (Json.Obj fields) -> fields
-      | _ -> []
-    in
-    (* per-track state *)
-    let stacks : (int * int, frame list) Hashtbl.t = Hashtbl.create 8 in
-    let roots : (int * int, node list) Hashtbl.t = Hashtbl.create 8 in
-    let last_ts : (int * int, float) Hashtbl.t = Hashtbl.create 8 in
-    let procs : (int, string) Hashtbl.t = Hashtbl.create 4 in
-    let threads : (int * int, string) Hashtbl.t = Hashtbl.create 8 in
-    let counts : (string, int) Hashtbl.t = Hashtbl.create 32 in
-    let profiles : (string, profile) Hashtbl.t = Hashtbl.create 16 in
-    (* machine timeline series, keyed by cycle *)
-    let lanes : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    let reads : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    let writes : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    let n_events = ref 0 in
-    let push_root key n =
-      Hashtbl.replace roots key
-        (n :: Option.value ~default:[] (Hashtbl.find_opt roots key))
-    in
-    let attach key n =
-      match Hashtbl.find_opt stacks key with
-      | Some (f :: _) -> f.f_children <- n :: f.f_children
-      | _ -> push_root key n
-    in
-    let step ev =
-      incr n_events;
-      let name = Option.value ~default:"" (str_mem "name" ev) in
-      let ph = Option.value ~default:"" (str_mem "ph" ev) in
-      let cat = Option.value ~default:"" (str_mem "cat" ev) in
-      let pid =
-        match int_mem "pid" ev with
-        | Some p -> p
-        | None -> if cat = "machine" then 2 else 1
+  Result.map
+    (fun events ->
+      let t = create () in
+      List.iter (add_json t) events;
+      let other =
+        match Json.member "otherData" j with
+        | Some (Json.Obj fields) -> fields
+        | _ -> []
       in
-      let tid = Option.value ~default:0 (int_mem "tid" ev) in
-      let key = (pid, tid) in
-      if ph = "M" then begin
-        match (name, Option.bind (Json.member "args" ev) (str_mem "name")) with
-        | "process_name", Some label -> Hashtbl.replace procs pid label
-        | "thread_name", Some label -> Hashtbl.replace threads key label
-        | _ -> ()
-      end
-      else begin
-        let ts = Option.value ~default:0. (num_mem "ts" ev) in
-        Hashtbl.replace last_ts key
-          (Float.max ts
-             (Option.value ~default:ts (Hashtbl.find_opt last_ts key)));
-        match ph with
-        | "B" ->
-          Hashtbl.replace stacks key
-            ({ f_name = name; f_cat = cat; f_ts = ts; f_children = [] }
-            :: Option.value ~default:[] (Hashtbl.find_opt stacks key))
-        | "E" -> (
-          match Hashtbl.find_opt stacks key with
-          | Some (f :: rest) ->
-            Hashtbl.replace stacks key rest;
-            attach key (close_frame f ~end_ts:ts)
-          | _ -> () (* unmatched end: ignore, the checker flags these *))
-        | "X" ->
-          let dur = Option.value ~default:0. (num_mem "dur" ev) in
-          Hashtbl.replace last_ts key
-            (Float.max (ts +. dur)
-               (Option.value ~default:ts (Hashtbl.find_opt last_ts key)));
-          attach key
-            {
-              n_name = name;
-              n_cat = cat;
-              n_ts = ts;
-              n_incl = dur;
-              n_excl = dur;
-              n_children = [];
-            }
-        | "i" ->
-          if cat = "propagator" then begin
-            let g k = int_of_float (Option.value ~default:0. (arg_num ev k)) in
-            let row =
-              {
-                a_runs = g "runs";
-                a_wakes = g "wakes";
-                a_prunes = g "prunes";
-                a_time_ms = Option.value ~default:0. (arg_num ev "time_ms");
-              }
-            in
-            let merged =
-              match Hashtbl.find_opt profiles name with
-              | None -> row
-              | Some p ->
-                {
-                  a_runs = p.a_runs + row.a_runs;
-                  a_wakes = p.a_wakes + row.a_wakes;
-                  a_prunes = p.a_prunes + row.a_prunes;
-                  a_time_ms = p.a_time_ms +. row.a_time_ms;
-                }
-            in
-            Hashtbl.replace profiles name merged
-          end
-          else
-            Hashtbl.replace counts name
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts name))
-        | "C" ->
-          if pid = 2 then begin
-            let cycle = int_of_float ts in
-            let put tbl k =
-              match arg_num ev k with
-              | Some v -> Hashtbl.replace tbl cycle (int_of_float v)
-              | None -> ()
-            in
-            match name with
-            | "lanes" -> put lanes "busy"
-            | "bank-ports" ->
-              put reads "reads";
-              put writes "writes"
-            | _ -> ()
-          end
-        | _ -> ()
-      end
-    in
-    List.iter
-      (fun ev -> match ev with Json.Obj _ -> step ev | _ -> ())
-      events;
-    (* close anything left open at the track's last timestamp *)
-    Hashtbl.iter
-      (fun key stack ->
-        let ts = Option.value ~default:0. (Hashtbl.find_opt last_ts key) in
-        List.iter
-          (fun f ->
-            (* innermost first: each close attaches to the next frame out,
-               which is still on the list we're iterating *)
-            Hashtbl.replace stacks key
-              (List.tl (Hashtbl.find stacks key));
-            attach key (close_frame f ~end_ts:ts))
-          stack)
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) stacks []
-      |> List.filter (fun (_, v) -> v <> [])
-      |> List.to_seq |> Hashtbl.of_seq);
-    let label_for (pid, tid) =
-      let proc =
-        match Hashtbl.find_opt procs pid with
-        | Some p -> (
-          (* "eit-machine (1us = 1 cycle)" -> "eit-machine" *)
-          match String.index_opt p ' ' with
-          | Some i -> String.sub p 0 i
-          | None -> p)
-        | None -> Printf.sprintf "pid%d" pid
-      in
-      let thr =
-        match Hashtbl.find_opt threads (pid, tid) with
-        | Some t -> t
-        | None -> Printf.sprintf "tid%d" tid
-      in
-      proc ^ "/" ^ thr
-    in
-    let track_keys =
-      Hashtbl.fold (fun k _ acc -> k :: acc) roots []
-      |> List.sort_uniq compare
-    in
-    let tracks =
-      List.map
-        (fun key ->
-          let pid, tid = key in
-          {
-            tr_pid = pid;
-            tr_tid = tid;
-            tr_label = label_for key;
-            tr_roots = List.rev (Option.value ~default:[] (Hashtbl.find_opt roots key));
-          })
-        track_keys
-    in
-    (* span statistics per (track label, name), all nesting depths *)
-    let span_stats : (string * string, int * float) Hashtbl.t =
-      Hashtbl.create 32
-    in
-    List.iter
-      (fun tr ->
-        let rec walk n =
-          let k = (tr.tr_label, n.n_name) in
-          let c, t =
-            Option.value ~default:(0, 0.) (Hashtbl.find_opt span_stats k)
-          in
-          Hashtbl.replace span_stats k (c + 1, t +. n.n_incl);
-          List.iter walk n.n_children
-        in
-        List.iter walk tr.tr_roots)
-      tracks;
-    let machine =
-      let series tbl = Hashtbl.fold (fun c v acc -> (c, v) :: acc) tbl [] in
-      let lane_s = series lanes and read_s = series reads
-      and write_s = series writes in
-      let unit_intervals =
-        List.concat_map
-          (fun tr ->
-            if tr.tr_pid <> 2 then []
-            else
-              List.map
-                (fun n -> (tr.tr_label, n.n_ts, n.n_incl))
-                tr.tr_roots)
-          tracks
-      in
-      if lane_s = [] && read_s = [] && unit_intervals = [] then None
-      else begin
-        let horizon =
-          List.fold_left
-            (fun acc (c, _) -> max acc c)
-            (List.fold_left
-               (fun acc (_, ts, d) -> max acc (int_of_float (ts +. d) - 1))
-               (-1) unit_intervals)
-            (lane_s @ read_s @ write_s)
-        in
-        let cycles = horizon + 1 in
-        let busy = List.fold_left (fun a (_, v) -> a + v) 0 lane_s in
-        let peak = List.fold_left (fun a (_, v) -> max a v) 0 lane_s in
-        let hist s =
-          let h = Hashtbl.create 8 in
-          List.iter
-            (fun (_, v) ->
-              Hashtbl.replace h v
-                (1 + Option.value ~default:0 (Hashtbl.find_opt h v)))
-            s;
-          List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
-        in
-        (* busy cycles per functional unit: union of issue intervals *)
-        let unit_busy =
-          let by_unit = Hashtbl.create 4 in
-          List.iter
-            (fun (u, ts, d) ->
-              Hashtbl.replace by_unit u
-                ((ts, ts +. Float.max 1. d)
-                :: Option.value ~default:[] (Hashtbl.find_opt by_unit u)))
-            unit_intervals;
-          Hashtbl.fold
-            (fun u ivs acc ->
-              let sorted = List.sort compare ivs in
-              let covered, last_end =
-                List.fold_left
-                  (fun (cov, last) (s, e) ->
-                    if e <= last then (cov, last)
-                    else (cov +. (e -. Float.max s last), Float.max last e))
-                  (0., neg_infinity) sorted
-              in
-              ignore last_end;
-              (u, int_of_float covered) :: acc)
-            by_unit []
-          |> List.sort compare
-        in
-        let reads_per_cycle = List.map snd read_s in
-        let peak_reads = List.fold_left max 0 reads_per_cycle in
-        let peak_accesses =
-          List.fold_left
-            (fun acc (c, r) ->
-              let w =
-                Option.value ~default:0 (List.assoc_opt c write_s)
-              in
-              max acc (r + w))
-            (List.fold_left (fun a (_, w) -> max a w) 0 write_s)
-            read_s
-        in
-        Some
-          {
-            mc_cycles = cycles;
-            mc_busy_lane_cycles = busy;
-            mc_peak_lanes = peak;
-            mc_avg_lanes =
-              (if cycles = 0 then 0. else float_of_int busy /. float_of_int cycles);
-            mc_lane_util =
-              (if cycles = 0 || peak = 0 then 0.
-               else
-                 100. *. float_of_int busy
-                 /. (float_of_int cycles *. float_of_int peak));
-            mc_unit_busy = unit_busy;
-            mc_read_hist = hist read_s;
-            mc_write_hist = hist write_s;
-            mc_peak_reads = peak_reads;
-            mc_peak_accesses = peak_accesses;
-          }
-      end
-    in
-    let sorted_assoc tbl cmp =
-      List.sort cmp (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-    in
-    Ok
-      {
-        sm_other = other;
-        sm_tracks = tracks;
-        sm_span_stats =
-          sorted_assoc span_stats (fun ((_, _), (_, a)) ((_, _), (_, b)) ->
-              compare b a);
-        sm_profiles =
-          sorted_assoc profiles (fun (_, a) (_, b) ->
-              match compare b.a_time_ms a.a_time_ms with
-              | 0 -> compare b.a_runs a.a_runs
-              | c -> c);
-        sm_counts = sorted_assoc counts (fun (_, a) (_, b) -> compare b a);
-        sm_machine = machine;
-        sm_events = !n_events;
-      }
+      { (summary t) with sm_other = other })
+    events
 
+(* A [--trace] file is one JSON document; a flight-recorder black box
+   is JSONL — one event object per line behind a metadata first line
+   tagged ["flight": true].  When the whole-file parse fails, retry
+   line by line: if every non-blank line is a JSON object the file is
+   JSONL and its event lines are read (the flight metadata line is not
+   a trace event); otherwise the original parse error stands. *)
 let of_file path =
   match Json.parse_file path with
-  | Error e -> Error e
   | Ok j -> of_json j
+  | Error whole_err -> (
+    match In_channel.with_open_bin path In_channel.input_lines with
+    | exception Sys_error e -> Error e
+    | lines ->
+      let rec events ~first acc = function
+        | [] -> Ok (List.rev acc)
+        | l :: rest when String.trim l = "" -> events ~first acc rest
+        | l :: rest -> (
+          match Json.parse l with
+          | Ok (Json.Obj _ as j) ->
+            let meta = first && Json.member "flight" j = Some (Json.Bool true) in
+            events ~first:false (if meta then acc else j :: acc) rest
+          | Ok _ | Error _ -> Error whole_err)
+      in
+      Result.bind (events ~first:true [] lines) (fun evs -> of_json (Json.Arr evs)))
 
 let label s = label_of s.sm_other
 
@@ -499,7 +571,7 @@ let critical_path s =
     (match heaviest sched_roots with None -> [] | Some r -> down [] r)
 
 (* The heaviest sched-phase root: its inclusive time is the number the
-   report table leads with (and what tests compare against Agg). *)
+   report table leads with. *)
 let root_inclusive s =
   match critical_path s with [] -> None | n :: _ -> Some n.n_incl
 
@@ -713,6 +785,12 @@ let pp_report ?(utilization = false) ppf s =
   | l -> Format.fprintf ppf "labels: %s@." l);
   Format.fprintf ppf "%d events, %d tracks@." s.sm_events
     (List.length s.sm_tracks);
+  (match s.sm_defects with
+  | [] -> ()
+  | ds ->
+    Format.fprintf ppf "%d defect(s); the spans below are nested as read:@."
+      (List.length ds);
+    List.iter (fun d -> Format.fprintf ppf "  %s@." d.de_msg) ds);
   List.iter
     (fun tr -> if tr.tr_roots <> [] then pp_tree ppf tr)
     s.sm_tracks;

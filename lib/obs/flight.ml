@@ -15,8 +15,9 @@
    Rings are keyed by event [tid] (the service runs one request per
    worker track at a time, tid = 1000 + slot), each a fixed-capacity
    overwrite-oldest array.  A dump can therefore cut a request
-   mid-span: readers ([Obs.Analyze], [Obs.Check ~lenient]) tolerate
-   unmatched ends and unclosed spans by construction.
+   mid-span: [Obs.Analyze] reads past unmatched ends and unclosed
+   spans (listing them as defects), and [Obs.Check ~lenient] tolerates
+   exactly those two.
 
    Concurrency: [record] is called from the Obs dispatch path (already
    serialized by the global sink mutex), but [retain] / [drop] /

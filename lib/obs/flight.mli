@@ -94,5 +94,6 @@ val trace_of_dump : dump -> Obs_json.t
 (** Rebuild a Chrome-shaped [{"traceEvents": ...; "otherData": ...}]
     value from a dump, ready for [Obs.Analyze.of_json] — the metadata
     fields become [otherData], so reports are headed by request id and
-    retention reason.  Dumps cut mid-span analyze fine: [Analyze] is
-    lenient about unmatched ends and unclosed spans. *)
+    retention reason.  Dumps cut mid-span analyze fine: [Analyze]
+    reads past unmatched ends and unclosed spans, listing them as
+    defects. *)

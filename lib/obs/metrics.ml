@@ -64,10 +64,6 @@ type registry = {
 let create ?(enabled = true) () =
   { r_m = Mutex.create (); r_on = Atomic.make enabled; r_tbl = Hashtbl.create 32 }
 
-(* The registry library code records into when handed nothing: disabled
-   by default so the standalone solver pays one atomic load per solve. *)
-let default = create ~enabled:false ()
-
 let set_enabled r b = Atomic.set r.r_on b
 let is_enabled r = Atomic.get r.r_on
 

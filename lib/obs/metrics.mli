@@ -27,12 +27,6 @@ type registry
 val create : ?enabled:bool -> unit -> registry
 (** A fresh, empty registry ([enabled] defaults to [true]). *)
 
-val default : registry
-(** The process-wide registry fed by instrumented library code
-    ({!Fd.Search}, {!Sched.Solve}) when no explicit registry is passed.
-    Starts {e disabled} so standalone solver use pays one atomic load
-    per solve and nothing more. *)
-
 val set_enabled : registry -> bool -> unit
 (** Turn the locking instruments (histograms, SLO windows, exemplars)
     on or off; counters and gauges are unaffected. *)

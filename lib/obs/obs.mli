@@ -1,7 +1,10 @@
 (** Unified tracing & metrics layer (zero external dependencies).
 
     The solver, scheduler and simulator emit structured {!event}s;
-    pluggable sinks ({!Chrome}, {!Jsonl}, {!Agg}) consume them.  With no
+    pluggable sinks ({!Chrome}, {!Jsonl}, {!Flight}, {!Analyze}) consume
+    them.  One reader, {!Analyze}, folds both the live stream and
+    recorded traces into a summary; {!Check} is that fold failing on
+    its first defect.  With no
     sink attached every helper is a near-free branch: {!enabled} is one
     atomic load and nothing is allocated (see [test/t_obs.ml], which
     asserts zero minor-heap allocation on the disabled path).
@@ -96,9 +99,9 @@ val thread_name : ?cat:string -> ?tid:int -> string -> unit
 val profile_row :
   ?tid:int -> ?entails:int -> name:string -> runs:int -> wakes:int ->
   prunes:int -> time_ms:float -> unit -> unit
-(** One per-propagator profile row (cat ["propagator"]); {!Agg} merges
-    rows with the same name across workers.  [entails] counts entailment
-    reports (default 0). *)
+(** One per-propagator profile row (cat ["propagator"]); {!Analyze}
+    merges rows with the same name across workers.  [entails] counts
+    entailment reports (default 0). *)
 
 val cat_propagator : string
 
@@ -123,23 +126,22 @@ end
 
 module Check : sig
   val trace_json : ?lenient:bool -> Json.t -> (int, string) result
-  (** Structural validation of a Chrome trace: every event an object
-      with string [name]/[ph], Begin/End pairs LIFO-nested per
-      [(pid, tid)] with non-decreasing timestamps, no span left open,
-      complete events carrying a non-negative [dur].  Returns the event
-      count.
+  (** Structural validation of a Chrome trace: {!Analyze.of_json}
+      failing on the first defect it records (every event an object
+      with string [name]/[ph] and numeric [ts], Begin/End pairs
+      LIFO-nested per [(pid, tid)], no end before its begin, no span
+      left open, complete events carrying a non-negative [dur]).
+      Returns the event count.
 
       [lenient] (default [false]) tolerates the two defects of a
       {e truncated} trace — ends whose begin fell off the front (a
       flight-recorder ring overwrote it) and spans still open at the
-      cut — while misnesting, backwards timestamps and malformed
-      events stay errors.  Flight dumps and other ring-cut traces
-      validate under [~lenient:true]. *)
+      cut — while misnesting, backwards ends and malformed events
+      stay errors.  Flight dumps and other ring-cut traces validate
+      under [~lenient:true]. *)
 
   val trace_file : ?lenient:bool -> string -> (int, string) result
-  (** Validate a trace file: either a single Chrome-JSON document
-      (from [--trace]) or JSONL (a flight-recorder black box — its
-      ["flight": true] metadata first line is skipped). *)
+  (** Validate a trace file, read as {!Analyze.of_file} reads it. *)
 end
 
 (** {1 Sinks} *)
@@ -161,47 +163,17 @@ module Jsonl : sig
   (** Streams one JSON object per line. *)
 end
 
-module Agg : sig
-  (** In-memory aggregation: instants counted by name, counter series
-      (last and max), span statistics, merged propagator profiles. *)
-
-  type t
-
-  val create : unit -> t
-  val sink : t -> sink
-
-  type span_stat = { s_count : int; s_total_us : float }
-
-  type prow = {
-    p_runs : int;
-    p_wakes : int;
-    p_prunes : int;
-    p_entails : int;
-    p_time_ms : float;
-    p_workers : int;  (** number of per-worker rows merged in *)
-  }
-
-  val counts : t -> (string * int) list
-  (** Instant tallies, most frequent first. *)
-
-  val gauges : t -> (string * (float * float)) list
-  (** Counter series: key -> (last, max), sorted by key. *)
-
-  val spans : t -> (string * span_stat) list
-  (** Span statistics, largest total first. *)
-
-  val profiles : t -> (string * prow) list
-  (** Per-propagator profiles, most time (then most runs) first. *)
-end
-
 (** {1 Trace analytics}
 
-    The read side: rebuild the span forest from a Chrome trace,
-    compute inclusive/exclusive times, fold it into FlameGraph
-    collapsed-stack lines, extract the critical path, derive machine
-    utilization from the pid-2 cycle timeline, and structurally diff
-    two traces (the engine behind [eitc trace-report] /
-    [eitc trace-diff]). *)
+    The read side, one incremental fold over events: a live sink
+    ([eitc --metrics], [bench profile]), a Chrome trace or a flight
+    dump ([eitc trace-report], [trace-diff], [postmortem],
+    [trace-check]).  It rebuilds the span forest per track, tallies
+    instants, merges propagator rows, keeps counter series and records
+    every defect it meets.  From its summary: inclusive/exclusive
+    times, FlameGraph collapsed-stack lines, the critical path, machine
+    utilization from the pid-2 cycle timeline, and a structural diff of
+    two traces. *)
 
 module Analyze : sig
   type node = {
@@ -224,7 +196,9 @@ module Analyze : sig
     a_runs : int;
     a_wakes : int;
     a_prunes : int;
+    a_entails : int;
     a_time_ms : float;
+    a_rows : int;  (** per-worker rows merged in *)
   }
 
   type machine = {
@@ -240,24 +214,68 @@ module Analyze : sig
     mc_peak_accesses : int;     (** max reads+writes in any one cycle *)
   }
 
+  type defect_kind =
+    | Malformed   (** not an object, a missing or mistyped member, an
+                      unknown [ph], an [X] without a non-negative [dur];
+                      the event is skipped *)
+    | Misnested   (** an end while another span is innermost on its
+                      track; it closes the innermost open span of its
+                      own name, if any *)
+    | Backwards   (** an end before its begin; the span gets length 0 *)
+    | Orphan_end  (** an end with no span open on its track; dropped *)
+    | Left_open   (** spans open at the end; closed at their track's
+                      last timestamp *)
+
+  type defect = {
+    de_event : int;  (** index of the event that shows it *)
+    de_kind : defect_kind;
+    de_msg : string;  (** the checker's message, e.g. ["event 2: end of
+                          \"a\" while \"b\" is open (misnested)"] *)
+  }
+
   type summary = {
     sm_other : (string * Json.t) list;  (** the trace's [otherData] labels *)
     sm_tracks : track list;             (** sorted by (pid, tid) *)
     sm_span_stats : ((string * string) * (int * float)) list;
         (** (track label, span name) → (count, total inclusive us),
             all nesting depths, largest total first *)
-    sm_profiles : (string * profile) list;  (** propagator rows, merged *)
-    sm_counts : (string * int) list;        (** instant tallies *)
+    sm_profiles : (string * profile) list;
+        (** propagator rows merged by name, most time (then most runs)
+            first *)
+    sm_counts : (string * int) list;  (** instant tallies, most frequent first *)
+    sm_gauges : (string * (float * float)) list;
+        (** counter series → (last, max), sorted by key; the key is
+            ["name.arg"], or ["name"] for an arg called ["value"] *)
     sm_machine : machine option;  (** [None] when the trace has no pid-2 timeline *)
+    sm_defects : defect list;     (** in stream order *)
     sm_events : int;
   }
 
+  type t
+  (** The fold: what every reader needs, kept as events arrive. *)
+
+  val create : unit -> t
+
+  val sink : t -> sink
+  (** The fold as a live sink: [Obs.attach (Obs.Analyze.sink a)].  It
+      is first fed the static track names the {!Chrome} sink writes,
+      so a live summary and the summary of a Chrome file written in
+      the same run agree. *)
+
+  val summary : t -> summary
+  (** What was folded so far (the fold is left as it is); [sm_other]
+      is empty. *)
+
   val of_json : Json.t -> (summary, string) result
-  (** Lenient where {!Check.trace_json} is strict: unmatched ends are
-      dropped and spans still open at the end of the trace are closed
-      at their track's last timestamp. *)
+  (** Fold a Chrome trace (an object with ["traceEvents"], or a bare
+      array of events), decoding each event once with the decoder the
+      flight recorder's dumps share.  [Error] only when the container
+      is not a trace; defects in the events land in [sm_defects]. *)
 
   val of_file : string -> (summary, string) result
+  (** A single Chrome-JSON document (from [--trace]) or JSONL (a
+      flight-recorder black box — its ["flight": true] metadata first
+      line is skipped). *)
 
   val label : summary -> string
   (** "kernel=qrd mode=sequential slots=64" from [otherData]; [""] when

@@ -26,13 +26,12 @@ type outcome = {
   validate_ms : float;
 }
 
-(* One observation per solve into the live-metrics registry (the
-   caller's, or the process default, which is disabled unless someone
-   turned it on) — work-per-solve distributions for the serving layer,
-   one atomic load for everyone else. *)
+(* One observation per solve into the caller's live-metrics registry,
+   when it hands an enabled one — the work-per-solve distributions of
+   the serving layer.  Solver work is recorded here and nowhere else. *)
 let record_metrics metrics (o : outcome) =
-  let reg = match metrics with Some r -> r | None -> Obs.Metrics.default in
-  if Obs.Metrics.is_enabled reg then begin
+  (match metrics with
+  | Some reg when Obs.Metrics.is_enabled reg ->
     let h name = Obs.Metrics.histogram reg name in
     Obs.Metrics.observe (h "solve.nodes") (float_of_int o.stats.Fd.Search.nodes);
     Obs.Metrics.observe (h "solve.propagations")
@@ -40,7 +39,7 @@ let record_metrics metrics (o : outcome) =
     Obs.Metrics.observe (h "solve.time_ms") o.stats.Fd.Search.time_ms;
     Obs.Metrics.observe (h "solve.validate_ms") o.validate_ms;
     Obs.Metrics.incr (Obs.Metrics.counter reg "solve.count")
-  end;
+  | _ -> ());
   o
 
 (* The portfolio's strategy templates, in fixed order.  Strategy 0 is
@@ -93,7 +92,7 @@ let portfolio_strategies ?deadline ~memory g arch n =
    build, CP search, fallback, validation — are each wrapped in an
    [Obs] span (cat "sched"), so `--trace` shows where the wall-clock
    went. *)
-let run_cp ?metrics ~budget ~deadline ~chaos ~chaos_base ~memory ~arch
+let run_cp ~budget ~deadline ~chaos ~chaos_base ~memory ~arch
     ~parallel ~tid g =
   if parallel >= 2 then
     let r =
@@ -123,8 +122,8 @@ let run_cp ?metrics ~budget ~deadline ~chaos ~chaos_base ~memory ~arch
       | None -> ());
       let a =
         Obs.span ~cat:"sched" ~tid "cp-search" (fun () ->
-            Fd.Search.minimize_anytime ~budget ~deadline ~tid ?metrics
-              m.Model.store (Model.phases m) ~objective:m.Model.makespan
+            Fd.Search.minimize_anytime ~budget ~deadline ~tid m.Model.store
+              (Model.phases m) ~objective:m.Model.makespan
               ~on_solution:(fun () -> Model.extract m))
       in
       Fd.Store.emit_profile ~tid m.Model.store;
@@ -252,7 +251,7 @@ let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
     if Fd.Deadline.expired deadline then
       (Feasible_timeout, None, Fd.Search.zero_stats ~optimal:false, [])
     else
-      run_cp ?metrics ~budget ~deadline ~chaos ~chaos_base ~memory ~arch
+      run_cp ~budget ~deadline ~chaos ~chaos_base ~memory ~arch
         ~parallel ~tid g
   in
   let check sch ~memory =

@@ -113,14 +113,11 @@ val run :
     fallback rescues, crashed runs and all chaos runs never populate
     the cache, and chaos runs do not consult it either.
 
-    [metrics] receives one observation per call into the
-    [solve.nodes] / [solve.propagations] / [solve.time_ms] /
-    [solve.validate_ms] histograms and bumps [solve.count] (cache
-    replays are counted by the cache's own [cache.hits]); it is also
-    threaded into the sequential engine's own [search.*] instruments.
-    Defaults to
-    {!Obs.Metrics.default}, which is disabled unless the process
-    enabled it — a standalone solve then pays one atomic load. *)
+    [metrics], when given and enabled, receives one observation per
+    call into the [solve.nodes] / [solve.propagations] /
+    [solve.time_ms] / [solve.validate_ms] histograms and bumps
+    [solve.count] (cache replays are counted by the cache's own
+    [cache.hits]).  Without it nothing is recorded. *)
 
 val exit_code : outcome -> int
 (** The process exit code contract (also used by [eitc schedule]):

@@ -9,13 +9,11 @@ type request = {
   preset : string option;
   budget_ms : float option;
   deadline_ms : float option;
-  parallel : int;
   retries : int option;
 }
 
-let request ?slots ?preset ?budget_ms ?deadline_ms ?(parallel = 0) ?retries ~id
-    workload =
-  { id; workload; slots; preset; budget_ms; deadline_ms; parallel; retries }
+let request ?slots ?preset ?budget_ms ?deadline_ms ?retries ~id workload =
+  { id; workload; slots; preset; budget_ms; deadline_ms; retries }
 
 type solved = {
   st : Sched.Solve.status;
@@ -338,9 +336,13 @@ let exit_code r =
 (* Tail retention: with a flight recorder attached, the completion
    path decides which requests keep their in-ring trace.  Always keep
    anomalies (errors, expiries, wedges, crashes, retried attempts);
-   keep healthy requests slower than the live p99 once the latency
-   histogram has warmed up; keep a deterministic 1-in-[tail_keep]
-   slice of the rest; drop everything else without serializing it. *)
+   keep healthy requests whose solve took at least the live
+   [serve.solve_ms] p99 once that histogram has warmed up; keep a
+   deterministic 1-in-[tail_keep] slice of the rest; drop everything
+   else without serializing it.  "Slow" judges what the ring recorded:
+   a worker's ring is reset when it dequeues the request, so the ring
+   holds the execution, not the queue wait — and under a burst, queue
+   position alone would make most late requests slow end to end. *)
 
 (* Don't trust a p99 computed over a handful of requests. *)
 let min_slow_count = 64
@@ -356,11 +358,11 @@ let retention_reason ctx (job : job) resp =
     else if resp.attempts > 1 then Some "retried"
     else if s.crashes > 0 then Some "crashed"
     else
-      let st = Obs.Metrics.hstats ctx.mx.h_total in
+      let st = Obs.Metrics.hstats ctx.mx.h_solve in
       if
         st.Obs.Metrics.count >= min_slow_count
         && st.Obs.Metrics.p99 > 0.
-        && resp.total_ms >= st.Obs.Metrics.p99
+        && s.solve_ms >= st.Obs.Metrics.p99
       then Some "slow"
       else if ctx.cfg.tail_keep > 0 && job.seq mod ctx.cfg.tail_keep = 0 then
         Some "sampled"
@@ -582,7 +584,7 @@ let execute ctx ~slot job =
               ~budget:(Fd.Search.time_budget budget_ms)
               ~deadline:job.dl ?chaos
               ~chaos_base:((job.seq * 8) + k)
-              ~parallel:job.jr.parallel ~fallback:false ~tid ~arch
+              ~fallback:false ~tid ~arch
               ?cache:ctx.cache ~metrics:ctx.mx.reg g
           in
           let rec go k o =

@@ -5,8 +5,8 @@
     per-request architecture / budget / deadline options) are admitted
     through a bounded queue ({!Serve.Queue} — overload is shed as a
     typed {!Overloaded} reply, never queued unboundedly), executed on a
-    fixed pool of worker domains ({!Serve.Pool}) that reuse
-    {!Sched.Solve} / {!Fd.Portfolio}, and answered with a typed
+    fixed pool of worker domains ({!Serve.Pool}) that run sequential
+    {!Sched.Solve} solves, and answered with a typed
     {!response}.  The contract: {e every} submitted request gets
     exactly one response, in bounded time, and no request can take the
     service (or another request) down.
@@ -47,7 +47,6 @@ type request = {
   deadline_ms : float option;
       (** end-to-end deadline, measured from submission — queue wait
           counts against it *)
-  parallel : int;            (** portfolio width; 0/1 = sequential *)
   retries : int option;      (** max retries for crashed attempts *)
 }
 
@@ -56,7 +55,6 @@ val request :
   ?preset:string ->
   ?budget_ms:float ->
   ?deadline_ms:float ->
-  ?parallel:int ->
   ?retries:int ->
   id:string ->
   workload ->
@@ -127,9 +125,11 @@ type config = {
       (** tail-based flight recorder: when set, every request records
           its full event stream into a preallocated per-worker ring
           ({!Obs.Flight}), and the completion path keeps anomalies
-          (error / expired / wedged / crashed / retried), anything at
-          or beyond the live p99 (once 64 requests have completed),
-          and a 1-in-[tail_keep] slice of healthy traffic — each as a
+          (error / expired / wedged / crashed / retried), any request
+          whose solve took at least the live [serve.solve_ms] p99 (once
+          64 requests have completed; the ring holds the execution, not
+          the queue wait), and a 1-in-[tail_keep] slice of healthy
+          traffic — each as a
           self-contained JSONL black box under this directory, read
           back by [eitc postmortem].  [None] (default) disables
           recording entirely. *)

@@ -34,7 +34,6 @@ let request_of_json ?default_id j =
     let* preset = get_str "arch" j in
     let* budget_ms = get_num "budget_ms" j in
     let* deadline_ms = get_num "deadline_ms" j in
-    let* parallel = get_num "parallel" j in
     let* retries = get_num "retries" j in
     let id =
       match (id, default_id) with
@@ -50,7 +49,6 @@ let request_of_json ?default_id j =
         preset;
         budget_ms;
         deadline_ms;
-        parallel = (match parallel with Some p -> int_of_float p | None -> 0);
         retries = Option.map int_of_float retries;
       }
   | _ -> Error "request must be a JSON object"

@@ -7,7 +7,8 @@
     exactly one workload key — ["kernel"] (built-in name), ["xml"]
     (inline exported graph) or ["xml_file"] (path) — and optional
     ["slots"], ["arch"] (preset name), ["budget_ms"], ["deadline_ms"],
-    ["parallel"], ["retries"].
+    ["retries"].  Every solve is sequential; other members (an old
+    client's ["parallel"], say) are ignored.
 
     Response fields: ["id"], ["status"] (see
     {!Service.status_string}), ["code"] (see {!Service.exit_code});

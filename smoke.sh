@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end smokes over the built `eitc` binary: the fallback sweep,
-# a fallback that fails without a crash, trace and trace-analytics
-# smokes, the MATMUL bound guard, the
+# a fallback that fails without a crash, trace, trace-analytics and
+# live-metrics smokes, the MATMUL bound guard, the
 # serve / cache / telemetry / postmortem / tail-keep smokes, and a guard
 # that `bench profile --path` leaves BENCH_solver.json, and any file
 # that is not a report, alone.  `check.sh` runs this after the build
@@ -113,8 +113,43 @@ if "$EITC" trace-diff "$trace" "$doctored" --threshold 10 > /dev/null; then
   rm -f "$trace" "$folded" "$doctored"
   exit 1
 fi
-rm -f "$trace" "$folded" "$doctored"
-echo "smoke.sh: trace analytics OK (report + flame, self-diff clean, doctored diff gated)"
+# One reader: a misnested copy (the search span's end renamed to its
+# parent's) is a defect that trace-report names and reads past (exit
+# 0), while trace-check rejects it (exit 1).
+misnested=$(mktemp /tmp/eitc-misnested.XXXXXX.json)
+sed 's/"name":"search","cat":"search","ph":"E"/"name":"cp-search","cat":"search","ph":"E"/' \
+  "$trace" > "$misnested"
+fail_mis() {
+  echo "smoke.sh: $1" >&2
+  rm -f "$trace" "$folded" "$doctored" "$misnested"
+  exit 1
+}
+report=$("$EITC" trace-report "$misnested") \
+  || fail_mis "trace-report failed on a misnested trace"
+case "$report" in
+*"(misnested)"*) ;;
+*) fail_mis "trace-report did not name the misnested end" ;;
+esac
+"$EITC" trace-check "$misnested" > /dev/null && rc=0 || rc=$?
+[ "$rc" -eq 1 ] || fail_mis "trace-check exited $rc on a misnested trace, expected 1"
+rm -f "$trace" "$folded" "$doctored" "$misnested"
+echo "smoke.sh: trace analytics OK (report + flame, self-diff clean, doctored diff gated, misnesting named and rejected)"
+
+# Live metrics: a simulated QRD run with --metrics prints the machine
+# timeline's gauge rows from the live summary.
+out=$("$EITC" simulate qrd --metrics) || {
+  echo "smoke.sh: simulate qrd --metrics failed" >&2
+  echo "$out" >&2
+  exit 1
+}
+for row in lanes.busy bank-ports.reads; do
+  if ! printf '%s\n' "$out" | grep -q "^$row "; then
+    echo "smoke.sh: simulate qrd --metrics printed no $row gauge row" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
+echo "smoke.sh: live metrics OK (simulate qrd --metrics: lanes.busy, bank-ports.reads)"
 
 # Bound guard: the head-body-tail resource bound puts MATMUL's lower
 # bound at its optimum (11), so the first incumbent closes the proof

@@ -1,6 +1,6 @@
 (* Obs.Analyze: span-forest reconstruction, folded stacks, utilization,
-   trace diff / regression gate — plus a QCheck round-trip for the JSON
-   layer both sides share. *)
+   trace diff / regression gate, live = recorded, defects — plus a
+   QCheck round-trip for the JSON layer both sides share. *)
 
 module J = Obs.Json
 module A = Obs.Analyze
@@ -291,40 +291,58 @@ let test_diff_structure () =
   Alcotest.(check int) "one new span" 1 (List.length d.A.df_new);
   Alcotest.(check int) "no vanished spans" 0 (List.length d.A.df_gone)
 
-(* --------------------- real trace: Agg agreement --------------------- *)
+(* ------------------ real trace: live = recorded ---------------------- *)
 
-(* Acceptance: the report's root inclusive time (heaviest sched root,
-   i.e. cp-search) matches Obs.Agg's span total within 1%. *)
-let test_root_matches_agg () =
+(* One reader: for a traced QRD solve, the live summary and the summary
+   of the Chrome file written in the same run agree — span counts,
+   propagator rows and instant counts exactly, the root's inclusive
+   time within 1%. *)
+let test_live_matches_file () =
   let path = tmp "t_analyze_qrd.json" in
   let g =
     (Eit_dsl.Merge.run (Apps.Qrd.graph (Apps.Qrd.build ())))
       .Eit_dsl.Merge.graph
   in
-  let agg = Obs.Agg.create () in
+  let live = A.create () in
   let h_chrome = Obs.attach (Obs.Chrome.sink ~path ()) in
-  let h_agg = Obs.attach (Obs.Agg.sink agg) in
+  let h_live = Obs.attach (A.sink live) in
   let o = Sched.Solve.run ~budget:(Fd.Search.time_budget 10_000.) g in
-  Obs.detach h_agg;
+  Obs.detach h_live;
   Obs.detach h_chrome;
   Alcotest.(check bool) "solved" true (o.Sched.Solve.schedule <> None);
   let s =
     match A.of_file path with Ok s -> s | Error e -> Alcotest.fail e
   in
-  let root =
-    match A.root_inclusive s with
+  let l = A.summary live in
+  Alcotest.(check int) "no defects" 0
+    (List.length s.A.sm_defects + List.length l.A.sm_defects);
+  Alcotest.(check int) "events" s.A.sm_events l.A.sm_events;
+  let counts sm =
+    List.sort compare (List.map (fun (k, (c, _)) -> (k, c)) sm.A.sm_span_stats)
+  in
+  Alcotest.(check (list (pair (pair string string) int))) "span counts"
+    (counts s) (counts l);
+  let rows sm =
+    List.sort compare
+      (List.map
+         (fun (n, p) ->
+           (n, A.[ p.a_runs; p.a_wakes; p.a_prunes; p.a_entails; p.a_rows ]))
+         sm.A.sm_profiles)
+  in
+  Alcotest.(check bool) "has propagator rows" true (l.A.sm_profiles <> []);
+  Alcotest.(check (list (pair string (list int)))) "propagator rows" (rows s)
+    (rows l);
+  Alcotest.(check (list (pair string int))) "instant counts"
+    (List.sort compare s.A.sm_counts) (List.sort compare l.A.sm_counts);
+  let root sm =
+    match A.root_inclusive sm with
     | Some r -> r
     | None -> Alcotest.fail "no critical path"
   in
-  let agg_total =
-    match List.assoc_opt "cp-search" (Obs.Agg.spans agg) with
-    | Some st -> st.Obs.Agg.s_total_us
-    | None -> Alcotest.fail "Agg has no cp-search span"
-  in
   Alcotest.(check bool)
-    (Printf.sprintf "analyze %.1f us vs agg %.1f us within 1%%" root agg_total)
+    (Printf.sprintf "file %.1f us vs live %.1f us within 1%%" (root s) (root l))
     true
-    (Float.abs (root -. agg_total) <= 0.01 *. agg_total);
+    (Float.abs (root s -. root l) <= 0.01 *. root l);
   (* and the real folded output obeys the grammar *)
   let fpath = tmp "t_analyze_qrd.folded" in
   A.write_folded fpath s;
@@ -342,6 +360,43 @@ let test_root_matches_agg () =
           | _ -> Alcotest.failf "bad value in %S" line))
     (In_channel.with_open_bin fpath In_channel.input_lines)
 
+(* --------------------- defects -------------------------------------- *)
+
+(* The stream B a, B b, E a, E b: one misnested end.  The reader keeps
+   going (a and b close at their own ends, 2 us each) and names the
+   defect in the report; Check rejects the stream on it. *)
+let test_misnested_defect () =
+  let j =
+    trace
+      [
+        span_ev "B" "a" 1.; span_ev "B" "b" 2.; span_ev "E" "a" 3.;
+        span_ev "E" "b" 4.;
+      ]
+  in
+  let msg = {|event 2: end of "a" while "b" is open (misnested)|} in
+  let s = summary_of_exn j in
+  (match s.A.sm_defects with
+  | [ d ] ->
+    Alcotest.(check int) "event index" 2 d.A.de_event;
+    Alcotest.(check bool) "kind" true (d.A.de_kind = A.Misnested);
+    Alcotest.(check string) "message" msg d.A.de_msg
+  | ds -> Alcotest.failf "%d defects" (List.length ds));
+  List.iter
+    (fun name ->
+      Alcotest.(check (option (pair int (float 1e-9)))) (name ^ " = 2 us")
+        (Some (1, 2.))
+        (List.assoc_opt ("pid1/tid0", name) s.A.sm_span_stats))
+    [ "a"; "b" ];
+  let report = Format.asprintf "%a" (A.pp_report ~utilization:false) s in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "report names the defect" true (contains report msg);
+  Alcotest.(check (result int string)) "check rejects it" (Error msg)
+    (Obs.Check.trace_json j)
+
 let suite =
   [
     json_roundtrip;
@@ -353,6 +408,8 @@ let suite =
     Alcotest.test_case "diff regression gate" `Quick test_diff_gate;
     Alcotest.test_case "diff structure (new/changed spans)" `Quick
       test_diff_structure;
-    Alcotest.test_case "root inclusive matches Agg within 1%" `Quick
-      test_root_matches_agg;
+    Alcotest.test_case "live summary = Chrome file summary" `Quick
+      test_live_matches_file;
+    Alcotest.test_case "misnested end: one defect, named" `Quick
+      test_misnested_defect;
   ]

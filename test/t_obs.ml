@@ -1,4 +1,4 @@
-(* Observability layer: trace well-formedness, aggregator/store
+(* Observability layer: trace well-formedness, live summary/store
    agreement, and the zero-allocation disabled path. *)
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
@@ -95,6 +95,12 @@ let test_trace_wellformed () =
     | Obs.Json.Num last :: _ ->
       Alcotest.(check int) "optimum" 11 (int_of_float last)
     | _ -> Alcotest.fail "no final objective");
+    (* a run that emits nothing still writes a valid trace: the track
+       names alone *)
+    Obs.with_sink (Obs.Chrome.sink ~path ()) (fun () -> ());
+    (match Obs.Check.trace_file path with
+    | Ok n -> Alcotest.(check int) "empty run: track names only" 6 n
+    | Error e -> Alcotest.failf "empty run: %s" e);
     Sys.remove path
 
 (* Nesting violations are detected, not just absence of crashes. *)
@@ -130,9 +136,9 @@ let test_machine_timeline () =
   let o = Sched.Solve.run ~budget:(Fd.Search.time_budget 10_000.) g in
   let sch = Option.get o.Sched.Solve.schedule in
   let p = Sched.Codegen.program sch in
-  let agg = Obs.Agg.create () in
-  Obs.with_sink (Obs.Agg.sink agg) (fun () -> ignore (Eit.Machine.run p));
-  let gauges = Obs.Agg.gauges agg in
+  let live = Obs.Analyze.create () in
+  Obs.with_sink (Obs.Analyze.sink live) (fun () -> ignore (Eit.Machine.run p));
+  let gauges = (Obs.Analyze.summary live).Obs.Analyze.sm_gauges in
   let has k = List.mem_assoc k gauges in
   Alcotest.(check bool) "lane gauge" true (has "lanes.busy");
   Alcotest.(check bool) "read-port gauge" true (has "bank-ports.reads");
@@ -143,17 +149,17 @@ let test_machine_timeline () =
     (int_of_float max_reads <= Eit.Arch.default.Eit.Arch.max_reads_per_cycle)
 
 (* ------------------------------------------------------------------ *)
-(* Aggregator vs Store.stats: run counts must agree exactly            *)
+(* Live summary vs Store.profile: run counts must agree exactly        *)
 
-let test_agg_matches_store () =
+let test_profile_rows_match_store () =
   let open Fd in
   let s = Store.create () in
   let vars = List.init 6 (fun _ -> Store.interval_var s 0 5) in
   Arith.all_different s vars;
   let obj = Store.interval_var s 0 30 in
   Arith.max_of s vars obj;
-  let agg = Obs.Agg.create () in
-  (Obs.with_sink (Obs.Agg.sink agg) @@ fun () ->
+  let live = Obs.Analyze.create () in
+  (Obs.with_sink (Obs.Analyze.sink live) @@ fun () ->
    match
      Search.minimize s [ Search.phase vars ] ~objective:obj
        ~on_solution:(fun () -> ())
@@ -162,21 +168,26 @@ let test_agg_matches_store () =
    | _ -> Alcotest.fail "expected optimum");
   (* profile rows reach the sink via emit_profile in the search-owning
      layer; here the store is driven directly, so emit explicitly *)
-  Obs.with_sink (Obs.Agg.sink agg) (fun () -> Store.emit_profile s);
-  let profiles = Obs.Agg.profiles agg in
-  let store_stats = Store.stats s in
-  Alcotest.(check int) "same classes" (List.length store_stats)
-    (List.length profiles);
+  Obs.with_sink (Obs.Analyze.sink live) (fun () -> Store.emit_profile s);
+  let sm = Obs.Analyze.summary live in
+  let store_rows = Store.profile s in
+  Alcotest.(check int) "same classes" (List.length store_rows)
+    (List.length sm.Obs.Analyze.sm_profiles);
   List.iter
-    (fun (name, runs) ->
-      match List.assoc_opt name profiles with
-      | Some p -> Alcotest.(check int) ("runs " ^ name) runs p.Obs.Agg.p_runs
-      | None -> Alcotest.failf "class %s missing from Agg" name)
-    store_stats;
+    (fun (r : Store.profile) ->
+      match List.assoc_opt r.pr_name sm.Obs.Analyze.sm_profiles with
+      | Some p ->
+        Alcotest.(check int) ("runs " ^ r.pr_name) r.pr_runs p.Obs.Analyze.a_runs;
+        Alcotest.(check int) ("entails " ^ r.pr_name) r.pr_entails
+          p.Obs.Analyze.a_entails;
+        Alcotest.(check int) ("one row " ^ r.pr_name) 1 p.Obs.Analyze.a_rows
+      | None -> Alcotest.failf "class %s missing from the summary" r.pr_name)
+    store_rows;
   (* search events were counted too *)
-  let counts = Obs.Agg.counts agg in
   Alcotest.(check bool) "branches counted" true
-    (match List.assoc_opt "branch" counts with Some n -> n > 0 | None -> false)
+    (match List.assoc_opt "branch" sm.Obs.Analyze.sm_counts with
+    | Some n -> n > 0
+    | None -> false)
 
 (* Store.profile invariants: wakes >= runs (every execution was queued
    first), prune attribution only while running. *)
@@ -247,17 +258,18 @@ let test_disabled_no_alloc () =
 (* span is exception-safe: the End event is emitted on raise, so the
    trace stays balanced. *)
 let test_span_exception_safe () =
-  let agg = Obs.Agg.create () in
+  let live = Obs.Analyze.create () in
   (try
-     Obs.with_sink (Obs.Agg.sink agg) (fun () ->
+     Obs.with_sink (Obs.Analyze.sink live) (fun () ->
          Obs.span "outer" (fun () ->
              Obs.span "inner" (fun () -> failwith "boom")))
    with Failure _ -> ());
-  let spans = Obs.Agg.spans agg in
+  let sm = Obs.Analyze.summary live in
+  Alcotest.(check int) "no defects" 0 (List.length sm.Obs.Analyze.sm_defects);
   List.iter
     (fun name ->
-      match List.assoc_opt name spans with
-      | Some st -> Alcotest.(check int) (name ^ " closed") 1 st.Obs.Agg.s_count
+      match List.assoc_opt ("solver/main", name) sm.Obs.Analyze.sm_span_stats with
+      | Some (count, _) -> Alcotest.(check int) (name ^ " closed") 1 count
       | None -> Alcotest.failf "span %s not recorded" name)
     [ "outer"; "inner" ]
 
@@ -293,8 +305,8 @@ let suite =
     Alcotest.test_case "checker catches misnesting" `Quick
       test_check_catches_misnesting;
     Alcotest.test_case "machine timeline gauges" `Quick test_machine_timeline;
-    Alcotest.test_case "agg agrees with Store.stats" `Quick
-      test_agg_matches_store;
+    Alcotest.test_case "profile rows agree with Store.profile" `Quick
+      test_profile_rows_match_store;
     Alcotest.test_case "profile invariants" `Quick test_profile_invariants;
     Alcotest.test_case "disabled path allocates nothing" `Quick
       test_disabled_no_alloc;

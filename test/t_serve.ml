@@ -398,6 +398,8 @@ let test_trace_tagged_with_request_ids () =
 (* ------------------------------- wire -------------------------------- *)
 
 let test_wire_requests () =
+  (* every solve is sequential: an old client's "parallel" member is
+     ignored like any other unknown member, and the line still parses *)
   (match
      W.request_of_line
        {|{"id":"x","kernel":"qrd","slots":16,"arch":"eit","budget_ms":50,"deadline_ms":2000,"parallel":2,"retries":3}|}
@@ -407,7 +409,6 @@ let test_wire_requests () =
     Alcotest.(check bool) "workload" true (r.S.workload = S.Kernel "qrd");
     Alcotest.(check (option int)) "slots" (Some 16) r.S.slots;
     Alcotest.(check (option string)) "arch" (Some "eit") r.S.preset;
-    Alcotest.(check int) "parallel" 2 r.S.parallel;
     Alcotest.(check (option int)) "retries" (Some 3) r.S.retries
   | Error e -> Alcotest.failf "parse failed: %s" e);
   (match W.request_of_line ~default_id:"line-7" {|{"xml":"<graph/>"}|} with
@@ -518,8 +519,8 @@ let test_chaos_soak metrics () =
     (rescued > 0 && retried > rescued);
   (* flight recorder on, tail_keep off: the retention triggers left are
      the anomaly verdicts (error / expired / wedged / crashed / retried)
-     and, with an enabled registry, "slow" (a live p99) — so with
-     metrics off the dump set must equal the anomaly set exactly *)
+     and, with an enabled registry, "slow" (a live solve-time p99) — so
+     with metrics off the dump set must equal the anomaly set exactly *)
   let flight_dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -662,22 +663,24 @@ let test_chaos_soak metrics () =
               (r.S.r_id ^ ": at most one (slow) flight dump")
               true (got <= 1))
         resps expected;
-      if metrics = None then begin
+      if metrics = None then
         Alcotest.(check int) "anomalies = retained traces" !anomalies
-          h.S.flight_kept;
-        (* retention is selective: the anomaly slice, not the traffic *)
-        Alcotest.(check bool)
-          (Printf.sprintf "most completions dropped (%d kept of %d)"
-             h.S.flight_kept n)
-          true
-          (h.S.flight_kept < n / 2)
-      end
+          h.S.flight_kept
       else
         Alcotest.(check bool)
           (Printf.sprintf "anomalies (%d) among retained traces (%d)"
              !anomalies h.S.flight_kept)
           true
           (!anomalies <= h.S.flight_kept);
+      (* retention is selective: the anomaly slice (plus, with an
+         enabled registry, the solve-time outliers), not the traffic —
+         a request's queue position under the burst does not make it
+         slow *)
+      Alcotest.(check bool)
+        (Printf.sprintf "most completions dropped (%d kept of %d)"
+           h.S.flight_kept n)
+        true
+        (h.S.flight_kept < n / 2);
       (* each dump is a loadable, analyzable black box *)
       List.iter
         (fun p ->

@@ -246,8 +246,8 @@ let test_queue_rings () =
   Alcotest.(check (list int)) "pop_level empties the queues" [] (run []);
   Alcotest.(check (list int)) "pop_level clears queued" (model dropped) (run dropped)
 
-(* Per-propagator run counters: Store.stats aggregates by name and the
-   totals account for every executed step. *)
+(* Per-propagator run counters: Store.profile aggregates by name and
+   the totals account for every executed step. *)
 let test_stats_counters () =
   let s = Store.create () in
   let x = Store.interval_var s 0 9 and y = Store.interval_var s 0 9 in
@@ -257,11 +257,12 @@ let test_stats_counters () =
   Store.propagate s;
   let executed = Store.propagation_steps s - before in
   Alcotest.(check bool) "steps advanced" true (executed > 0);
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 (Store.stats s) in
-  Alcotest.(check int) "stats sum = total steps" (Store.propagation_steps s) total;
-  match List.assoc_opt "leq_offset" (Store.stats s) with
-  | Some n -> Alcotest.(check bool) "leq_offset counted" true (n > 0)
-  | None -> Alcotest.fail "leq_offset missing from stats"
+  let rows = Store.profile s in
+  let total = List.fold_left (fun acc r -> acc + r.Store.pr_runs) 0 rows in
+  Alcotest.(check int) "runs sum = total steps" (Store.propagation_steps s) total;
+  match List.find_opt (fun r -> r.Store.pr_name = "leq_offset") rows with
+  | Some r -> Alcotest.(check bool) "leq_offset counted" true (r.Store.pr_runs > 0)
+  | None -> Alcotest.fail "leq_offset missing from the profile"
 
 (* reschedule_all + propagate must be a no-op on a store already at its
    propagation fixpoint: event filtering never leaves pruning behind. *)
