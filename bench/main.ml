@@ -133,12 +133,14 @@ let table3 ?(budget_excl = 60_000.) ?(budget_incl = 120_000.) () =
       let shape = Printf.sprintf "(%d, %d, %d)" s.Stats.v s.Stats.e s.Stats.crp in
       match (excl, incl) with
       | Some e, Some i ->
-        (match Sched.Modulo.validate g Eit.Arch.default e with
-        | Ok () -> ()
-        | Error msg -> Format.printf "!! excl kernel invalid: %s@." msg);
-        (match Sched.Modulo.validate g Eit.Arch.default i with
-        | Ok () -> ()
-        | Error msg -> Format.printf "!! incl kernel invalid: %s@." msg);
+        List.iter
+          (fun (mode, r) ->
+            match Sched.Validate.modulo g Eit.Arch.default r with
+            | Ok () -> ()
+            | Error rep ->
+              Format.printf "!! %s kernel invalid: %a@." mode
+                Sched.Validate.pp_report rep)
+          [ ("excl", e); ("incl", i) ];
         Format.printf
           "%-8s %-22s %-11d %-7d %-10d %-12.3f | %-8d %-12.3f %-10.0f@." name
           shape e.Sched.Modulo.ii e.Sched.Modulo.reconfigurations
@@ -415,26 +417,30 @@ let dynamic () =
       match o.Sched.Solve.schedule with
       | None -> Format.printf "%-8s (no schedule)@." name
       | Some sch -> (
-        (match Sched.Overlap_sim.run_and_check ~arch:(big lines) sch ~m with
+        let overlap = Sched.Overlap.run sch ~m in
+        (match
+           Sched.Periodic.run_and_check
+             (Sched.Periodic.of_overlap g (big lines) overlap)
+         with
         | Ok r ->
           Format.printf
             "%-8s overlap M=%-3d %5d results verified, port-clean=%b@." name m
-            r.Sched.Overlap_sim.checked_values r.Sched.Overlap_sim.access_clean
+            r.Sched.Periodic.checked_values r.Sched.Periodic.access_clean
         | Error e -> Format.printf "%-8s overlap M=%d FAILED: %s@." name m e);
         match Sched.Modulo.solve_excluding ~budget_ms:30_000. g with
         | None -> ()
         | Some r -> (
           match
-            Sched.Modulo_sim.run_and_check ~arch:(big (2 * lines)) g r
-              ~iterations:4
+            Sched.Periodic.run_and_check
+              (Sched.Periodic.of_modulo g (big (2 * lines)) r ~iterations:4)
           with
           | Ok rep ->
             Format.printf
               "%-8s modulo  N=4   %5d results verified, port-clean=%b, \
                completion=%d (= span+3*II: %b)@."
-              name rep.Sched.Modulo_sim.checked_values
-              rep.Sched.Modulo_sim.access_clean rep.Sched.Modulo_sim.completion
-              (rep.Sched.Modulo_sim.completion
+              name rep.Sched.Periodic.checked_values
+              rep.Sched.Periodic.access_clean rep.Sched.Periodic.completion
+              (rep.Sched.Periodic.completion
               = r.Sched.Modulo.span + (3 * r.Sched.Modulo.ii))
           | Error e -> Format.printf "%-8s modulo FAILED: %s@." name e)))
     [

@@ -12,31 +12,7 @@ module Vecsched = Vecsched_core.Vecsched
 
 open Cmdliner
 
-let kernels = [ "matmul"; "qrd"; "qrd-sorted"; "arf"; "fir"; "corr"; "detect" ]
-
-let build_kernel = function
-  | "matmul" ->
-    let m = Apps.Matmul.build () in
-    (Apps.Matmul.graph m, "matmul")
-  | "qrd" ->
-    let q = Apps.Qrd.build () in
-    (Apps.Qrd.graph q, "qrd")
-  | "qrd-sorted" ->
-    let q = Apps.Qrd.build ~sorted:true () in
-    (Apps.Qrd.graph q, "qrd-sorted")
-  | "arf" ->
-    let a = Apps.Arf.build () in
-    (Apps.Arf.graph a, "arf")
-  | "fir" ->
-    let f = Apps.Fir.build () in
-    (Apps.Fir.graph f, "fir")
-  | "corr" ->
-    let c = Apps.Corr.build () in
-    (Apps.Corr.graph c, "corr")
-  | "detect" ->
-    let d = Apps.Detect.build () in
-    (Apps.Detect.graph d, "detect")
-  | k -> invalid_arg ("unknown kernel " ^ k)
+let kernels = List.map fst Vecsched.kernels
 
 let kernel_arg =
   let doc =
@@ -65,8 +41,7 @@ let arch_of preset = function
   | Some n -> Eit.Arch.with_slots preset n
 
 let compile kernel =
-  let g, name = build_kernel kernel in
-  (Vecsched.compile g, name)
+  (Vecsched.compile ((List.assoc kernel Vecsched.kernels) ()), kernel)
 
 (* ------------------------------------------------------------------ *)
 (* Observability surface: `--trace FILE` attaches a Chrome trace_event
@@ -405,10 +380,10 @@ let modulo_cmd =
       Format.printf "%s (%s reconfigurations): %a@." name
         (if including then "including" else "excluding")
         Sched.Modulo.pp r;
-      (match Sched.Modulo.validate c.Vecsched.ir Eit.Arch.default r with
+      (match Sched.Validate.modulo c.Vecsched.ir Eit.Arch.default r with
       | Ok () -> 0
-      | Error e ->
-        Format.printf "kernel INVALID: %s@." e;
+      | Error rep ->
+        Format.printf "kernel INVALID: %a@." Sched.Validate.pp_report rep;
         1)
     | None ->
       Format.printf "%s: no modulo schedule found within budget@." name;

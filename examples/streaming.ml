@@ -38,14 +38,15 @@ let () =
     in
     let arch = { Arch.default with Arch.lines = 16 } in
     (match
-       Sched.Modulo_sim.run_and_check ~stream ~arch g r ~iterations
+       Sched.Periodic.run_and_check ~stream
+         (Sched.Periodic.of_modulo g arch r ~iterations)
      with
     | Ok rep ->
       Format.printf
         "simulated %d initiations: %d results verified against per-iteration \
          references; last write-back at cycle %d (= span %d + %d x II)@."
-        iterations rep.Sched.Modulo_sim.checked_values
-        rep.Sched.Modulo_sim.completion r.Vecsched.Modulo.span
+        iterations rep.Sched.Periodic.checked_values
+        rep.Sched.Periodic.completion r.Vecsched.Modulo.span
         (iterations - 1);
       (* show one detected row to make it tangible *)
       let m = matrix_for (iterations - 1) in

@@ -11,7 +11,6 @@ type opts = {
   parallel : int;
   max_nodes : int option;
   max_time_ms : float option;
-  validate : bool;
 }
 
 type t = { repr : string; md5 : string }
@@ -141,18 +140,17 @@ let opt_float = function None -> "_" | Some f -> Printf.sprintf "%h" f
 
 let encode_arch (a : Eit.Arch.t) =
   Printf.sprintf
-    "a|l=%d,vl=%d,vd=%d,sl=%d,ssl=%d,sd=%d,il=%d,id=%d,b=%d,ps=%d,ln=%d,slim=%s,rd=%d,wr=%d,rc=%d"
+    "a|l=%d,vl=%d,vd=%d,sl=%d,ssl=%d,sd=%d,il=%d,id=%d,b=%d,ps=%d,ln=%d,slim=%s,rd=%d,wr=%d"
     a.Eit.Arch.n_lanes a.Eit.Arch.vector_latency a.Eit.Arch.vector_duration
     a.Eit.Arch.scalar_latency a.Eit.Arch.scalar_simple_latency
     a.Eit.Arch.scalar_duration a.Eit.Arch.im_latency a.Eit.Arch.im_duration
     a.Eit.Arch.banks a.Eit.Arch.page_size a.Eit.Arch.lines
     (opt_int a.Eit.Arch.slot_limit)
     a.Eit.Arch.max_reads_per_cycle a.Eit.Arch.max_writes_per_cycle
-    a.Eit.Arch.reconfig_cost
 
 let encode_opts o =
-  Printf.sprintf "o|m=%b,p=%d,mn=%s,mt=%s,v=%b" o.memory o.parallel
-    (opt_int o.max_nodes) (opt_float o.max_time_ms) o.validate
+  Printf.sprintf "o|m=%b,p=%d,mn=%s,mt=%s" o.memory o.parallel
+    (opt_int o.max_nodes) (opt_float o.max_time_ms)
 
 let of_repr repr = { repr; md5 = Digest.to_hex (Digest.string repr) }
 

@@ -37,7 +37,6 @@ type opts = {
   parallel : int;
   max_nodes : int option;
   max_time_ms : float option;
-  validate : bool;
 }
 (** The solve options that are part of the problem identity.  Absolute
     deadlines and fault injection are excluded: the former is ephemeral

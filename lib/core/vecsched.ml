@@ -42,4 +42,15 @@ let schedule ?(budget_ms = 10_000.) ?(deadline = Fd.Deadline.none)
 
 let run_on_simulator sched = Codegen.run_and_check sched
 
+let kernels =
+  [
+    ("matmul", fun () -> Apps.Matmul.graph (Apps.Matmul.build ()));
+    ("qrd", fun () -> Apps.Qrd.graph (Apps.Qrd.build ()));
+    ("qrd-sorted", fun () -> Apps.Qrd.graph (Apps.Qrd.build ~sorted:true ()));
+    ("arf", fun () -> Apps.Arf.graph (Apps.Arf.build ()));
+    ("fir", fun () -> Apps.Fir.graph (Apps.Fir.build ()));
+    ("corr", fun () -> Apps.Corr.graph (Apps.Corr.build ()));
+    ("detect", fun () -> Apps.Detect.graph (Apps.Detect.build ()));
+  ]
+
 let version = "1.0.0"

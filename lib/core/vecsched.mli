@@ -74,4 +74,9 @@ val run_on_simulator : Schedule.t -> (unit, string) result
 (** Code-generate and execute the schedule, checking every produced
     value against the IR reference evaluation. *)
 
+val kernels : (string * (unit -> Ir.t)) list
+(** The built-in kernels by name, each traced afresh (before the merge
+    pass): matmul, qrd, qrd-sorted, arf, fir, corr, detect.  [eitc]'s
+    kernel argument and the service's named requests read this list. *)
+
 val version : string

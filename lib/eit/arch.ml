@@ -13,7 +13,6 @@ type t = {
   slot_limit : int option;
   max_reads_per_cycle : int;
   max_writes_per_cycle : int;
-  reconfig_cost : int;
 }
 
 let default =
@@ -34,7 +33,6 @@ let default =
     slot_limit = None;
     max_reads_per_cycle = 8;
     max_writes_per_cycle = 4;
-    reconfig_cost = 1;
   }
 
 let wide =

@@ -27,8 +27,11 @@ type t = {
                                 [None] means all [banks * lines] *)
   max_reads_per_cycle : int;   (** 8 vectors = two matrices *)
   max_writes_per_cycle : int;  (** 4 vectors = one matrix *)
-  reconfig_cost : int;      (** cycles lost per reconfiguration *)
 }
+(** Reconfigurations have no knob: the simulator ({!Machine.run}) and
+    Table 2's overlap lengths charge no cycles for them, and Table 3's
+    modulo kernels charge one cycle each ([actual_ii = ii +
+    reconfigurations]). *)
 
 val default : t
 (** The EIT instance used throughout the paper's evaluation

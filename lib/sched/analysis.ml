@@ -101,15 +101,11 @@ let of_modulo g arch (r : Modulo.result) =
 
 let of_overlap g arch (ov : Overlap.t) =
   let issues =
-    List.concat_map
-      (fun (bundle_idx, (_, ops)) ->
-        List.concat_map
-          (fun i ->
-            let rc, k = issue_of g i in
-            List.init ov.Overlap.m (fun iter ->
-                ((bundle_idx * ov.Overlap.m) + iter, rc, k)))
-          ops)
-      (List.mapi (fun k b -> (k, b)) ov.Overlap.bundles)
+    List.map
+      (fun x ->
+        let rc, k = issue_of g x.Schedule.op in
+        (x.Schedule.cycle, rc, k))
+      (Periodic.issues (Periodic.of_overlap g arch ov))
   in
   analyze arch ~span:ov.Overlap.length issues
 

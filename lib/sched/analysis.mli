@@ -34,8 +34,9 @@ val of_modulo : Ir.t -> Eit.Arch.t -> Modulo.result -> t
     overlapping iterations folded in. *)
 
 val of_overlap : Ir.t -> Eit.Arch.t -> Overlap.t -> t
-(** Analysis of the overlapped schedule: each instruction bundle
-    occupies [m] consecutive cycles. *)
+(** Analysis of the overlapped schedule's issue stream
+    ({!Periodic.of_overlap}): each instruction bundle occupies [m]
+    consecutive cycles. *)
 
 val vector_utilization : t -> float
 (** Shorthand: utilization of the vector core (0 when it is unused). *)

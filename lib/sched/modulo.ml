@@ -12,10 +12,7 @@ type result = {
   proven : bool;
 }
 
-let node_latency g arch i =
-  match (Ir.node g i).Ir.op with
-  | Some op -> Eit.Arch.latency arch op
-  | None -> 0
+let node_latency = Schedule.node_latency
 
 (* Configuration classes of the vector-core ops: (representative, count,
    lanes). *)
@@ -286,56 +283,6 @@ let solve_including ?(budget_ms = 600_000.) ?(arch = Eit.Arch.default) g =
         ~time_ms:((Unix.gettimeofday () -. t0) *. 1000.)
         ~proven:!proven)
     !best
-
-let validate g arch r =
-  let err fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let exception E of string in
-  try
-    (* precedence within the iteration *)
-    List.iter
-      (fun (i, lat, j) ->
-        if r.start.(i) + lat > r.start.(j) then
-          raise (E (Printf.sprintf "dep %d -> %d violated" i j)))
-      (op_deps g arch);
-    (* steady state: per-residue capacities *)
-    let residues rc =
-      let tbl = Hashtbl.create 16 in
-      List.iter
-        (fun i ->
-          if Eit.Opcode.resource (Ir.opcode g i) = rc then begin
-            let c = r.start.(i) mod r.ii in
-            Hashtbl.replace tbl c (i :: Option.value ~default:[] (Hashtbl.find_opt tbl c))
-          end)
-        (Ir.op_nodes g);
-      tbl
-    in
-    let vec = residues Eit.Opcode.Vector_core in
-    Hashtbl.iter
-      (fun c ops ->
-        let lanes =
-          List.fold_left (fun acc i -> acc + Eit.Opcode.lanes (Ir.opcode g i)) 0 ops
-        in
-        if lanes > arch.Eit.Arch.n_lanes then
-          raise (E (Printf.sprintf "residue %d: %d lanes" c lanes));
-        match ops with
-        | first :: rest ->
-          List.iter
-            (fun j ->
-              if not (Eit.Opcode.config_equal (Ir.opcode g first) (Ir.opcode g j)) then
-                raise (E (Printf.sprintf "residue %d: mixed configurations" c)))
-            rest
-        | [] -> ())
-      vec;
-    List.iter
-      (fun rc ->
-        Hashtbl.iter
-          (fun c ops ->
-            if List.length ops > 1 then
-              raise (E (Printf.sprintf "residue %d: serial unit overloaded" c)))
-          (residues rc))
-      [ Eit.Opcode.Scalar_accel; Eit.Opcode.Index_merge ];
-    Ok ()
-  with E msg -> err "%s" msg
 
 let pp ppf r =
   Format.fprintf ppf

@@ -23,7 +23,8 @@
 
     Memory allocation is excluded, as in the paper: with enough memory,
     the allocation of the original schedule repeats per iteration at an
-    offset. *)
+    offset ({!Periodic.of_modulo} and {!Periodic.to_program}).
+    {!Validate.modulo} re-checks a result from the IR and arch alone. *)
 
 open Eit_dsl
 
@@ -50,10 +51,5 @@ val solve_excluding :
 val solve_including :
   ?budget_ms:float -> ?arch:Eit.Arch.t -> Ir.t -> result option
 (** Minimize [II + reconfigurations]. *)
-
-val validate : Ir.t -> Eit.Arch.t -> result -> (unit, string) Stdlib.result
-(** Re-check the kernel over an unrolled window: precedences within the
-    iteration, per-residue resource capacities and configuration
-    exclusivity across overlapping iterations. *)
 
 val pp : Format.formatter -> result -> unit

@@ -21,10 +21,7 @@ let bundles_of sched =
   Hashtbl.fold (fun c ops acc -> (c, List.rev ops) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let node_latency g arch i =
-  match (Ir.node g i).Ir.op with
-  | Some op -> Eit.Arch.latency arch op
-  | None -> 0
+let node_latency = Schedule.node_latency
 
 (* The latency that must be masked between two dependent instructions:
    any op whose result is consumed downstream. *)

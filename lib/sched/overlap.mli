@@ -11,7 +11,11 @@
     Reconfigurations collapse to (almost) one per instruction: within a
     group of M copies the configuration never changes; it can only
     change between the last copy of instruction k and the first copy of
-    instruction k+1. *)
+    instruction k+1.
+
+    As a schedule, an overlap is periodic ({!Periodic.of_overlap}):
+    instruction k starts at [k * M] and the M iterations follow one
+    cycle apart. *)
 
 type t = {
   bundles : (int * int list) list;

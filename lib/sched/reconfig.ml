@@ -15,16 +15,6 @@ let configs sched =
 
 let count sched = Eit.Config.count_reconfigs (configs sched)
 
-let count_cyclic sched ~ii =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun i ->
-      Hashtbl.replace tbl
-        (sched.Schedule.start.(i) mod ii)
-        (Ir.opcode sched.Schedule.ir i))
-    (vector_ops sched);
-  Eit.Config.count_reconfigs_cyclic (List.init ii (fun c -> Hashtbl.find_opt tbl c))
-
 let lower_bound g =
   let configs =
     List.filter_map

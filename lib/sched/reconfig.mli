@@ -11,11 +11,6 @@ val configs : Schedule.t -> Eit.Config.t list
 val count : Schedule.t -> int
 (** Linear reconfiguration count of a single-iteration schedule. *)
 
-val count_cyclic : Schedule.t -> ii:int -> int
-(** Reconfigurations of a modulo-schedule kernel: configurations are
-    folded onto the [ii] residue cycles (by start time mod [ii]) and
-    counted cyclically, including the wrap-around transition. *)
-
 val lower_bound : Eit_dsl.Ir.t -> int
 (** Minimum reconfigurations any cyclic schedule of this graph needs:
     the number of distinct vector-core configurations (0 when there are

@@ -11,10 +11,12 @@ type t = {
 let start_of t i = t.start.(i)
 let slot_of t i = List.assoc i t.slot
 
-let latency_of t i =
-  match (Ir.node t.ir i).Ir.op with
-  | Some op -> Eit.Arch.latency t.arch op
+let node_latency g arch i =
+  match (Ir.node g i).Ir.op with
+  | Some op -> Eit.Arch.latency arch op
   | None -> 0
+
+let latency_of t i = node_latency t.ir t.arch i
 
 (* Paper eq. 10 extended by one cycle: the slot stays occupied through
    the cycle of the last read, so a successor write can never race it. *)
@@ -35,58 +37,68 @@ type violation = { where : string; msg : string }
 
 let pp_violation ppf v = Format.fprintf ppf "[%s] %s" v.where v.msg
 
-let validate t =
-  let violations = ref [] in
-  let add where fmt =
-    Format.kasprintf (fun msg -> violations := { where; msg } :: !violations) fmt
-  in
-  let g = t.ir and arch = t.arch in
-  let n = Ir.size g in
-  if Array.length t.start <> n then
-    add "structure" "start array length %d <> node count %d" (Array.length t.start) n;
+(* Violations are gathered in reverse; [add vs where fmt] adds one. *)
+let add vs where fmt =
+  Format.kasprintf (fun msg -> vs := { where; msg } :: !vs) fmt
+
+type issue = { cycle : int; iter : int; op : int }
+
+let issues g start ~ii ~iterations =
+  List.concat_map
+    (fun op ->
+      List.init iterations (fun iter ->
+          { cycle = start.(op) + (iter * ii); iter; op }))
+    (Ir.op_nodes g)
+
+let check_timing g arch start =
+  let vs = ref [] in
+  let lat = node_latency g arch in
   (* eq. 1: precedence with latency *)
-  List.iter
-    (fun i ->
-      List.iter
-        (fun j ->
-          if t.start.(i) + latency_of t i > t.start.(j) then
-            add "precedence" "edge %d->%d: %d + %d > %d" i j t.start.(i)
-              (latency_of t i) t.start.(j))
-        (Ir.succs g i))
-    (List.init n Fun.id);
+  for i = 0 to Ir.size g - 1 do
+    List.iter
+      (fun j ->
+        if start.(i) + lat i > start.(j) then
+          add vs "precedence" "edge %d->%d: %d + %d > %d" i j start.(i) (lat i)
+            start.(j))
+      (Ir.succs g i)
+  done;
   (* eq. 4: data nodes start exactly when produced; inputs at 0 *)
   List.iter
     (fun d ->
       match Ir.producer g d with
       | Some p ->
-        if t.start.(d) <> t.start.(p) + latency_of t p then
-          add "data-start" "data %d starts at %d, producer %d completes at %d" d
-            t.start.(d) p (t.start.(p) + latency_of t p)
+        if start.(d) <> start.(p) + lat p then
+          add vs "data-start" "data %d starts at %d, producer %d completes at %d" d
+            start.(d) p (start.(p) + lat p)
       | None ->
-        if t.start.(d) <> 0 then add "data-start" "input %d starts at %d" d t.start.(d))
+        if start.(d) <> 0 then add vs "data-start" "input %d starts at %d" d start.(d))
     (Ir.data_nodes g);
+  List.rev !vs
+
+let check_issue g arch start ~ii ~iterations =
+  let vs = ref [] in
+  let stream = issues g start ~ii ~iterations in
+  let opcode x = Ir.opcode g x.op in
   (* eq. 2 + scalar/IM resources: ground cumulative *)
   let check_resource rc limit =
-    let ops =
-      List.filter (fun i -> Eit.Opcode.resource (Ir.opcode g i) = rc) (Ir.op_nodes g)
+    let mine =
+      List.filter (fun x -> Eit.Opcode.resource (opcode x) = rc) stream
     in
-    if ops <> [] then begin
-      let starts = Array.of_list (List.map (fun i -> t.start.(i)) ops) in
-      let durations =
-        Array.of_list (List.map (fun i -> Eit.Arch.duration arch (Ir.opcode g i)) ops)
+    if mine <> [] then begin
+      let column f = Array.of_list (List.map f mine) in
+      let amount x =
+        match rc with
+        | Eit.Opcode.Vector_core -> Eit.Opcode.lanes (opcode x)
+        | _ -> 1
       in
-      let resources =
-        Array.of_list
-          (List.map
-             (fun i ->
-               match rc with
-               | Eit.Opcode.Vector_core -> Eit.Opcode.lanes (Ir.opcode g i)
-               | _ -> 1)
-             ops)
-      in
-      if not (Fd.Cumulative.check ~starts ~durations ~resources ~limit) then
-        add "resource"
-          "%s capacity %d exceeded"
+      if
+        not
+          (Fd.Cumulative.check
+             ~starts:(column (fun x -> x.cycle))
+             ~durations:(column (fun x -> Eit.Arch.duration arch (opcode x)))
+             ~resources:(column amount) ~limit)
+      then
+        add vs "resource" "%s capacity %d exceeded"
           (match rc with
           | Eit.Opcode.Vector_core -> "vector core"
           | Eit.Opcode.Scalar_accel -> "scalar accelerator"
@@ -97,6 +109,60 @@ let validate t =
   check_resource Eit.Opcode.Vector_core arch.Eit.Arch.n_lanes;
   check_resource Eit.Opcode.Scalar_accel 1;
   check_resource Eit.Opcode.Index_merge 1;
+  (* eq. 3: the vector-core issues of one cycle share one configuration.
+     Each is checked against those after it in its cycle's bucket
+     ([Hashtbl.find_all] returns a bucket in stream order, since the
+     issues are added in reverse), and each pair of ops is reported
+     once, at the first cycle it meets: in one iteration, the order a
+     scan of every pair would report them.  A table, not an array over
+     the horizon: a corrupt start may be huge. *)
+  let vector =
+    List.filter
+      (fun x -> Eit.Opcode.resource (opcode x) = Eit.Opcode.Vector_core)
+      stream
+  in
+  let bucket = Hashtbl.create 64 in
+  List.iter (fun x -> Hashtbl.add bucket x.cycle x) (List.rev vector);
+  let reported = Hashtbl.create 8 in
+  let rec after x = function
+    | [] -> []
+    | y :: rest -> if y == x then rest else after x rest
+  in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          let pair = (min x.op y.op, max x.op y.op) in
+          if
+            (not (Eit.Opcode.config_equal (opcode x) (opcode y)))
+            && not (Hashtbl.mem reported pair)
+          then begin
+            Hashtbl.add reported pair ();
+            add vs "configuration" "ops %d (%s) and %d (%s) co-scheduled at %d"
+              x.op
+              (Eit.Opcode.name (opcode x))
+              y.op
+              (Eit.Opcode.name (opcode y))
+              x.cycle
+          end)
+        (after x (Hashtbl.find_all bucket x.cycle)))
+    vector;
+  List.rev !vs
+
+let validate t =
+  let g = t.ir and arch = t.arch in
+  let n = Ir.size g in
+  let structure =
+    if Array.length t.start <> n then
+      [ { where = "structure";
+          msg =
+            Printf.sprintf "start array length %d <> node count %d"
+              (Array.length t.start) n } ]
+    else []
+  in
+  let timing = check_timing g arch t.start in
+  let issue = check_issue g arch t.start ~ii:1 ~iterations:1 in
+  let vs = ref [] in
   (* Ops and written data bucketed by start cycle: [Hashtbl.find_all]
      returns a bucket in node order, since the nodes are added in
      reverse.  A table, not an array over the horizon: a corrupt start
@@ -106,32 +172,7 @@ let validate t =
     List.iter (fun i -> if keep i then Hashtbl.add b t.start.(i) i) (List.rev nodes);
     b
   in
-  let vector_core i = Eit.Opcode.resource (Ir.opcode g i) = Eit.Opcode.Vector_core in
   let issued = bucket (Ir.op_nodes g) (fun _ -> true) in
-  (* eq. 3: co-scheduled vector-core ops share one configuration.  Each
-     vector-core op [i] is checked against the vector-core ops after it
-     in its own start bucket, so the pairs come in the order a scan of
-     every pair would report them. *)
-  let rec after i = function
-    | [] -> []
-    | j :: rest -> if j = i then rest else after i rest
-  in
-  List.iter
-    (fun i ->
-      if vector_core i then
-        List.iter
-          (fun j ->
-            if
-              vector_core j
-              && not (Eit.Opcode.config_equal (Ir.opcode g i) (Ir.opcode g j))
-            then
-              add "configuration" "ops %d (%s) and %d (%s) co-scheduled at %d" i
-                (Eit.Opcode.name (Ir.opcode g i))
-                j
-                (Eit.Opcode.name (Ir.opcode g j))
-                t.start.(i))
-          (after i (Hashtbl.find_all issued t.start.(i))))
-    (Ir.op_nodes g);
   (* each node's first slot binding, as [List.assoc] would find it *)
   let slot = Array.make n None in
   List.iter
@@ -142,10 +183,10 @@ let validate t =
   List.iter
     (fun d ->
       match slot.(d) with
-      | None -> add "memory" "vector data %d has no slot" d
+      | None -> add vs "memory" "vector data %d has no slot" d
       | Some k ->
         if k < 0 || k >= Eit.Arch.slots arch then
-          add "memory" "vector data %d allocated out-of-range slot %d" d k)
+          add vs "memory" "vector data %d allocated out-of-range slot %d" d k)
     vdata;
   (* eqs. 10-11: lifetimes of data sharing a slot must not overlap *)
   let rects =
@@ -157,7 +198,7 @@ let validate t =
       vdata
   in
   if not (Fd.Diff2.check rects) then
-    add "slot-reuse" "overlapping lifetimes share a slot";
+    add vs "slot-reuse" "overlapping lifetimes share a slot";
   (* eqs. 7-9 + port limits, checked operationally: per cycle, gather the
      slots read (inputs of ops issued) and written (data nodes starting),
      and run the architecture's access checker.  Only the cycles >= 0
@@ -180,7 +221,7 @@ let validate t =
       in
       let writes = List.filter_map (fun d -> slot.(d)) (Hashtbl.find_all written cycle) in
       List.iter
-        (fun v -> add "memory-access" "cycle %d: %a" cycle Eit.Mem.pp_violation v)
+        (fun v -> add vs "memory-access" "cycle %d: %a" cycle Eit.Mem.pp_violation v)
         (Eit.Mem.check_access arch ~reads ~writes))
     (List.filter (fun c -> c >= 0)
        (List.sort_uniq compare (keys issued @ keys written)));
@@ -191,8 +232,8 @@ let validate t =
       0 (List.init n Fun.id)
   in
   if real <> t.makespan then
-    add "makespan" "recorded %d, actual %d" t.makespan real;
-  List.rev !violations
+    add vs "makespan" "recorded %d, actual %d" t.makespan real;
+  structure @ timing @ issue @ List.rev !vs
 
 let is_valid t = validate t = []
 

@@ -22,8 +22,11 @@ val start_of : t -> int -> int
 val slot_of : t -> int -> int
 (** @raise Not_found for nodes without a slot. *)
 
-val latency_of : t -> int -> int
+val node_latency : Ir.t -> Eit.Arch.t -> int -> int
 (** 0 for data nodes, [Arch.latency] for ops. *)
+
+val latency_of : t -> int -> int
+(** [node_latency] of the schedule's graph and architecture. *)
 
 val lifetime : t -> int -> int
 (** Paper eq. 10 for a vector data node, extended by one cycle: the slot
@@ -42,7 +45,36 @@ type violation = { where : string; msg : string }
 
 val validate : t -> violation list
 (** Empty iff the schedule satisfies every constraint of the paper's
-    model.  Each violation names the constraint group it breaks. *)
+    model.  Each violation names the constraint group it breaks.  A
+    flat schedule is one iteration: eqs. 1-4 are {!check_timing} and
+    {!check_issue} with [~ii:1 ~iterations:1]. *)
+
+(** {2 Eqs. 1-4 for periodic schedules}
+
+    §4.3's overlapped and modulo executions re-issue one iteration's
+    start times every [ii] cycles.  Dependencies stay inside an
+    iteration, so eqs. 1 and 4 are checked on the iteration's start
+    array; the capacities and eq. 3 are checked on the issue stream of
+    all iterations. *)
+
+type issue = { cycle : int; iter : int; op : int }
+
+val issues : Ir.t -> int array -> ii:int -> iterations:int -> issue list
+(** The issue stream: iteration [iter] issues op [op] at
+    [start.(op) + iter * ii].  Ops in node order, each op's iterations
+    in ascending order. *)
+
+val check_timing : Ir.t -> Eit.Arch.t -> int array -> violation list
+(** Eq. 1 (every edge's source completes before its target starts) and
+    eq. 4 (data start when produced, inputs at 0) on one iteration's
+    start array, indexed by node id. *)
+
+val check_issue :
+  Ir.t -> Eit.Arch.t -> int array -> ii:int -> iterations:int -> violation list
+(** Eq. 2 and the serial units' capacities (a ground cumulative per
+    resource with [Arch.duration]), then eq. 3 (the vector-core issues
+    of one cycle share a configuration, each conflicting pair of ops
+    reported once), over {!issues}. *)
 
 val is_valid : t -> bool
 

@@ -180,9 +180,8 @@ let replay_hit ~memory ~arch ~tid ~vms g (canon : Cache.Key.canon) payload =
       | Error _ | (exception _) -> fin None))
 
 let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
-    ?(memory = true) ?(arch = Eit.Arch.default) ?(validate = true)
-    ?(parallel = 0) ?chaos ?(chaos_base = 0) ?(fallback = true) ?(tid = 0)
-    ?cache ?metrics g =
+    ?(memory = true) ?(arch = Eit.Arch.default) ?(parallel = 0) ?chaos
+    ?(chaos_base = 0) ?(fallback = true) ?(tid = 0) ?cache ?metrics g =
   (* Wall-clock spent in the independent validator for this request
      (normal, fallback and cache-hit validations all accumulate). *)
   let vms = ref 0. in
@@ -206,7 +205,6 @@ let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
           parallel;
           max_nodes = budget.Fd.Search.max_nodes;
           max_time_ms = budget.Fd.Search.max_time_ms;
-          validate;
         }
       in
       Some (canon, Cache.Key.make canon arch opts)
@@ -255,16 +253,13 @@ let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
         ~parallel ~tid g
   in
   let check sch ~memory =
-    if validate then begin
-      let t0 = Obs.now_us () in
-      let r =
-        Obs.span ~cat:"sched" ~tid "validate" (fun () ->
-            Validate.schedule ~memory sch)
-      in
-      vms := !vms +. ((Obs.now_us () -. t0) /. 1000.);
-      r
-    end
-    else Ok ()
+    let t0 = Obs.now_us () in
+    let r =
+      Obs.span ~cat:"sched" ~tid "validate" (fun () ->
+          Validate.schedule ~memory sch)
+    in
+    vms := !vms +. ((Obs.now_us () -. t0) /. 1000.);
+    r
   in
   (* Degradation ladder: a CP incumbent that passes the independent
      validator wins; otherwise the heuristic fallback is tried (also
@@ -332,31 +327,20 @@ let run ?(budget = Fd.Search.time_budget 10_000.) ?(deadline = Fd.Deadline.none)
   (match (cache, canon_key) with
   | Some c, Some (canon, key) -> (
     match (o.status, o.engine, o.schedule) with
-    | Optimal, Cp, Some sch ->
-      let sound =
-        if validate then o.validation = Ok ()
-        else (
-          (* the run skipped validation; never cache an unchecked
-             schedule *)
-          match Validate.schedule ~memory sch with
-          | Ok () -> true
-          | Error _ | (exception _) -> false)
+    | Optimal, Cp, Some sch when o.validation = Ok () ->
+      let n = Eit_dsl.Ir.size g in
+      let start =
+        Array.init n (fun ci ->
+            sch.Schedule.start.(canon.Cache.Key.of_canon.(ci)))
       in
-      if sound then begin
-        let n = Eit_dsl.Ir.size g in
-        let start =
-          Array.init n (fun ci ->
-              sch.Schedule.start.(canon.Cache.Key.of_canon.(ci)))
-        in
-        let slot =
-          List.map
-            (fun (id, s) -> (canon.Cache.Key.to_canon.(id), s))
-            sch.Schedule.slot
-          |> List.sort compare
-        in
-        Cache.store c key
-          (Cache.Schedule { start; slot; makespan = sch.Schedule.makespan })
-      end
+      let slot =
+        List.map
+          (fun (id, s) -> (canon.Cache.Key.to_canon.(id), s))
+          sch.Schedule.slot
+        |> List.sort compare
+      in
+      Cache.store c key
+        (Cache.Schedule { start; slot; makespan = sch.Schedule.makespan })
     | Infeasible, Cp, None when o.crashes = [] ->
       Cache.store c key Cache.Infeasible
     | _ -> ())

@@ -30,7 +30,7 @@ type outcome = {
   engine : engine;
   schedule : Schedule.t option;
       (** invariant: [Some] implies [status] is [Optimal] or
-          [Feasible_timeout]; always validated when [validate] is on.
+          [Feasible_timeout]; always validated.
           [Feasible_timeout] with [None] is an honest timeout whose
           fallback also (legitimately) failed *)
   stats : Fd.Search.stats;
@@ -52,8 +52,7 @@ type outcome = {
   validate_ms : float;
       (** total wall-clock spent in the independent validator for this
           request — normal, fallback and cache-hit re-validations all
-          accumulate; [0.] when [validate] was off and no cache hit
-          occurred *)
+          accumulate; [0.] when no schedule was produced *)
 }
 
 val run :
@@ -61,7 +60,6 @@ val run :
   ?deadline:Fd.Deadline.t ->
   ?memory:bool ->
   ?arch:Eit.Arch.t ->
-  ?validate:bool ->
   ?parallel:int ->
   ?chaos:Fd.Chaos.t ->
   ?chaos_base:int ->
@@ -72,7 +70,7 @@ val run :
   Ir.t ->
   outcome
 (** Defaults: 10-second time budget, no extra deadline, memory
-    allocation on, {!Eit.Arch.default}, validation on, [parallel = 0]
+    allocation on, {!Eit.Arch.default}, [parallel = 0]
     (sequential), no fault injection, fallback on, trace [tid] 0.
 
     The effective deadline is the earlier of [deadline] and the

@@ -26,162 +26,130 @@ let schedule ?(memory = true) sch =
   in
   to_result "schedule" relevant
 
-let node_latency g arch i =
-  match (Ir.node g i).Ir.op with
-  | Some op -> Eit.Arch.latency arch op
-  | None -> 0
-
-(* Re-derive every property of an overlapped execution from the bundle
-   list alone — nothing is trusted from [Overlap.run]'s own
-   bookkeeping. *)
+(* Re-derive an overlapped execution's figures from its bundle list
+   alone: nothing is trusted from [Overlap.run]'s own bookkeeping. *)
 let overlap g arch (t : Overlap.t) =
   let violations = ref [] in
-  let add where fmt =
+  let add fmt =
     Format.kasprintf
-      (fun msg -> violations := { Schedule.where; msg } :: !violations)
+      (fun msg -> violations := { Schedule.where = "overlap"; msg } :: !violations)
       fmt
   in
   let bundles = List.map snd t.Overlap.bundles in
   let m = t.Overlap.m in
-  if m < 1 then add "overlap" "M = %d is not positive" m;
+  if m < 1 then add "M = %d is not positive" m;
   (* Coverage: each operation is issued exactly once per iteration. *)
-  let bundle_of = Hashtbl.create 64 in
-  List.iteri
-    (fun k ops ->
-      List.iter
-        (fun i ->
-          if Hashtbl.mem bundle_of i then
-            add "overlap" "op %d appears in more than one bundle" i
-          else Hashtbl.add bundle_of i k)
-        ops)
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (List.iter (fun i ->
+         if Hashtbl.mem seen i then add "op %d appears in more than one bundle" i
+         else Hashtbl.add seen i ()))
     bundles;
   List.iter
     (fun i ->
-      if not (Hashtbl.mem bundle_of i) then
-        add "overlap" "op %d missing from the bundle sequence" i)
+      if not (Hashtbl.mem seen i) then add "op %d missing from the bundle sequence" i)
     (Ir.op_nodes g);
-  (* Masked dependencies: iteration [i]'s copy of instruction [k]
-     issues at [k*M + i], so a producer in bundle [kp] and a consumer
-     in bundle [kc] of the same iteration are [(kc - kp) * M] cycles
-     apart — that gap must cover the producer's latency. *)
-  List.iter
-    (fun p ->
-      match Hashtbl.find_opt bundle_of p with
-      | None -> ()
-      | Some kp ->
-        List.iter
-          (fun d ->
-            List.iter
-              (fun c ->
-                match Hashtbl.find_opt bundle_of c with
-                | None -> ()
-                | Some kc ->
-                  if (kc - kp) * m < node_latency g arch p then
-                    add "precedence"
-                      "ops %d (bundle %d) -> %d (bundle %d): gap %d does not \
-                       mask latency %d"
-                      p kp c kc
-                      ((kc - kp) * m)
-                      (node_latency g arch p))
-              (Ir.succs g d))
-          (Ir.succs g p))
-    (Ir.op_nodes g);
-  (* Ground resource check over the full overlapped stream: every copy
-     of every instruction, at its actual issue cycle. *)
-  let stream rc =
-    List.concat
-      (List.mapi
-         (fun k ops ->
-           List.concat_map
-             (fun i ->
-               if Eit.Opcode.resource (Ir.opcode g i) = rc then
-                 List.init m (fun iter -> (i, (k * m) + iter))
-               else [])
-             ops)
-         bundles)
-  in
-  let check_resource rc limit label =
-    let issues = stream rc in
-    if issues <> [] then begin
-      let starts = Array.of_list (List.map snd issues) in
-      let durations =
-        Array.of_list
-          (List.map (fun (i, _) -> Eit.Arch.duration arch (Ir.opcode g i)) issues)
-      in
-      let resources =
-        Array.of_list
-          (List.map
-             (fun (i, _) ->
-               match rc with
-               | Eit.Opcode.Vector_core -> Eit.Opcode.lanes (Ir.opcode g i)
-               | _ -> 1)
-             issues)
-      in
-      if not (Fd.Cumulative.check ~starts ~durations ~resources ~limit) then
-        add "resource" "%s capacity %d exceeded in the overlapped stream"
-          label limit
-    end
-  in
-  check_resource Eit.Opcode.Vector_core arch.Eit.Arch.n_lanes "vector core";
-  check_resource Eit.Opcode.Scalar_accel 1 "scalar accelerator";
-  check_resource Eit.Opcode.Index_merge 1 "index/merge unit";
-  (* Configuration grouping: all M copies of one bundle issue in
-     consecutive cycles under one configuration, so the bundle's
-     vector-core ops must agree on it (eq. 3). *)
-  List.iteri
-    (fun k ops ->
-      let vops =
-        List.filter
-          (fun i ->
-            Eit.Opcode.resource (Ir.opcode g i) = Eit.Opcode.Vector_core)
-          ops
-      in
-      match vops with
-      | [] | [ _ ] -> ()
-      | first :: rest ->
-        List.iter
-          (fun j ->
-            if not (Eit.Opcode.config_equal (Ir.opcode g first) (Ir.opcode g j))
-            then
-              add "configuration"
-                "bundle %d mixes configurations (%s vs %s)" k
-                (Eit.Opcode.name (Ir.opcode g first))
-                (Eit.Opcode.name (Ir.opcode g j)))
-          rest)
-    bundles;
+  (* Eqs. 1-4 over the M lock-step iterations: iteration [r]'s copy of
+     bundle [k] issues at [k * M + r]. *)
+  if !violations = [] then
+    violations :=
+      List.rev_append (Periodic.violations (Periodic.of_overlap g arch t)) !violations;
   (* Book-keeping: recompute the derived figures. *)
   let n = List.length bundles in
   if t.Overlap.n_instructions <> n then
-    add "overlap" "records %d instructions, bundle list has %d"
-      t.Overlap.n_instructions n;
+    add "records %d instructions, bundle list has %d" t.Overlap.n_instructions n;
   let drain =
     match List.rev bundles with
     | ops :: _ ->
-      List.fold_left (fun acc i -> max acc (node_latency g arch i)) 0 ops
+      List.fold_left (fun acc i -> max acc (Schedule.node_latency g arch i)) 0 ops
     | [] -> 0
   in
+  if t.Overlap.drain <> drain then
+    add "records drain %d, last bundle drains in %d" t.Overlap.drain drain;
   if t.Overlap.length <> (n * m) + drain then
-    add "overlap" "length %d <> N*M + drain = %d" t.Overlap.length
-      ((n * m) + drain);
-  let configs =
-    List.map
-      (fun ops ->
-        List.find_map
-          (fun i ->
-            let op = Ir.opcode g i in
-            if Eit.Opcode.resource op = Eit.Opcode.Vector_core then Some op
-            else None)
-          ops)
-      bundles
+    add "length %d <> N*M + drain = %d" t.Overlap.length ((n * m) + drain);
+  let reconfigs =
+    Eit.Config.count_reconfigs
+      (List.map (List.find_map (fun i ->
+           let op = Ir.opcode g i in
+           if Eit.Opcode.resource op = Eit.Opcode.Vector_core then Some op else None))
+         bundles)
   in
-  let reconfigs = Eit.Config.count_reconfigs configs in
   if t.Overlap.reconfigurations <> reconfigs then
-    add "configuration" "records %d reconfigurations, recount gives %d"
+    add "records %d reconfigurations, recount gives %d"
       t.Overlap.reconfigurations reconfigs;
   to_result "overlap" (List.rev !violations)
 
-let modulo g arch r =
-  match Modulo.validate g arch r with
-  | Ok () -> Ok ()
-  | Error msg ->
-    Error { subject = "modulo"; violations = [ { where = "modulo"; msg } ] }
+(* A kernel's steady state is checked on a finite window: an op issued
+   at [s < span] holds its unit until [s + duration], so at most
+   [ceil((span + max duration) / II)] iterations overlap in any cycle,
+   and a window one iteration longer holds every cycle of the steady
+   state.  A window of more than [window_limit] issues is refused, not
+   unrolled: a corrupt start may be huge, and a modulo kernel spans its
+   critical path plus at most 2 II.  The derived figures are recomputed
+   from the IR and arch. *)
+let window_limit = 1 lsl 16
+
+let modulo g arch (r : Modulo.result) =
+  let violations = ref [] in
+  let add fmt =
+    Format.kasprintf
+      (fun msg -> violations := { Schedule.where = "modulo"; msg } :: !violations)
+      fmt
+  in
+  let ii = r.Modulo.ii in
+  if ii < 1 then add "II %d is not positive" ii
+  else if Array.length r.Modulo.start <> Ir.size g then
+    add "start array length %d <> node count %d" (Array.length r.Modulo.start)
+      (Ir.size g);
+  if !violations <> [] then to_result "modulo" (List.rev !violations)
+  else begin
+    let ops = Ir.op_nodes g in
+    let max_duration =
+      List.fold_left
+        (fun acc i -> max acc (Eit.Arch.duration arch (Ir.opcode g i)))
+        0 ops
+    in
+    let span = Periodic.span (Periodic.of_modulo g arch r ~iterations:1) in
+    let iterations = ((span + max_duration + ii - 1) / ii) + 1 in
+    let periodic =
+      if iterations <= window_limit / max 1 (List.length ops) then
+        Periodic.violations (Periodic.of_modulo g arch r ~iterations)
+      else
+        [ { Schedule.where = "modulo";
+            msg =
+              Printf.sprintf "span %d at II %d: a %d-iteration window is too long to check"
+                span ii iterations } ]
+    in
+    (* the kernel's configuration in each occupied residue cycle, in
+       residue order, counted cyclically (idle residues are
+       transparent) *)
+    let residue = Hashtbl.create 16 in
+    List.iter
+      (fun i ->
+        let op = Ir.opcode g i in
+        if Eit.Opcode.resource op = Eit.Opcode.Vector_core then
+          Hashtbl.replace residue (((r.Modulo.start.(i) mod ii) + ii) mod ii) op)
+      ops;
+    let reconfigs =
+      Eit.Config.count_reconfigs_cyclic
+        (List.map
+           (fun (_, op) -> Some op)
+           (List.sort
+              (fun (a, _) (b, _) -> compare a b)
+              (Hashtbl.fold (fun c op acc -> (c, op) :: acc) residue [])))
+    in
+    if r.Modulo.reconfigurations <> reconfigs then
+      add "records %d reconfigurations, recount gives %d"
+        r.Modulo.reconfigurations reconfigs;
+    if r.Modulo.actual_ii <> ii + reconfigs then
+      add "actual II %d <> II + reconfigurations = %d" r.Modulo.actual_ii
+        (ii + reconfigs);
+    let throughput = 1. /. float_of_int (ii + reconfigs) in
+    if r.Modulo.throughput <> throughput then
+      add "throughput %g <> 1 / (II + reconfigurations) = %g"
+        r.Modulo.throughput throughput;
+    if r.Modulo.span <> span then
+      add "records span %d, latest completion is %d" r.Modulo.span span;
+    to_result "modulo" (periodic @ List.rev !violations)
+  end

@@ -240,22 +240,12 @@ type t = {
    kernel or preset, XML that does not parse — becomes a typed
    per-request [Invalid], never an escaping exception. *)
 
-let kernel_names =
-  [ "matmul"; "qrd"; "qrd-sorted"; "arf"; "fir"; "corr"; "detect" ]
-
 (* Compiled (merged) graphs for every built-in kernel, built eagerly at
    [create]: worker domains must never race a lazy cell. *)
 let compile_kernels () =
-  let merged g = (Vecsched.compile g).Vecsched.ir in
-  [
-    ("matmul", merged (Apps.Matmul.graph (Apps.Matmul.build ())));
-    ("qrd", merged (Apps.Qrd.graph (Apps.Qrd.build ())));
-    ("qrd-sorted", merged (Apps.Qrd.graph (Apps.Qrd.build ~sorted:true ())));
-    ("arf", merged (Apps.Arf.graph (Apps.Arf.build ())));
-    ("fir", merged (Apps.Fir.graph (Apps.Fir.build ())));
-    ("corr", merged (Apps.Corr.graph (Apps.Corr.build ())));
-    ("detect", merged (Apps.Detect.graph (Apps.Detect.build ())));
-  ]
+  List.map
+    (fun (name, build) -> (name, (Vecsched.compile (build ())).Vecsched.ir))
+    Vecsched.kernels
 
 let resolve_arch req =
   let preset =
@@ -283,7 +273,7 @@ let resolve_graph kernels = function
     | None ->
       Error
         (Printf.sprintf "unknown kernel %S (known: %s)" k
-           (String.concat ", " kernel_names)))
+           (String.concat ", " (List.map fst Vecsched.kernels))))
   | Xml_text s -> (
     match Vecsched.Xml.parse s with
     | Ok g -> (

@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end smokes over the built `eitc` binary: the fallback sweep,
 # a fallback that fails without a crash, trace, trace-analytics and
-# live-metrics smokes, the MATMUL bound guard, the
+# live-metrics smokes, the MATMUL bound guard, §4.3's figures (Table 2,
+# the simulator cross-checks, utilization, `eitc modulo`), the
 # serve / cache / telemetry / postmortem / tail-keep smokes, and a guard
 # that `bench profile --path` leaves BENCH_solver.json, and any file
 # that is not a report, alone.  `check.sh` runs this after the build
@@ -180,6 +181,52 @@ if [ "$nodes" -gt 100 ]; then
   exit 1
 fi
 echo "smoke.sh: bound guard OK (matmul optimal in $nodes nodes <= 100)"
+
+# §4.3's figures: Table 2's rows, the simulator cross-checks of every
+# overlapped and modulo program (`bench dynamic`), the overlapped
+# utilization rows and two Table 3 kernels, each printed verbatim and
+# deterministic (tens of milliseconds each).
+dune build ./bench/main.exe
+BENCH=_build/default/bench/main.exe
+expect_rows() {
+  what=$1
+  out=$2
+  shift 2
+  for row in "$@"; do
+    printf '%s\n' "$out" | grep -qF -- "$row" || {
+      echo "smoke.sh: $what: missing row: $row" >&2
+      printf '%s\n' "$out" >&2
+      exit 1
+    }
+  done
+}
+expect_rows "bench table2" "$("$BENCH" table2)" \
+  "Manual       391            32               13" \
+  "Automated    427            35               13"
+expect_rows "bench dynamic" "$("$BENCH" dynamic)" \
+  "MATMUL   overlap M=8     160 results verified, port-clean=true" \
+  "MATMUL   modulo  N=4      80 results verified, port-clean=true, completion=23 (= span+3*II: true)" \
+  "ARF      overlap M=7     196 results verified, port-clean=true" \
+  "ARF      modulo  N=4     112 results verified, port-clean=false, completion=97 (= span+3*II: true)" \
+  "QRD      overlap M=12    744 results verified, port-clean=false" \
+  "QRD      modulo  N=4     248 results verified, port-clean=false, completion=264 (= span+3*II: true)"
+expect_rows "bench utilization" "$("$BENCH" utilization)" \
+  "QRD      overlap-12   28.1           216/427      36" \
+  "ARF      overlap-12   48.0           168/175      7" \
+  "MATMUL   overlap-12   49.5           48/97        49"
+out=$("$EITC" modulo matmul) || {
+  echo "smoke.sh: eitc modulo matmul exited non-zero" >&2
+  echo "$out" >&2
+  exit 1
+}
+expect_rows "eitc modulo matmul" "$out" "II=4, 0 reconfigs, actual II=4"
+out=$("$EITC" modulo arf) || {
+  echo "smoke.sh: eitc modulo arf exited non-zero" >&2
+  echo "$out" >&2
+  exit 1
+}
+expect_rows "eitc modulo arf" "$out" "II=7, 4 reconfigs, actual II=11"
+echo "smoke.sh: §4.3 smoke OK (Table 2, 6 simulator cross-checks, overlap utilization, modulo matmul + arf validated)"
 
 # Service smoke: three line-delimited JSON requests — two solvable
 # kernels and one malformed XML payload — through `eitc serve`.  The

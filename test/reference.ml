@@ -241,3 +241,53 @@ let config_violations (t : Sched.Schedule.t) =
   in
   config_pairs vops;
   List.rev !violations
+
+(* §4.3's periodic schedules unrolled by brute force: iteration [r]
+   issues op [i] at [start.(i) + r * ii].  Returns whether dependencies
+   (op to op through their data, with the producer's latency), the
+   capacities (per-cycle sums of every issue's lanes or unit over its
+   [Arch.duration]) and eq. 3 (one configuration among the vector-core
+   issues of each cycle) hold.  [start] needs only the op entries. *)
+let periodic_verdicts g arch ~start ~ii ~iterations =
+  let open Eit_dsl in
+  let ops = Ir.op_nodes g in
+  let latency i = Eit.Arch.latency arch (Ir.opcode g i) in
+  let precedence =
+    List.for_all
+      (fun p ->
+        List.for_all
+          (fun d ->
+            List.for_all (fun c -> start.(p) + latency p <= start.(c)) (Ir.succs g d))
+          (Ir.succs g p))
+      ops
+  in
+  let used = Hashtbl.create 256 and configs = Hashtbl.create 256 in
+  for r = 0 to iterations - 1 do
+    List.iter
+      (fun i ->
+        let op = Ir.opcode g i in
+        let rc = Eit.Opcode.resource op in
+        let issue = start.(i) + (r * ii) in
+        let amount =
+          if rc = Eit.Opcode.Vector_core then Eit.Opcode.lanes op else 1
+        in
+        for cycle = issue to issue + Eit.Arch.duration arch op - 1 do
+          let sum = Option.value ~default:0 (Hashtbl.find_opt used (rc, cycle)) in
+          Hashtbl.replace used (rc, cycle) (sum + amount)
+        done;
+        if rc = Eit.Opcode.Vector_core then Hashtbl.add configs issue op)
+      ops
+  done;
+  let resource =
+    Hashtbl.fold
+      (fun (rc, _) sum ok -> ok && sum <= Eit.Arch.resource_limit arch rc)
+      used true
+  in
+  let configuration =
+    Hashtbl.fold
+      (fun cycle op ok ->
+        ok
+        && List.for_all (Eit.Opcode.config_equal op) (Hashtbl.find_all configs cycle))
+      configs true
+  in
+  (precedence, resource, configuration)

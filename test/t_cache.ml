@@ -14,7 +14,6 @@ let default_opts =
     parallel = 0;
     max_nodes = None;
     max_time_ms = None;
-    validate = true;
   }
 
 let key_of ?(arch = Arch.default) ?(opts = default_opts) g =
@@ -193,7 +192,6 @@ let test_arch_knobs_change_key () =
         { d with Arch.max_reads_per_cycle = d.Arch.max_reads_per_cycle + 1 } );
       ( "max_writes_per_cycle",
         { d with Arch.max_writes_per_cycle = d.Arch.max_writes_per_cycle + 1 } );
-      ("reconfig_cost", { d with Arch.reconfig_cost = d.Arch.reconfig_cost + 1 });
     ]
   in
   List.iter
@@ -216,7 +214,6 @@ let test_opts_change_key () =
       ("parallel", { o with K.parallel = 4 });
       ("max_nodes", { o with K.max_nodes = Some 1000 });
       ("max_time_ms", { o with K.max_time_ms = Some 500. });
-      ("validate", { o with K.validate = false });
     ]
   in
   List.iter

@@ -1,6 +1,7 @@
 (* Dynamic execution of the §4.3 regimes: overlapped and modulo
-   schedules materialized as machine programs and verified on the
-   simulator, plus the utilization analysis and interval allocator. *)
+   schedules materialized as machine programs by [Sched.Periodic] and
+   verified on the simulator, plus the utilization analysis and
+   interval allocator. *)
 
 open Eit_dsl
 open Eit
@@ -88,20 +89,23 @@ let test_analysis_counts () =
   Alcotest.(check int) "capacity" (4 * an.Sched.Analysis.span)
     vec.Sched.Analysis.issue_slots_total
 
-(* ---------------- Overlap_sim ---------------- *)
+(* ---------------- overlapped execution ---------------- *)
 
 let big_arch lines = { Arch.default with Arch.lines }
+
+let overlapped arch sch ~m =
+  Sched.Periodic.of_overlap sch.Sched.Schedule.ir arch (Sched.Overlap.run sch ~m)
 
 let test_overlap_sim_kernels () =
   List.iter
     (fun (name, g, m, lines) ->
       let sch = sched_of g in
-      match Sched.Overlap_sim.run_and_check ~arch:(big_arch lines) sch ~m with
+      match Sched.Periodic.run_and_check (overlapped (big_arch lines) sch ~m) with
       | Ok r ->
         Alcotest.(check int)
           (name ^ " values checked")
           (m * List.length (Ir.op_nodes g))
-          r.Sched.Overlap_sim.checked_values
+          r.Sched.Periodic.checked_values
       | Error e -> Alcotest.failf "%s: %s" name e)
     [
       ("matmul", merged (Apps.Matmul.graph (Apps.Matmul.build ())), 8, 16);
@@ -114,19 +118,19 @@ let test_overlap_sim_matmul_strict () =
      violation even under strict checking *)
   let g = merged (Apps.Matmul.graph (Apps.Matmul.build ())) in
   let sch = sched_of g in
-  match Sched.Overlap_sim.run_and_check ~arch:(big_arch 16) sch ~m:8 with
-  | Ok r -> Alcotest.(check bool) "strict" true r.Sched.Overlap_sim.access_clean
+  match Sched.Periodic.run_and_check (overlapped (big_arch 16) sch ~m:8) with
+  | Ok r -> Alcotest.(check bool) "strict" true r.Sched.Periodic.access_clean
   | Error e -> Alcotest.fail e
 
 let test_overlap_sim_memory_guard () =
   let g = merged (Apps.Qrd.graph (Apps.Qrd.build ())) in
   let sch = sched_of g in
   (* default memory (4 lines) cannot hold 12 iterations *)
-  match Sched.Overlap_sim.to_program ~arch:Arch.default sch ~m:12 with
+  match Sched.Periodic.to_program (overlapped Arch.default sch ~m:12) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected memory guard"
 
-(* ---------------- Modulo_sim ---------------- *)
+(* ---------------- modulo execution ---------------- *)
 
 let test_modulo_sim_kernels () =
   List.iter
@@ -135,13 +139,14 @@ let test_modulo_sim_kernels () =
       | None -> Alcotest.failf "%s: modulo timeout" name
       | Some r -> (
         match
-          Sched.Modulo_sim.run_and_check ~arch:(big_arch lines) g r ~iterations:n
+          Sched.Periodic.run_and_check
+            (Sched.Periodic.of_modulo g (big_arch lines) r ~iterations:n)
         with
         | Ok rep ->
           Alcotest.(check int)
             (name ^ " values")
             (n * List.length (Ir.op_nodes g))
-            rep.Sched.Modulo_sim.checked_values
+            rep.Sched.Periodic.checked_values
         | Error e -> Alcotest.failf "%s: %s" name e))
     [
       ("matmul", merged (Apps.Matmul.graph (Apps.Matmul.build ())), 6, 16);
@@ -155,11 +160,14 @@ let test_modulo_sim_completion () =
   match Sched.Modulo.solve_excluding ~budget_ms:20_000. g with
   | None -> Alcotest.fail "timeout"
   | Some r -> (
-    match Sched.Modulo_sim.run_and_check ~arch:(big_arch 16) g r ~iterations:6 with
+    match
+      Sched.Periodic.run_and_check
+        (Sched.Periodic.of_modulo g (big_arch 16) r ~iterations:6)
+    with
     | Ok rep ->
       Alcotest.(check int) "completion"
         (r.Sched.Modulo.span + (5 * r.Sched.Modulo.ii))
-        rep.Sched.Modulo_sim.completion
+        rep.Sched.Periodic.completion
     | Error e -> Alcotest.fail e)
 
 let suite =
@@ -198,11 +206,11 @@ let test_streaming_modulo () =
         inputs
     in
     (match
-       Sched.Modulo_sim.run_and_check ~stream ~arch:(big_arch 16) g r
-         ~iterations:5
+       Sched.Periodic.run_and_check ~stream
+         (Sched.Periodic.of_modulo g (big_arch 16) r ~iterations:5)
      with
     | Ok rep ->
-      Alcotest.(check int) "all values" (5 * 20) rep.Sched.Modulo_sim.checked_values
+      Alcotest.(check int) "all values" (5 * 20) rep.Sched.Periodic.checked_values
     | Error e -> Alcotest.fail e)
 
 let test_ir_eval_override () =
@@ -259,12 +267,61 @@ let test_streaming_qrd () =
         h_inputs
     in
     (match
-       Sched.Modulo_sim.run_and_check ~stream ~arch:(big_arch 32) g r
-         ~iterations:3
+       Sched.Periodic.run_and_check ~stream
+         (Sched.Periodic.of_modulo g (big_arch 32) r ~iterations:3)
      with
     | Ok rep ->
       Alcotest.(check bool) "values verified per iteration" true
-        (rep.Sched.Modulo_sim.checked_values = 3 * List.length (Ir.op_nodes g))
+        (rep.Sched.Periodic.checked_values = 3 * List.length (Ir.op_nodes g))
     | Error e -> Alcotest.fail e)
 
 let suite = suite @ [ Alcotest.test_case "streaming qrd channels" `Quick test_streaming_qrd ]
+
+(* Overlapped execution is the periodic schedule with op starts
+   M * bundle, data at producer + latency, II 1 and M iterations; the
+   one materializer runs it with the figures the overlap-specific one
+   had: values verified, port-clean flags, and every iteration one
+   cycle behind the previous one. *)
+let test_overlap_is_periodic () =
+  List.iter
+    (fun (name, g, m, lines, values, clean) ->
+      let sch = sched_of g in
+      let ov = Sched.Overlap.run sch ~m in
+      let p = Sched.Periodic.of_overlap g (big_arch lines) ov in
+      List.iteri
+        (fun k (_, ops) ->
+          List.iter
+            (fun i ->
+              Alcotest.(check int) (name ^ " op start") (k * m)
+                p.Sched.Periodic.start.(i))
+            ops)
+        ov.Sched.Overlap.bundles;
+      List.iter
+        (fun d ->
+          match Ir.producer g d with
+          | Some q ->
+            Alcotest.(check int) (name ^ " data start")
+              (p.Sched.Periodic.start.(q) + Sched.Schedule.latency_of sch q)
+              p.Sched.Periodic.start.(d)
+          | None -> Alcotest.(check int) (name ^ " input start") 0 p.Sched.Periodic.start.(d))
+        (Ir.data_nodes g);
+      Alcotest.(check (pair int int)) (name ^ " II, iterations") (1, m)
+        (p.Sched.Periodic.ii, p.Sched.Periodic.iterations);
+      Alcotest.(check bool) (name ^ " fits") true
+        (Sched.Periodic.lines_needed p <= lines);
+      match Sched.Periodic.run_and_check p with
+      | Ok r ->
+        Alcotest.(check int) (name ^ " values") values r.Sched.Periodic.checked_values;
+        Alcotest.(check bool) (name ^ " port-clean") clean r.Sched.Periodic.access_clean;
+        Alcotest.(check int) (name ^ " completion")
+          (Sched.Periodic.span p + (m - 1))
+          r.Sched.Periodic.completion
+      | Error e -> Alcotest.failf "%s: %s" name e)
+    [
+      ("matmul", merged (Apps.Matmul.graph (Apps.Matmul.build ())), 8, 16, 160, true);
+      ("arf", merged (Apps.Arf.graph (Apps.Arf.build ())), 7, 32, 196, true);
+      ("qrd", merged (Apps.Qrd.graph (Apps.Qrd.build ())), 12, 16, 744, false);
+    ]
+
+let suite =
+  suite @ [ Alcotest.test_case "overlap = periodic, II 1" `Quick test_overlap_is_periodic ]

@@ -24,7 +24,7 @@ let test_matmul_exact_paper_row () =
     Alcotest.(check int) "reconfigs" 0 r.Sched.Modulo.reconfigurations;
     Alcotest.(check int) "actual" 4 r.Sched.Modulo.actual_ii;
     Alcotest.(check (float 1e-9)) "throughput" 0.25 r.Sched.Modulo.throughput;
-    Alcotest.(check bool) "valid" true (Sched.Modulo.validate g Arch.default r = Ok ())
+    Alcotest.(check bool) "valid" true (Sched.Validate.modulo g Arch.default r = Ok ())
   | None -> Alcotest.fail "excluding timed out");
   match Sched.Modulo.solve_including ~budget_ms:20_000. g with
   | Some r -> Alcotest.(check int) "incl actual" 4 r.Sched.Modulo.actual_ii
@@ -41,8 +41,8 @@ let test_arf_modes () =
       (ex.Sched.Modulo.ii >= Sched.Modulo.res_mii g Arch.default);
     Alcotest.(check bool) "including never worse" true
       (inc.Sched.Modulo.actual_ii <= ex.Sched.Modulo.actual_ii);
-    Alcotest.(check bool) "excl valid" true (Sched.Modulo.validate g Arch.default ex = Ok ());
-    Alcotest.(check bool) "incl valid" true (Sched.Modulo.validate g Arch.default inc = Ok ())
+    Alcotest.(check bool) "excl valid" true (Sched.Validate.modulo g Arch.default ex = Ok ());
+    Alcotest.(check bool) "incl valid" true (Sched.Validate.modulo g Arch.default inc = Ok ())
   | _ -> Alcotest.fail "timeout"
 
 let test_validate_catches_bad_kernel () =
@@ -59,12 +59,12 @@ let test_validate_catches_bad_kernel () =
     bad_start.(op) <- 0;
     let bad = { r with Sched.Modulo.start = bad_start } in
     Alcotest.(check bool) "caught" true
-      (Result.is_error (Sched.Modulo.validate g Arch.default bad));
+      (Result.is_error (Sched.Validate.modulo g Arch.default bad));
     (* break residue capacity: everything at residue 0 *)
     let squash = Array.map (fun s -> s - (s mod r.Sched.Modulo.ii)) r.Sched.Modulo.start in
     let bad2 = { r with Sched.Modulo.start = squash } in
     Alcotest.(check bool) "overload caught" true
-      (Result.is_error (Sched.Modulo.validate g Arch.default bad2))
+      (Result.is_error (Sched.Validate.modulo g Arch.default bad2))
   | None -> Alcotest.fail "timeout"
 
 let test_reconfig_lower_bound () =

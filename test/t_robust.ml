@@ -464,6 +464,128 @@ let test_encode_result_total () =
       in
       Alcotest.(check bool) "positioned" true (contains "word" e))
 
+(* ------------- §4.3: modulo kernels and overlaps ------------------- *)
+
+(* The three pipelined kernels: a solved schedule's overlap at the M
+   the dynamic check runs, and the modulo kernel without
+   reconfigurations. *)
+let pipelined =
+  lazy
+    (List.map
+       (fun (name, m) ->
+         let g = (List.assoc name kernels) () in
+         let sch = schedule_of name (solve g) in
+         match Sched.Modulo.solve_excluding ~budget_ms:20_000. g with
+         | Some r -> (name, g, Sched.Overlap.run sch ~m, r)
+         | None -> Alcotest.failf "%s: modulo timeout" name)
+       [ ("matmul", 8); ("arf", 7); ("qrd", 12) ])
+
+let modulo_ok g arch r = Sched.Validate.modulo g arch r = Ok ()
+
+(* Forged figures and durations the kernel cannot absorb: QRD's II-18
+   kernel issues 18 scalar ops, one per residue, and MATMUL's II-4
+   kernel 4 index/merge ops on residues 0-3, so 2-cycle issue
+   durations overload those units in the steady state. *)
+let test_validator_rejects_tampered_modulo () =
+  let d = Eit.Arch.default in
+  List.iter
+    (fun (name, g, _, r) ->
+      Alcotest.(check bool) (name ^ " honest kernel accepted") true (modulo_ok g d r);
+      Alcotest.(check bool) (name ^ " reconfigurations + 1 rejected") false
+        (modulo_ok g d
+           { r with Sched.Modulo.reconfigurations = r.Sched.Modulo.reconfigurations + 1 });
+      Alcotest.(check bool) (name ^ " actual_ii + 1 rejected") false
+        (modulo_ok g d { r with Sched.Modulo.actual_ii = r.Sched.Modulo.actual_ii + 1 }))
+    (Lazy.force pipelined);
+  let kernel name =
+    let _, g, _, r = List.find (fun (n, _, _, _) -> n = name) (Lazy.force pipelined) in
+    (g, r)
+  in
+  let g, r = kernel "qrd" in
+  Alcotest.(check int) "qrd II" 18 r.Sched.Modulo.ii;
+  Alcotest.(check bool) "qrd on scalar_duration = 2 rejected" false
+    (modulo_ok g { d with Eit.Arch.scalar_duration = 2 } r);
+  let g, r = kernel "matmul" in
+  Alcotest.(check int) "matmul II" 4 r.Sched.Modulo.ii;
+  Alcotest.(check bool) "matmul on im_duration = 2 rejected" false
+    (modulo_ok g { d with Eit.Arch.im_duration = 2 } r);
+  (* a corrupt start far away is refused, not unrolled *)
+  let start = Array.copy r.Sched.Modulo.start in
+  start.(List.hd (Ir.op_nodes g)) <- 1_000_000_000_000;
+  let t0 = Unix.gettimeofday () in
+  let far = modulo_ok g d { r with Sched.Modulo.start } in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "start at 10^12 rejected" false far;
+  Alcotest.(check bool) (Printf.sprintf "in under 1 s (%.3f s)" dt) true (dt < 1.)
+
+(* A validator's eq. 2 and eq. 3 verdicts, and its precedence verdict,
+   in [Reference.periodic_verdicts]'s order. *)
+let verdicts = function
+  | Ok () -> (true, true, true)
+  | Error rep ->
+    let holds w =
+      not (List.exists (fun v -> v.Sched.Schedule.where = w) rep.Sched.Validate.violations)
+    in
+    (holds "precedence", holds "resource", holds "configuration")
+
+(* One op of a modulo kernel moved to another start (its result moves
+   with it), or an overlap's bundle list with two adjacent bundles
+   swapped or one op moved to another bundle.  Both validators must
+   reach the brute-force reference's precedence, resource and
+   configuration verdicts; the reference unrolls about twice the
+   validator's steady-state window. *)
+let periodic_checks_equal_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"§4.3 check = unrolled reference" ~count:300
+       QCheck2.Gen.(quad (int_bound 2) bool (int_bound 10_000) (int_bound 10_000))
+       (fun (k, modulo, a, b) ->
+         let _, g, ov, r = List.nth (Lazy.force pipelined) k in
+         let arch = Eit.Arch.default in
+         let ops = Array.of_list (Ir.op_nodes g) in
+         if modulo then begin
+           let ii = r.Sched.Modulo.ii in
+           let start = Array.copy r.Sched.Modulo.start in
+           let op = ops.(a mod Array.length ops) in
+           start.(op) <- b mod (r.Sched.Modulo.span + ii);
+           (match Ir.succs g op with
+           | [ d ] -> start.(d) <- start.(op) + Eit.Arch.latency arch (Ir.opcode g op)
+           | _ -> ());
+           let latest = Array.fold_left max 0 start + 8 in
+           let reference =
+             Reference.periodic_verdicts g arch ~start ~ii
+               ~iterations:((2 * latest / ii) + 3)
+           in
+           verdicts (Sched.Validate.modulo g arch { r with Sched.Modulo.start }) = reference
+         end
+         else begin
+           let m = ov.Sched.Overlap.m in
+           let bundles = Array.of_list (List.map snd ov.Sched.Overlap.bundles) in
+           let n = Array.length bundles in
+           if a mod 2 = 0 then begin
+             let k = b mod (n - 1) in
+             let x = bundles.(k) in
+             bundles.(k) <- bundles.(k + 1);
+             bundles.(k + 1) <- x
+           end
+           else begin
+             let op = ops.(a / 2 mod Array.length ops) in
+             let target = b mod n in
+             Array.iteri
+               (fun k ops -> bundles.(k) <- List.filter (fun i -> i <> op) ops)
+               bundles;
+             bundles.(target) <- List.sort compare (op :: bundles.(target))
+           end;
+           let bundles = List.filter (fun ops -> ops <> []) (Array.to_list bundles) in
+           let start = Array.make (Ir.size g) 0 in
+           List.iteri (fun k ops -> List.iter (fun i -> start.(i) <- k * m) ops) bundles;
+           let reference =
+             Reference.periodic_verdicts g arch ~start ~ii:1 ~iterations:m
+           in
+           verdicts
+             (Sched.Validate.overlap g arch (Sched.Overlap.of_bundles g arch bundles ~m))
+           = reference
+         end))
+
 let suite =
   [
     Alcotest.test_case "validator accepts all kernels (CP)" `Slow
@@ -500,4 +622,7 @@ let suite =
     Alcotest.test_case "encode/decode are total" `Slow test_encode_result_total;
     Alcotest.test_case "chaos: plan is a function of (seed, site)" `Quick
       test_chaos_plan_from_seed;
+    Alcotest.test_case "validator rejects tampered modulo kernel" `Quick
+      test_validator_rejects_tampered_modulo;
+    periodic_checks_equal_reference;
   ]
