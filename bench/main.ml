@@ -13,10 +13,9 @@ module Bench_file = Vecsched_core.Bench_file
 open Eit_dsl
 
 let merged g = (Merge.run g).Merge.graph
-let qrd () = merged (Apps.Qrd.graph (Apps.Qrd.build ()))
-let qrd_sorted () = merged (Apps.Qrd.graph (Apps.Qrd.build ~sorted:true ()))
-let arf () = merged (Apps.Arf.graph (Apps.Arf.build ()))
-let matmul () = merged (Apps.Matmul.graph (Apps.Matmul.build ()))
+
+(* A built-in kernel ([Vecsched.kernels]), traced afresh and merged. *)
+let kernel name = merged ((List.assoc name Vecsched.kernels) ())
 let blocked8 () =
   merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx)
 
@@ -35,9 +34,9 @@ let blocked12_nodes = 300
    budget ([None]: solved to a proof under a 10 s time budget). *)
 let profile_kernels () =
   [
-    ("QRD", qrd (), None);
-    ("ARF", arf (), None);
-    ("MATMUL", matmul (), None);
+    ("QRD", kernel "qrd", None);
+    ("ARF", kernel "arf", None);
+    ("MATMUL", kernel "matmul", None);
     ("BLOCKED8", blocked8 (), Some blocked8_nodes);
   ]
 
@@ -54,8 +53,8 @@ let graphs () =
      MATMUL (44,68,8))";
   List.iter
     (fun (name, g) -> Format.printf "%-8s %a@." name Stats.pp (Stats.of_ir g))
-    [ ("QRD", qrd ()); ("QRD-sorted", qrd_sorted ()); ("ARF", arf ());
-      ("MATMUL", matmul ()) ]
+    [ ("QRD", kernel "qrd"); ("QRD-sorted", kernel "qrd-sorted");
+      ("ARF", kernel "arf"); ("MATMUL", kernel "matmul") ]
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: scheduling one QRD iteration under memory sweeps           *)
@@ -66,7 +65,7 @@ let table1 () =
      slots using 33/28/16/10; timeout at 9; no solution at 8)";
   Format.printf "%-18s %-10s %-12s %-10s %-10s@." "slots available" "status"
     "length (cc)" "slots used" "opt. time (ms)";
-  let g = qrd () in
+  let g = kernel "qrd" in
   List.iter
     (fun slots ->
       let arch = Vecsched.Arch.with_slots Vecsched.Arch.default slots in
@@ -91,7 +90,7 @@ let table2 () =
   header
     "Table 2: overlapping 12 QRD iterations (paper: manual 460 cc / 18 rec / \
      0.026 it/cc vs automated 540 cc / 24 rec / 0.022 it/cc)";
-  let g = qrd () in
+  let g = kernel "qrd" in
   let m = 12 in
   let o = Sched.Solve.run ~budget:(Fd.Search.time_budget 30_000.) g in
   let rows =
@@ -148,7 +147,7 @@ let table3 ?(budget_excl = 60_000.) ?(budget_incl = 120_000.) () =
           i.Sched.Modulo.actual_ii i.Sched.Modulo.throughput
           i.Sched.Modulo.time_ms
       | _ -> Format.printf "%-8s %-22s timeout@." name shape)
-    [ ("QRD", qrd ()); ("ARF", arf ()); ("MATMUL", matmul ()) ]
+    [ ("QRD", kernel "qrd"); ("ARF", kernel "arf"); ("MATMUL", kernel "matmul") ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 3: the IR of listing 1                                         *)
@@ -296,7 +295,7 @@ let ablation_heuristics () =
       ("input_order", Fd.Search.input_order);
       ("most_constrained", Fd.Search.most_constrained);
     ])
-    [ ("QRD", qrd ()); ("MATMUL", matmul ()) ]
+    [ ("QRD", kernel "qrd"); ("MATMUL", kernel "matmul") ]
 
 (* A2: integrated memory allocation on/off — the cost of the paper's
    central modelling decision. *)
@@ -323,7 +322,7 @@ let ablation_memory () =
               (if memory then "on" else "off")
               (Format.asprintf "%a" Sched.Solve.pp_status o.Sched.Solve.status))
         [ true; false ])
-    [ ("QRD", qrd ()); ("ARF", arf ()); ("MATMUL", matmul ()) ]
+    [ ("QRD", kernel "qrd"); ("ARF", kernel "arf"); ("MATMUL", kernel "matmul") ]
 
 (* A3: merge pass on/off — Fig. 6's fusion on a fusion-heavy kernel. *)
 let ablation_merge () =
@@ -364,8 +363,8 @@ let archsweep () =
               (Format.asprintf "%a" Sched.Solve.pp_status o.Sched.Solve.status))
         Eit.Arch.presets)
     [
-      ("MATMUL", matmul ());
-      ("ARF", arf ());
+      ("MATMUL", kernel "matmul");
+      ("ARF", kernel "arf");
       ("FIR-8", merged (Apps.Fir.graph (Apps.Fir.build ~taps:8 ())));
       ("CORR-8", merged (Apps.Corr.graph (Apps.Corr.build ~hypotheses:8 ())));
     ]
@@ -403,7 +402,7 @@ let utilization () =
         (match Sched.Modulo.solve_excluding ~budget_ms:30_000. g with
         | Some r -> report "modulo" (Sched.Analysis.of_modulo g Eit.Arch.default r)
         | None -> ()))
-    [ ("QRD", qrd ()); ("ARF", arf ()); ("MATMUL", matmul ()) ]
+    [ ("QRD", kernel "qrd"); ("ARF", kernel "arf"); ("MATMUL", kernel "matmul") ]
 
 (* Dynamic verification: §4.3's execution regimes actually executed on
    the simulator, every iteration's results compared to the reference. *)
@@ -444,9 +443,9 @@ let dynamic () =
               = r.Sched.Modulo.span + (3 * r.Sched.Modulo.ii))
           | Error e -> Format.printf "%-8s modulo FAILED: %s@." name e)))
     [
-      ("MATMUL", matmul (), 8, 16);
-      ("ARF", arf (), 7, 32);
-      ("QRD", qrd (), 12, 16);
+      ("MATMUL", kernel "matmul", 8, 16);
+      ("ARF", kernel "arf", 7, 32);
+      ("QRD", kernel "qrd", 12, 16);
     ]
 
 (* §4.2: "There are many different ways to express the same algorithm in
@@ -503,8 +502,8 @@ let ablation_exact_vs_greedy () =
       in
       Format.printf "%-10s %-22s %-22s@." name cp greedy)
     [
-      ("QRD", qrd ()); ("ARF", arf ()); ("MATMUL", matmul ());
-      ("DETECT", merged (Apps.Detect.graph (Apps.Detect.build ())));
+      ("QRD", kernel "qrd"); ("ARF", kernel "arf"); ("MATMUL", kernel "matmul");
+      ("DETECT", kernel "detect");
     ];
   Format.printf
     "@.Greedy matches the optimum on these CP-dominated kernels; the exact      model earns its cost on proofs, tight memories (Table 1's cliff) and      reconfiguration co-optimization (Table 3).@."
@@ -525,19 +524,19 @@ let bechamel () =
   let test_table1 =
     Test.make ~name:"table1:schedule-qrd-64slots"
       (Staged.stage (fun () ->
-           let g = qrd () in
+           let g = kernel "qrd" in
            ignore (Sched.Solve.run ~budget:(Fd.Search.time_budget 5_000.) g)))
   in
   let test_table2 =
     Test.make ~name:"table2:overlap-qrd-m12"
       (Staged.stage (fun () ->
-           let g = qrd () in
+           let g = kernel "qrd" in
            ignore (Sched.Manual_baseline.overlapped g Eit.Arch.default ~m:12)))
   in
   let test_table3 =
     Test.make ~name:"table3:modulo-matmul"
       (Staged.stage (fun () ->
-           ignore (Sched.Modulo.solve_excluding ~budget_ms:5_000. (matmul ()))))
+           ignore (Sched.Modulo.solve_excluding ~budget_ms:5_000. (kernel "matmul"))))
   in
   let test_merge =
     Test.make ~name:"fig6:merge-pass-qrd"
@@ -545,7 +544,7 @@ let bechamel () =
            ignore (Merge.run (Apps.Qrd.graph (Apps.Qrd.build ())))))
   in
   let test_sim =
-    let g = matmul () in
+    let g = kernel "matmul" in
     let sch =
       Option.get
         (Sched.Solve.run ~budget:(Fd.Search.time_budget 5_000.) g)
@@ -592,12 +591,12 @@ let robustness () =
      contract: 0 CP schedule, 2 fallback, 3 infeasible, 4 none)";
   Format.printf "%-8s %-12s %-18s %-10s %-14s %-6s@." "kernel" "budget (ms)"
     "status" "engine" "makespan (cc)" "exit";
-  let kernels = [ ("QRD", qrd); ("ARF", arf); ("MATMUL", matmul) ] in
+  let kernels = [ ("QRD", "qrd"); ("ARF", "arf"); ("MATMUL", "matmul") ] in
   List.iter
-    (fun (name, build) ->
+    (fun (name, k) ->
       List.iter
         (fun budget_ms ->
-          let o = Sched.Solve.run ~budget:(Fd.Search.time_budget budget_ms) (build ()) in
+          let o = Sched.Solve.run ~budget:(Fd.Search.time_budget budget_ms) (kernel k) in
           Format.printf "%-8s %-12.0f %-18s %-10s %-14s %-6d@." name budget_ms
             (Format.asprintf "%a" Sched.Solve.pp_status o.Sched.Solve.status)
             (Format.asprintf "%a" Sched.Solve.pp_engine o.Sched.Solve.engine)
@@ -614,7 +613,7 @@ let robustness () =
   let chaos = Fd.Chaos.create ~crash_at:[ (0, 200) ] ~seed:42 () in
   let o =
     Sched.Solve.run ~budget:(Fd.Search.time_budget 30_000.) ~parallel:4 ~chaos
-      (qrd ())
+      (kernel "qrd")
   in
   Format.printf "  status=%a engine=%a makespan=%s crashes=%d validated=%b@."
     Sched.Solve.pp_status o.Sched.Solve.status Sched.Solve.pp_engine
@@ -774,7 +773,7 @@ let suite_rows ?(budget = Fd.Search.time_budget 30_000.) () =
   List.iter
     (fun slots ->
       let arch = Vecsched.Arch.with_slots Vecsched.Arch.default slots in
-      let g = qrd () in
+      let g = kernel "qrd" in
       add ~kernel:"QRD" ~mode:"sequential" ~slots (fun () ->
           run_row ~kernel:"QRD" ~mode:"sequential" ~slots ~arch ~g (fun () ->
               Sched.Solve.run ~arch ~budget g)))
@@ -792,7 +791,7 @@ let suite_rows ?(budget = Fd.Search.time_budget 30_000.) () =
       add ~kernel ~mode:"fallback" ~slots:64 (fun () ->
           run_row ~kernel ~mode:"fallback" ~slots:64 ~g (fun () ->
               Sched.Solve.run ~budget:(Fd.Search.time_budget 0.) g)))
-    [ ("QRD", qrd ()); ("ARF", arf ()); ("MATMUL", matmul ()) ];
+    [ ("QRD", kernel "qrd"); ("ARF", kernel "arf"); ("MATMUL", kernel "matmul") ];
   (* long deterministic searches under node budgets: the proofs above
      all close early *)
   List.iter

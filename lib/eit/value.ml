@@ -21,7 +21,6 @@ let matrix rows =
 
 let vector_of_list l = vector (Array.of_list l)
 let vector_of_floats l = vector_of_list (List.map Cplx.of_float l)
-let matrix_of_floats rows = matrix (Array.of_list (List.map (fun r -> Array.of_list (List.map Cplx.of_float r)) rows))
 
 let as_scalar = function
   | Scalar c -> c
@@ -36,9 +35,6 @@ let as_matrix = function
   | v -> invalid_arg ("Value.as_matrix: got " ^ (match v with Scalar _ -> "scalar" | _ -> "vector"))
 
 let kind = function Scalar _ -> "scalar" | Vector _ -> "vector" | Matrix _ -> "matrix"
-
-let zero_vector = Vector (Array.make vlen Cplx.zero)
-let zero_scalar = Scalar Cplx.zero
 
 let row m i =
   let m = as_matrix m in

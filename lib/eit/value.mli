@@ -19,7 +19,6 @@ val matrix : Cplx.t array array -> t
 
 val vector_of_list : Cplx.t list -> t
 val vector_of_floats : float list -> t
-val matrix_of_floats : float list list -> t
 
 val as_scalar : t -> Cplx.t
 val as_vector : t -> Cplx.t array
@@ -28,9 +27,6 @@ val as_matrix : t -> Cplx.t array array
 
 val kind : t -> string
 (** ["scalar"], ["vector"] or ["matrix"]. *)
-
-val zero_vector : t
-val zero_scalar : t
 
 val row : t -> int -> t
 (** [row m i]: the [i]-th row of a matrix as a vector. *)

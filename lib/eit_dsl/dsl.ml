@@ -146,7 +146,6 @@ let mark_output_scalar ctx s = ctx.outs <- s.s_node :: ctx.outs
 
 let scalar_value s = s.s_val
 let vector_value v = Array.copy v.v_val
-let matrix_value m = Array.map (fun r -> Array.copy r.v_val) m.m_rows
 
 let node_of_scalar s = s.s_node
 let node_of_vector v = v.v_node

@@ -99,7 +99,6 @@ val mark_output_scalar : ctx -> scalar -> unit
 
 val scalar_value : scalar -> Eit.Cplx.t
 val vector_value : vector -> Eit.Cplx.t array
-val matrix_value : matrix -> Eit.Cplx.t array array
 (** Concrete values from the debugging evaluation. *)
 
 val node_of_scalar : scalar -> int

@@ -299,16 +299,3 @@ let eval ?(inputs = []) g =
   List.filter_map
     (fun i -> Option.map (fun v -> (i, v)) values.(i))
     (data_nodes g)
-
-let pp_node ppf nd =
-  Format.fprintf ppf "%d:%s[%s]%s" nd.id nd.label (category_name nd.cat)
-    (match nd.value with
-    | Some v when is_data nd.cat -> Format.asprintf "=%a" Eit.Value.pp v
-    | _ -> "")
-
-let pp_summary ppf g =
-  Format.fprintf ppf "|V|=%d |E|=%d ops=%d data=%d v_data=%d"
-    (size g) (edge_count g)
-    (List.length (op_nodes g))
-    (List.length (data_nodes g))
-    (count g Vector_data)

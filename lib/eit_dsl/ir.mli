@@ -108,7 +108,3 @@ val eval : ?inputs:(int * Eit.Value.t) list -> t -> (int * Eit.Value.t) list
     the same kernel on a stream of different data.
     @raise Invalid_argument if an input lacks a value, or if [inputs]
     names a non-input node or carries the wrong value kind. *)
-
-val pp_node : Format.formatter -> node -> unit
-val pp_summary : Format.formatter -> t -> unit
-(** e.g. [|V|=44 |E|=68 ops=20 data=24]. *)

@@ -14,7 +14,6 @@
 
 type switch = {
   sw_cancelled : bool Atomic.t;
-  sw_reason : string option Atomic.t;
   sw_beat_ms : int Atomic.t;  (* process clock, whole milliseconds *)
 }
 
@@ -28,20 +27,14 @@ let after_ms ms = { at = now_ms () +. ms; sw = None }
 let switch () =
   {
     sw_cancelled = Atomic.make false;
-    sw_reason = Atomic.make None;
     sw_beat_ms = Atomic.make (int_of_float (now_ms ()));
   }
 
 let with_switch t sw = { t with sw = Some sw }
 
-let cancel ?(reason = "cancelled") sw =
-  (* reason before flag: a poller that observes [cancelled] finds the
-     reason already published *)
-  Atomic.set sw.sw_reason (Some reason);
-  Atomic.set sw.sw_cancelled true
+let cancel sw = Atomic.set sw.sw_cancelled true
 
 let cancelled sw = Atomic.get sw.sw_cancelled
-let cancel_reason sw = Atomic.get sw.sw_reason
 let beat sw = Atomic.set sw.sw_beat_ms (int_of_float (now_ms ()))
 let idle_ms sw = now_ms () -. float_of_int (Atomic.get sw.sw_beat_ms)
 

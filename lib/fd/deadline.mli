@@ -67,16 +67,14 @@ val switch : unit -> switch
 val with_switch : t -> switch -> t
 (** Attach a switch to a deadline (replacing any previous one). *)
 
-val cancel : ?reason:string -> switch -> unit
+val cancel : switch -> unit
 (** Trip the switch: every deadline carrying it reports {!expired}
-    from now on.  Idempotent; the first reason wins the report. *)
+    from now on.  Idempotent. *)
 
 val cancelled : switch -> bool
 (** Has the switch been cancelled?  Never stamps the heartbeat — safe
     for watchdogs and for fault-injection escape predicates that must
     not masquerade as progress. *)
-
-val cancel_reason : switch -> string option
 
 val beat : switch -> unit
 (** Stamp the heartbeat manually (e.g. when a worker picks a request

@@ -65,8 +65,6 @@ let min d = if d.sz = 0 then raise Empty_domain else d.lo
 
 let max d = if d.sz = 0 then raise Empty_domain else d.hi
 
-let choose = min
-
 let size d = d.sz
 
 let equal (a : t) (b : t) =

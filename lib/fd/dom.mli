@@ -17,7 +17,7 @@
 type t
 
 exception Empty_domain
-(** Raised by accessors ({!min}, {!max}, {!choose}) on the empty domain. *)
+(** Raised by accessors ({!min}, {!max}) on the empty domain. *)
 
 (** {1 Construction} *)
 
@@ -54,9 +54,6 @@ val closest : int -> t -> int
 (** [closest target d] is the member of [d] nearest to [target], ties
     resolved to the smaller value.  O(number of intervals).
     @raise Empty_domain on the empty domain. *)
-
-val choose : t -> int
-(** An arbitrary value (the minimum). @raise Empty_domain if empty. *)
 
 val size : t -> int
 (** Number of values in the domain. *)

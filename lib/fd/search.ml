@@ -1,26 +1,19 @@
 open Store
 
-(* Variable selection is a closed set of incremental heuristics plus a
-   [Custom] escape hatch.  The built-ins run over a backtrackable sparse
-   set of possibly-unfixed variables (no List.filter per node) and break
-   ties exactly like the seed engine: by original list position. *)
-type var_select =
-  | Input_order
-  | First_fail
-  | Smallest_min
-  | Most_constrained
-  | Custom of (var list -> var option)
+(* Variable selection is a closed set of incremental heuristics.  They
+   run over a backtrackable sparse set of possibly-unfixed variables (no
+   List.filter per node) and break ties exactly like the seed engine: by
+   original list position. *)
+type var_select = Input_order | First_fail | Smallest_min | Most_constrained
 
 let input_order = Input_order
 let first_fail = First_fail
 let smallest_min = Smallest_min
 let most_constrained = Most_constrained
-let custom f = Custom f
 
 type val_select = var -> int
 
 let select_min v = vmin v
-let select_max v = vmax v
 
 let select_mid v =
   let d = dom v in
@@ -100,30 +93,6 @@ let rt_select rp =
        preferring earlier creation order (models post structural
        constraints on the variables they create first). *)
     scan_best rp (fun v -> (Dom.size (dom v) * 1_000_000) + id v)
-  | Custom f ->
-    (* No sparse-set bookkeeping: the closure sees the original list. *)
-    f (Array.to_list rp.arr |> List.filter (fun v -> not (is_fixed v)))
-
-(* List-based selection, for callers that use heuristics outside a
-   search (kept for the public API). *)
-let unfixed vars = List.filter (fun v -> not (is_fixed v)) vars
-
-let best_by score vars =
-  match unfixed vars with
-  | [] -> None
-  | v0 :: rest ->
-    Some
-      (List.fold_left
-         (fun best v -> if score v < score best then v else best)
-         v0 rest)
-
-let select_var sel vars =
-  match sel with
-  | Input_order -> List.find_opt (fun v -> not (is_fixed v)) vars
-  | First_fail -> best_by (fun v -> Dom.size (dom v)) vars
-  | Smallest_min -> best_by vmin vars
-  | Most_constrained -> best_by (fun v -> (Dom.size (dom v) * 1_000_000) + id v) vars
-  | Custom f -> f vars
 
 (* ------------------------------------------------------------------ *)
 
@@ -150,7 +119,6 @@ type budget = { max_nodes : int option; max_time_ms : float option }
 let no_budget = { max_nodes = None; max_time_ms = None }
 let node_budget n = { max_nodes = Some n; max_time_ms = None }
 let time_budget ms = { max_nodes = None; max_time_ms = Some ms }
-let both_budget n ms = { max_nodes = Some n; max_time_ms = Some ms }
 
 exception Found
 exception Out_of_budget

@@ -9,16 +9,13 @@
 
 open Store
 
-(** Variable selection heuristic.  The named constructors are evaluated
-    incrementally inside the engine; {!Custom} receives the list of
-    currently-unfixed variables of the phase (in original order) and is
-    the compatibility escape hatch. *)
+(** Variable selection heuristic, evaluated incrementally inside the
+    engine. *)
 type var_select =
   | Input_order       (** first unfixed variable in list order *)
   | First_fail        (** smallest domain, ties by list order *)
   | Smallest_min      (** smallest domain minimum (list scheduling) *)
   | Most_constrained  (** smallest domain, ties by creation order *)
-  | Custom of (var list -> var option)
 
 (** Value selection heuristic: picks the value to try first. *)
 type val_select = var -> int
@@ -27,14 +24,8 @@ val input_order : var_select
 val first_fail : var_select
 val smallest_min : var_select
 val most_constrained : var_select
-val custom : (var list -> var option) -> var_select
-
-val select_var : var_select -> var list -> var option
-(** Apply a heuristic to an explicit list (non-incremental; for use
-    outside the engine). *)
 
 val select_min : val_select
-val select_max : val_select
 
 val select_mid : val_select
 (** Closest value to the middle of the domain's range; computed by
@@ -71,7 +62,6 @@ type budget = { max_nodes : int option; max_time_ms : float option }
 val no_budget : budget
 val node_budget : int -> budget
 val time_budget : float -> budget
-val both_budget : int -> float -> budget
 
 (** All searches also accept an absolute [?deadline] ({!Deadline.t}):
     it composes with the budget's [max_time_ms] by taking the earliest,

@@ -197,7 +197,6 @@ let timed s = s.timed
 let generation s = s.generation
 let set_entail s b = s.entail_on <- b
 
-let var_count s = s.next_vid
 let propagator_count s = s.n_props
 let propagation_steps s = s.steps
 
@@ -613,5 +612,3 @@ let pop_level s =
   s.generation <- s.generation + 1
 
 let level s = s.depth
-
-let pp_var ppf v = Format.fprintf ppf "%s=%a" v.vname Dom.pp v.vdom

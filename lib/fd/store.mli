@@ -35,7 +35,6 @@ type propagator
 
 val create : unit -> t
 
-val var_count : t -> int
 val propagator_count : t -> int
 
 (** {1 Variables} *)
@@ -292,7 +291,6 @@ val level : t -> int
 
 (** {1 Introspection} *)
 
-val pp_var : Format.formatter -> var -> unit
 val propagation_steps : t -> int
 (** Number of propagator executions so far (for statistics). *)
 

@@ -68,46 +68,36 @@ let analyze arch ~span issues =
   in
   { span; per_resource; vector_gaps; longest_gap }
 
-let issue_of g i =
-  let op = Ir.opcode g i in
-  let slots =
-    match Eit.Opcode.resource op with
-    | Eit.Opcode.Vector_core -> Eit.Opcode.lanes op
-    | Eit.Opcode.Scalar_accel | Eit.Opcode.Index_merge -> 1
-  in
-  (Eit.Opcode.resource op, slots)
+(* A periodic schedule's issue stream over [span] cycles, each issue at
+   [cycle] of its own cycle. *)
+let of_periodic ~cycle ~span (p : Periodic.t) =
+  let g = p.Periodic.ir in
+  analyze p.Periodic.arch ~span
+    (List.map
+       (fun x ->
+         let op = Ir.opcode g x.Schedule.op in
+         let slots =
+           match Eit.Opcode.resource op with
+           | Eit.Opcode.Vector_core -> Eit.Opcode.lanes op
+           | Eit.Opcode.Scalar_accel | Eit.Opcode.Index_merge -> 1
+         in
+         (cycle x.Schedule.cycle, Eit.Opcode.resource op, slots))
+       (Periodic.issues p))
 
 let of_schedule sched =
-  let g = sched.Schedule.ir in
-  let issues =
-    List.map
-      (fun i ->
-        let rc, k = issue_of g i in
-        (sched.Schedule.start.(i), rc, k))
-      (Ir.op_nodes g)
-  in
-  analyze sched.Schedule.arch ~span:(sched.Schedule.makespan + 1) issues
+  of_periodic ~cycle:Fun.id ~span:(sched.Schedule.makespan + 1)
+    (Periodic.of_schedule sched)
 
+(* Steady state: fold every op onto its residue. *)
 let of_modulo g arch (r : Modulo.result) =
-  (* Steady state: fold every op onto its residue. *)
-  let issues =
-    List.map
-      (fun i ->
-        let rc, k = issue_of g i in
-        (r.Modulo.start.(i) mod r.Modulo.ii, rc, k))
-      (Ir.op_nodes g)
-  in
-  analyze arch ~span:r.Modulo.ii issues
+  of_periodic
+    ~cycle:(fun c -> c mod r.Modulo.ii)
+    ~span:r.Modulo.ii
+    (Periodic.of_modulo g arch r ~iterations:1)
 
 let of_overlap g arch (ov : Overlap.t) =
-  let issues =
-    List.map
-      (fun x ->
-        let rc, k = issue_of g x.Schedule.op in
-        (x.Schedule.cycle, rc, k))
-      (Periodic.issues (Periodic.of_overlap g arch ov))
-  in
-  analyze arch ~span:ov.Overlap.length issues
+  of_periodic ~cycle:Fun.id ~span:ov.Overlap.length
+    (Periodic.of_overlap g arch ov)
 
 let vector_utilization t =
   match

@@ -27,16 +27,20 @@ type t = {
   longest_gap : int;
 }
 
+(** All three read one issue stream, {!Periodic.issues}. *)
+
 val of_schedule : Schedule.t -> t
+(** One iteration ({!Periodic.of_schedule}) over [makespan + 1] cycles. *)
 
 val of_modulo : Ir.t -> Eit.Arch.t -> Modulo.result -> t
-(** Steady-state analysis over one kernel window of [ii] cycles with all
-    overlapping iterations folded in. *)
+(** Steady-state analysis over one kernel window of [ii] cycles: one
+    iteration's issues folded onto their residues, which is every
+    overlapping iteration's share. *)
 
 val of_overlap : Ir.t -> Eit.Arch.t -> Overlap.t -> t
 (** Analysis of the overlapped schedule's issue stream
-    ({!Periodic.of_overlap}): each instruction bundle occupies [m]
-    consecutive cycles. *)
+    ({!Periodic.of_overlap}), M iterations over the overlap's length:
+    each instruction bundle occupies [m] consecutive cycles. *)
 
 val vector_utilization : t -> float
 (** Shorthand: utilization of the vector core (0 when it is unused). *)

@@ -1,112 +1,4 @@
-open Eit_dsl
-open Eit
+let program sch = Periodic.to_program (Periodic.of_schedule sch)
 
-let operand sched d =
-  match Ir.category sched.Schedule.ir d with
-  | Ir.Vector_data -> (
-    match List.assoc_opt d sched.Schedule.slot with
-    | Some k -> Instr.Slot k
-    | None ->
-      invalid_arg (Printf.sprintf "Codegen: vector datum %d has no slot" d))
-  | Ir.Scalar_data -> Instr.Reg d
-  | _ -> invalid_arg (Printf.sprintf "Codegen: node %d is not a datum" d)
-
-let dest sched d =
-  match operand sched d with
-  | Instr.Slot k -> Instr.Dslot k
-  | Instr.Reg r -> Instr.Dreg r
-  | Instr.Imm _ -> assert false
-
-let program ?outputs sched =
-  let g = sched.Schedule.ir in
-  let inputs =
-    List.map
-      (fun d ->
-        let v =
-          match (Ir.node g d).Ir.value with
-          | Some v -> v
-          | None ->
-            invalid_arg (Printf.sprintf "Codegen: input %d has no trace value" d)
-        in
-        match (v, operand sched d) with
-        | Value.Vector a, Instr.Slot k -> Instr.In_slot (k, a)
-        | Value.Scalar c, Instr.Reg r -> Instr.In_reg (r, c)
-        | _ -> invalid_arg "Codegen: input kind mismatch")
-      (Ir.inputs g)
-  in
-  let issues =
-    List.map
-      (fun i ->
-        let out = match Ir.succs g i with [ d ] -> d | _ -> assert false in
-        ( sched.Schedule.start.(i),
-          {
-            Instr.op = Ir.opcode g i;
-            args = List.map (operand sched) (Ir.preds g i);
-            dest = dest sched out;
-            node = i;
-          } ))
-      (Ir.op_nodes g)
-  in
-  let cycles = List.sort_uniq compare (List.map fst issues) in
-  let instrs =
-    List.map
-      (fun c ->
-        let here = List.filter_map (fun (c', i) -> if c' = c then Some i else None) issues in
-        let vector, rest =
-          List.partition (fun i -> Opcode.resource i.Instr.op = Opcode.Vector_core) here
-        in
-        let scalar, im =
-          List.partition (fun i -> Opcode.resource i.Instr.op = Opcode.Scalar_accel) rest
-        in
-        let one = function
-          | [] -> None
-          | [ i ] -> Some i
-          | i :: _ ->
-            invalid_arg
-              (Printf.sprintf "Codegen: cycle %d oversubscribes a unit (node %d)" c
-                 i.Instr.node)
-        in
-        { Instr.cycle = c; vector; scalar = one scalar; im = one im })
-      cycles
-  in
-  let outs =
-    match outputs with Some l -> l | None -> Ir.outputs g
-  in
-  {
-    Instr.arch = sched.Schedule.arch;
-    inputs;
-    instrs;
-    outputs = List.map (fun d -> (d, dest sched d)) outs;
-  }
-
-let run_and_check ?outputs sched =
-  let g = sched.Schedule.ir in
-  match program ?outputs sched with
-  | exception Invalid_argument msg -> Error msg
-  | prog -> (
-    match Machine.run prog with
-    | exception Machine.Sim_error e ->
-      Error (Format.asprintf "simulation: %a" Machine.pp_error e)
-    | result -> (
-      let reference = Ir.eval g in
-      (* Compare op results via the data node each op produces; a datum
-         whose slot was later reused is checked through the recorded
-         node value, not the final memory image. *)
-      let mismatches =
-        List.filter_map
-          (fun i ->
-            let d = match Ir.succs g i with [ d ] -> d | _ -> assert false in
-            let expect = List.assoc d reference in
-            match List.assoc_opt i result.Machine.node_values with
-            | None -> Some (Printf.sprintf "node %d produced no value" i)
-            | Some got ->
-              if Value.equal ~eps:1e-6 expect got then None
-              else
-                Some
-                  (Printf.sprintf "node %d: expected %s, got %s" i
-                     (Value.to_string expect) (Value.to_string got)))
-          (Ir.op_nodes g)
-      in
-      match mismatches with
-      | [] -> Ok ()
-      | m :: _ -> Error m))
+let run_and_check sch =
+  Result.map ignore (Periodic.simulate (Periodic.of_schedule sch))

@@ -1,9 +1,6 @@
 open Eit_dsl
 
-let node_latency g arch i =
-  match (Ir.node g i).Ir.op with
-  | Some op -> Eit.Arch.latency arch op
-  | None -> 0
+let node_latency = Schedule.node_latency
 
 (* Critical-path priorities: latency-weighted longest path to a sink. *)
 let priorities g arch =
@@ -203,10 +200,5 @@ let run ?(arch = Eit.Arch.default) g =
     match allocate g arch start with
     | Error e -> Error e
     | Ok slot ->
-      let makespan =
-        List.fold_left
-          (fun acc i -> max acc (start.(i) + node_latency g arch i))
-          0
-          (List.init (Ir.size g) Fun.id)
-      in
-      Ok { Schedule.ir = g; arch; start; slot; makespan })
+      Ok
+        { Schedule.ir = g; arch; start; slot; makespan = Schedule.span g arch start })

@@ -38,6 +38,8 @@ let insert b i op =
   b.ops <- i :: b.ops
 
 let run g arch =
+  (* No bundle ever accepts an op wider than the machine. *)
+  Option.iter invalid_arg (Model.too_wide g arch);
   (* Op-level dependency: producer of any operand datum. *)
   let producer_ops i =
     List.filter_map (fun d -> Ir.producer g d) (Ir.preds g i)

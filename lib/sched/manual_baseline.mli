@@ -29,6 +29,8 @@ type t = {
 }
 
 val run : Eit_dsl.Ir.t -> Eit.Arch.t -> t
+(** @raise Invalid_argument with {!Model.too_wide}'s message when an op
+    needs more lanes than [arch] has: no bundle could ever hold it. *)
 
 val overlapped :
   Eit_dsl.Ir.t -> Eit.Arch.t -> m:int -> Overlap.t

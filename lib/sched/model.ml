@@ -14,10 +14,7 @@ type t = {
   horizon : int;
 }
 
-let latency_of g arch i =
-  match (Ir.node g i).Ir.op with
-  | Some op -> Eit.Arch.latency arch op
-  | None -> 0
+let latency_of = Schedule.node_latency
 
 let horizon_estimate g arch =
   List.fold_left (fun acc i -> acc + latency_of g arch i) 1 (Ir.op_nodes g)
@@ -37,37 +34,32 @@ let too_wide g arch =
 let vector_reads g i =
   List.filter (fun p -> Ir.category g p = Ir.Vector_data) (Ir.preds g i)
 
-(* Configuration class of each op in [ops], numbered by first
-   occurrence: equal classes iff [Opcode.config_equal]. *)
-let config_classes g ops =
-  let reps = ref [] in
-  Array.map
-    (fun i ->
-      let op = Ir.opcode g i in
-      match List.find_opt (fun (r, _) -> Eit.Opcode.config_equal r op) !reps with
-      | Some (_, k) -> k
-      | None ->
-        let k = List.length !reps in
-        reps := (op, k) :: !reps;
-        k)
-    ops
-
-let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
-  (* An op wider than the vector core can never issue: the problem is
-     infeasible, not a misuse of Cumulative. *)
-  Option.iter (fun e -> raise (St.Fail e)) (too_wide g arch);
-  let horizon =
-    match horizon with Some h -> h | None -> horizon_estimate g arch
+(* The vector-core ops in node order, and the configuration class of
+   each, numbered by first occurrence: equal classes iff
+   [Opcode.config_equal]. *)
+let config_classes g =
+  let vops =
+    Array.of_list
+      (List.filter
+         (fun i -> Eit.Opcode.resource (Ir.opcode g i) = Eit.Opcode.Vector_core)
+         (Ir.op_nodes g))
   in
-  let s = St.create () in
-  (* Root propagation below can be the longest single sweep of the whole
-     solve; it must observe the deadline too. *)
-  if Fd.Deadline.is_finite deadline then
-    St.set_poll s
-      (Some
-         (fun () ->
-           if Fd.Deadline.expired deadline then
-             raise (St.Interrupted "deadline")));
+  let reps = ref [] in
+  let classes =
+    Array.map
+      (fun i ->
+        let op = Ir.opcode g i in
+        match List.find_opt (fun (r, _) -> Eit.Opcode.config_equal r op) !reps with
+        | Some (_, k) -> k
+        | None ->
+          let k = List.length !reps in
+          reps := (op, k) :: !reps;
+          k)
+      vops
+  in
+  (vops, classes)
+
+let post_timing s g arch ~memory ~horizon =
   let n = Ir.size g in
   (* A start variable for every op, and for every datum a memory
      constraint reads as a variable: the vector data, when [memory]. *)
@@ -108,31 +100,46 @@ let build ?horizon ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
           | Const k -> St.remove_below s si k)
         (Ir.preds g i))
     (Ir.op_nodes g);
-  (* eq. 2 + the other execution resources. *)
-  let post_cumulative rc limit resource_of =
+  start
+
+let post_units s g arch ~at ~duration =
+  let post rc limit amount =
     let ops =
       List.filter (fun i -> Eit.Opcode.resource (Ir.opcode g i) = rc) (Ir.op_nodes g)
     in
+    let column f = Array.of_list (List.map (fun i -> f (Ir.opcode g i)) ops) in
     if ops <> [] then
       Fd.Cumulative.post s
-        ~starts:(Array.of_list (List.map start_var ops))
-        ~durations:
-          (Array.of_list (List.map (fun i -> Eit.Arch.duration arch (Ir.opcode g i)) ops))
-        ~resources:(Array.of_list (List.map resource_of ops))
-        ~limit
+        ~starts:(Array.of_list (List.map at ops))
+        ~durations:(column duration) ~resources:(column amount) ~limit
   in
-  post_cumulative Eit.Opcode.Vector_core arch.Eit.Arch.n_lanes (fun i ->
-      Eit.Opcode.lanes (Ir.opcode g i));
-  post_cumulative Eit.Opcode.Scalar_accel 1 (fun _ -> 1);
-  post_cumulative Eit.Opcode.Index_merge 1 (fun _ -> 1);
+  post Eit.Opcode.Vector_core arch.Eit.Arch.n_lanes Eit.Opcode.lanes;
+  post Eit.Opcode.Scalar_accel 1 (fun _ -> 1);
+  post Eit.Opcode.Index_merge 1 (fun _ -> 1)
+
+let build ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
+  (* An op wider than the vector core can never issue: the problem is
+     infeasible, not a misuse of Cumulative. *)
+  Option.iter (fun e -> raise (St.Fail e)) (too_wide g arch);
+  let horizon = horizon_estimate g arch in
+  let s = St.create () in
+  (* Root propagation below can be the longest single sweep of the whole
+     solve; it must observe the deadline too. *)
+  if Fd.Deadline.is_finite deadline then
+    St.set_poll s
+      (Some
+         (fun () ->
+           if Fd.Deadline.expired deadline then
+             raise (St.Interrupted "deadline")));
+  let n = Ir.size g in
+  let start = post_timing s g arch ~memory ~horizon in
+  let start_var i =
+    match start.(i) with Var v -> v | Offset _ | Const _ -> assert false
+  in
+  (* eq. 2 + the other execution resources. *)
+  post_units s g arch ~at:start_var ~duration:(Eit.Arch.duration arch);
   (* eq. 3: differently-configured vector-core ops never share a cycle. *)
-  let vops =
-    Array.of_list
-      (List.filter
-         (fun i -> Eit.Opcode.resource (Ir.opcode g i) = Eit.Opcode.Vector_core)
-         (Ir.op_nodes g))
-  in
-  let config = config_classes g vops in
+  let vops, config = config_classes g in
   Fd.Arith.neq_classes s ~classes:config (Array.map start_var vops);
   (* eq. 5: makespan = max completion s_i + lat_i.  Seeding the lower
      bound (critical path + per-resource loads) lets branch & bound prove
@@ -307,19 +314,13 @@ let phases m =
       ~val_select:Fd.Search.select_min slots;
   ]
 
+let start_values start =
+  Array.map
+    (function Var v -> St.vmin v | Offset (v, k) -> St.vmin v + k | Const k -> k)
+    start
+
 let extract m =
-  let n = Ir.size m.ir in
-  let start =
-    Array.init n (fun i ->
-        match m.start.(i) with
-        | Var v -> St.vmin v
-        | Offset (v, k) -> St.vmin v + k
-        | Const k -> k)
-  in
+  let start = start_values m.start in
   let slot = List.map (fun (d, v) -> (d, St.vmin v)) m.slot in
-  let makespan =
-    List.fold_left
-      (fun acc i -> max acc (start.(i) + latency_of m.ir m.arch i))
-      0 (List.init n Fun.id)
-  in
+  let makespan = Schedule.span m.ir m.arch start in
   { Schedule.ir = m.ir; arch = m.arch; start; slot; makespan }

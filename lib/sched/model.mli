@@ -7,8 +7,8 @@
       eq. 4 for the data;
     - Cumulative over the four vector lanes (eq. 2), the scalar
       accelerator and the index/merge unit;
-    - pairwise start disequality for differently-configured vector ops
-      (eq. 3);
+    - start disequality for differently-configured vector ops (eq. 3),
+      one {!Fd.Arith.neq_classes} over {!config_classes};
     - the makespan objective variable (eq. 5);
     - per vector-datum: a slot variable channeled to line and page
       variables (eq. 6), the page=>line access implications for operands
@@ -53,9 +53,9 @@ val too_wide : Ir.t -> Eit.Arch.t -> string option
     with its id and opcode, e.g. ["op 41 (m_hvmul) needs 4 lanes, the
     machine has 2"]; such a problem is infeasible. *)
 
-val build :
-  ?horizon:int -> ?deadline:Fd.Deadline.t -> ?memory:bool -> Ir.t -> Eit.Arch.t -> t
-(** Construct the model and run root propagation.
+val build : ?deadline:Fd.Deadline.t -> ?memory:bool -> Ir.t -> Eit.Arch.t -> t
+(** Construct the model and run root propagation, with every start in
+    [[0, horizon_estimate]].
     [memory] (default [true]) includes the slot-allocation part; turning
     it off reproduces a scheduling-only model (used as ablation and by
     the manual baseline).  A finite [deadline] installs a store poll, so
@@ -64,6 +64,37 @@ val build :
     {!too_wide} names an op.
     @raise Fd.Store.Interrupted if [deadline] expires during root
     propagation. *)
+
+(** {2 The parts §4.3's modulo model shares}
+
+    {!build} posts eqs. 1-4 through these, in this order; {!Modulo}
+    posts them over its own store, with the memory part off. *)
+
+val post_timing :
+  Fd.Store.t -> Ir.t -> Eit.Arch.t -> memory:bool -> horizon:int -> start array
+(** The start variables, in [[0, horizon]] (see {!start}), eq. 4 and
+    eq. 1's precedences. *)
+
+val post_units :
+  Fd.Store.t ->
+  Ir.t ->
+  Eit.Arch.t ->
+  at:(int -> Fd.Store.var) ->
+  duration:(Eit.Opcode.t -> int) ->
+  unit
+(** Eq. 2 and the serial units' capacities: one Cumulative per execution
+    resource, op [i] issued at [at i] for [duration] of its opcode.  The
+    flat model passes the start variables and {!Eit.Arch.duration}; the
+    modulo model passes the residues [s mod II] and unit durations. *)
+
+val config_classes : Ir.t -> int array * int array
+(** The vector-core ops in node order, and each one's configuration
+    class, numbered by first occurrence (equal iff
+    {!Eit.Opcode.config_equal}).  Eq. 3 is {!Fd.Arith.neq_classes} over
+    them. *)
+
+val start_values : start array -> int array
+(** Every node's start cycle in the store's current (fixed) state. *)
 
 val phases : t -> Fd.Search.phase list
 (** The paper's three search phases (§3.5): operation starts, then the

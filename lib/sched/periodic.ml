@@ -5,9 +5,55 @@ type t = {
   ir : Ir.t;
   arch : Arch.t;
   start : int array;
+  slot : int array;
+  stride : int;
   ii : int;
   iterations : int;
 }
+
+(* Whole memory lines holding slots [0, width). *)
+let whole_lines arch width =
+  let banks = arch.Arch.banks in
+  (width + banks - 1) / banks * banks
+
+let of_schedule (sch : Schedule.t) =
+  let g = sch.Schedule.ir in
+  let n = Ir.size g in
+  (* each vector datum's first slot binding, as [List.assoc] finds it *)
+  let slot = Array.make n (-1) in
+  List.iter
+    (fun (d, k) ->
+      if d >= 0 && d < n && slot.(d) < 0 && Ir.category g d = Ir.Vector_data then
+        slot.(d) <- k)
+    sch.Schedule.slot;
+  {
+    ir = g;
+    arch = sch.Schedule.arch;
+    start = sch.Schedule.start;
+    slot;
+    stride = whole_lines sch.Schedule.arch (1 + Array.fold_left max (-1) slot);
+    ii = 1;
+    iterations = 1;
+  }
+
+(* One colouring of the iteration's lifetimes (birth at the datum's
+   start, held through its last read): the schedule's own slot reuse
+   does not survive rewritten issue times. *)
+let colour g arch start ~ii ~iterations =
+  let interval d =
+    let birth = start.(d) in
+    let death =
+      List.fold_left (fun acc c -> max acc start.(c)) birth (Ir.succs g d)
+    in
+    (d, birth, death + 1)
+  in
+  let vdata =
+    List.filter (fun d -> Ir.category g d = Ir.Vector_data) (Ir.data_nodes g)
+  in
+  let assignment, slots = Interval_alloc.color (List.map interval vdata) in
+  let slot = Array.make (Ir.size g) (-1) in
+  Hashtbl.iter (fun d k -> slot.(d) <- k) assignment;
+  { ir = g; arch; start; slot; stride = whole_lines arch slots; ii; iterations }
 
 let of_overlap g arch (ov : Overlap.t) =
   let m = ov.Overlap.m in
@@ -34,15 +80,12 @@ let of_overlap g arch (ov : Overlap.t) =
         | Some p -> start.(p) + Schedule.node_latency g arch p
         | None -> 0))
     (Ir.data_nodes g);
-  { ir = g; arch; start; ii = 1; iterations = m }
+  colour g arch start ~ii:1 ~iterations:m
 
 let of_modulo g arch (r : Modulo.result) ~iterations =
-  { ir = g; arch; start = r.Modulo.start; ii = r.Modulo.ii; iterations }
+  colour g arch r.Modulo.start ~ii:r.Modulo.ii ~iterations
 
-let span t =
-  List.fold_left
-    (fun acc i -> max acc (t.start.(i) + Schedule.node_latency t.ir t.arch i))
-    0 (Ir.op_nodes t.ir)
+let span t = Schedule.span t.ir t.arch t.start
 
 let issues t = Schedule.issues t.ir t.start ~ii:t.ii ~iterations:t.iterations
 
@@ -50,28 +93,7 @@ let violations t =
   Schedule.check_timing t.ir t.arch t.start
   @ Schedule.check_issue t.ir t.arch t.start ~ii:t.ii ~iterations:t.iterations
 
-(* One colouring of the iteration's lifetimes (birth at the datum's
-   start, held through its last read), and the whole-line stride that
-   separates iterations. *)
-let allocation t =
-  let g = t.ir in
-  let interval d =
-    let birth = t.start.(d) in
-    let death =
-      List.fold_left (fun acc c -> max acc t.start.(c)) birth (Ir.succs g d)
-    in
-    (d, birth, death + 1)
-  in
-  let vdata =
-    List.filter (fun d -> Ir.category g d = Ir.Vector_data) (Ir.data_nodes g)
-  in
-  let assignment, slots = Interval_alloc.color (List.map interval vdata) in
-  let banks = t.arch.Arch.banks in
-  (assignment, (slots + banks - 1) / banks * banks)
-
-let lines_needed t =
-  let _, stride = allocation t in
-  stride / t.arch.Arch.banks * t.iterations
+let lines_needed t = t.stride / t.arch.Arch.banks * t.iterations
 
 type report = {
   program : Instr.program;
@@ -84,16 +106,23 @@ let no_stream (_ : int) : (int * Value.t) list = []
 
 let to_program ?(stream = no_stream) t =
   let g = t.ir and arch = t.arch and iterations = t.iterations in
-  let assignment, stride = allocation t in
-  if stride * iterations > Arch.slots arch then
+  (* the last iteration's highest slot must exist: no rounding up to
+     whole lines, so a flat schedule fits any memory it was validated on *)
+  let needed =
+    ((iterations - 1) * t.stride) + 1 + Array.fold_left max (-1) t.slot
+  in
+  if needed > Arch.slots arch then
     invalid_arg
       (Printf.sprintf
-         "Periodic.to_program: %d iterations x %d-slot stride exceed %d slots"
-         iterations stride (Arch.slots arch));
+         "Periodic.to_program: %d iterations need %d slots, memory has %d"
+         iterations needed (Arch.slots arch));
   let nnodes = Ir.size g in
   let operand iter d =
     match Ir.category g d with
-    | Ir.Vector_data -> Instr.Slot (Hashtbl.find assignment d + (iter * stride))
+    | Ir.Vector_data ->
+      if t.slot.(d) < 0 then
+        invalid_arg (Printf.sprintf "Periodic: vector datum %d has no slot" d);
+      Instr.Slot (t.slot.(d) + (iter * t.stride))
     | Ir.Scalar_data -> Instr.Reg ((iter * nnodes) + d)
     | _ -> invalid_arg "Periodic: operand is not a datum"
   in
@@ -174,10 +203,13 @@ let to_program ?(stream = no_stream) t =
         (Ir.outputs g);
   }
 
-let run_and_check ?(stream = no_stream) t =
+(* The program, and a run of it under [check_access] that compares
+   every op result with its iteration's reference: both built once, so
+   [run_and_check] can run it twice. *)
+let runner ?(stream = no_stream) t =
   match to_program ~stream t with
-  | exception Invalid_argument msg -> Error msg
-  | program -> (
+  | exception Invalid_argument msg -> fun ~check_access:_ -> Error msg
+  | program ->
     let g = t.ir in
     let nnodes = Ir.size g in
     let references =
@@ -208,7 +240,7 @@ let run_and_check ?(stream = no_stream) t =
         (fun iter -> List.map (fun i -> (iter, i)) (Ir.op_nodes g))
         (List.init t.iterations Fun.id)
     in
-    let simulate check_access =
+    fun ~check_access ->
       match Machine.run ~check_access program with
       | exception Machine.Sim_error e ->
         Error (Format.asprintf "%a" Machine.pp_error e)
@@ -226,7 +258,11 @@ let run_and_check ?(stream = no_stream) t =
                 access_clean = check_access;
                 completion = result.Machine.cycles;
               })
-    in
-    match simulate true with
-    | Ok rep -> Ok rep
-    | Error _ -> simulate false)
+
+let simulate t = runner t ~check_access:true
+
+let run_and_check ?stream t =
+  let run = runner ?stream t in
+  match run ~check_access:true with
+  | Ok rep -> Ok rep
+  | Error _ -> run ~check_access:false

@@ -18,6 +18,11 @@ let node_latency g arch i =
 
 let latency_of t i = node_latency t.ir t.arch i
 
+let span g arch start =
+  List.fold_left
+    (fun acc i -> max acc (start.(i) + node_latency g arch i))
+    0 (Ir.op_nodes g)
+
 (* Paper eq. 10 extended by one cycle: the slot stays occupied through
    the cycle of the last read, so a successor write can never race it. *)
 let lifetime t i =
@@ -26,9 +31,6 @@ let lifetime t i =
     List.fold_left (fun acc c -> max acc t.start.(c)) s (Ir.succs t.ir i)
   in
   last_use + 1 - s
-
-let ops_at t cycle =
-  List.filter (fun i -> t.start.(i) = cycle) (Ir.op_nodes t.ir)
 
 let slots_used t =
   List.sort_uniq compare (List.map snd t.slot) |> List.length
@@ -225,12 +227,8 @@ let validate t =
         (Eit.Mem.check_access arch ~reads ~writes))
     (List.filter (fun c -> c >= 0)
        (List.sort_uniq compare (keys issued @ keys written)));
-  (* makespan consistency *)
-  let real =
-    List.fold_left
-      (fun acc i -> max acc (t.start.(i) + latency_of t i))
-      0 (List.init n Fun.id)
-  in
+  (* makespan consistency; [check_timing] has checked the data starts *)
+  let real = span g arch t.start in
   if real <> t.makespan then
     add vs "makespan" "recorded %d, actual %d" t.makespan real;
   structure @ timing @ issue @ List.rev !vs

@@ -28,15 +28,17 @@ val node_latency : Ir.t -> Eit.Arch.t -> int -> int
 val latency_of : t -> int -> int
 (** [node_latency] of the schedule's graph and architecture. *)
 
+val span : Ir.t -> Eit.Arch.t -> int array -> int
+(** The latest op completion, [start.(i) + latency] over the ops: the
+    makespan of a start array whose data start when produced (inputs at
+    0), and one iteration's length in a periodic schedule. *)
+
 val lifetime : t -> int -> int
 (** Paper eq. 10 for a vector data node, extended by one cycle: the slot
     is held from the datum's start through the cycle of its last read
     (data without consumers live 1 cycle: written once, streamed out).
     The extension closes a write-after-read race the published formula
     permits; see DESIGN.md §5. *)
-
-val ops_at : t -> int -> int list
-(** Operation nodes starting at the given cycle. *)
 
 val slots_used : t -> int
 (** Number of distinct slots referenced. *)

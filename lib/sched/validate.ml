@@ -110,7 +110,7 @@ let modulo g arch (r : Modulo.result) =
         (fun acc i -> max acc (Eit.Arch.duration arch (Ir.opcode g i)))
         0 ops
     in
-    let span = Periodic.span (Periodic.of_modulo g arch r ~iterations:1) in
+    let span = Schedule.span g arch r.Modulo.start in
     let iterations = ((span + max_duration + ii - 1) / ii) + 1 in
     let periodic =
       if iterations <= window_limit / max 1 (List.length ops) then

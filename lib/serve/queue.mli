@@ -27,5 +27,3 @@ val drain_if : 'a t -> ('a -> bool) -> 'a list
 val length : 'a t -> int
 val close : 'a t -> unit
 (** Stop admitting; wake every blocked {!pop}.  Idempotent. *)
-
-val is_closed : 'a t -> bool

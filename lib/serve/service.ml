@@ -730,7 +730,7 @@ let watchdog ctx pool stop =
           if complete ctx j resp then begin
             obs_instant "serve.wedge" j.jr.id;
             Pool.revive pool slot;
-            Fd.Deadline.cancel ~reason:"watchdog" j.sw
+            Fd.Deadline.cancel j.sw
           end
         | _ -> ())
       (Pool.cells pool);

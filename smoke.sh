@@ -183,9 +183,9 @@ fi
 echo "smoke.sh: bound guard OK (matmul optimal in $nodes nodes <= 100)"
 
 # §4.3's figures: Table 2's rows, the simulator cross-checks of every
-# overlapped and modulo program (`bench dynamic`), the overlapped
-# utilization rows and two Table 3 kernels, each printed verbatim and
-# deterministic (tens of milliseconds each).
+# overlapped and modulo program (`bench dynamic`), every utilization
+# row (one-shot, overlapped and modulo) and the three Table 3 kernels,
+# each printed verbatim and deterministic (tens of milliseconds each).
 dune build ./bench/main.exe
 BENCH=_build/default/bench/main.exe
 expect_rows() {
@@ -211,9 +211,15 @@ expect_rows "bench dynamic" "$("$BENCH" dynamic)" \
   "QRD      overlap M=12    744 results verified, port-clean=false" \
   "QRD      modulo  N=4     248 results verified, port-clean=false, completion=264 (= span+3*II: true)"
 expect_rows "bench utilization" "$("$BENCH" utilization)" \
+  "QRD      one-shot     5.9            18/169       22" \
   "QRD      overlap-12   28.1           216/427      36" \
+  "QRD      modulo       55.6           15/18        3" \
+  "ARF      one-shot     12.3           14/57        7" \
   "ARF      overlap-12   48.0           168/175      7" \
-  "MATMUL   overlap-12   49.5           48/97        49"
+  "ARF      modulo       100.0          7/7          0" \
+  "MATMUL   one-shot     33.3           4/12         8" \
+  "MATMUL   overlap-12   49.5           48/97        49" \
+  "MATMUL   modulo       100.0          4/4          0"
 out=$("$EITC" modulo matmul) || {
   echo "smoke.sh: eitc modulo matmul exited non-zero" >&2
   echo "$out" >&2
@@ -226,7 +232,13 @@ out=$("$EITC" modulo arf) || {
   exit 1
 }
 expect_rows "eitc modulo arf" "$out" "II=7, 4 reconfigs, actual II=11"
-echo "smoke.sh: §4.3 smoke OK (Table 2, 6 simulator cross-checks, overlap utilization, modulo matmul + arf validated)"
+out=$("$EITC" modulo qrd) || {
+  echo "smoke.sh: eitc modulo qrd exited non-zero" >&2
+  echo "$out" >&2
+  exit 1
+}
+expect_rows "eitc modulo qrd" "$out" "II=18, 11 reconfigs, actual II=29"
+echo "smoke.sh: §4.3 smoke OK (Table 2, 6 simulator cross-checks, 9 utilization rows, modulo matmul + arf + qrd validated)"
 
 # Service smoke: three line-delimited JSON requests — two solvable
 # kernels and one malformed XML payload — through `eitc serve`.  The

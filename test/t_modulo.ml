@@ -7,6 +7,7 @@ open Eit
 let merged g = (Merge.run g).Merge.graph
 let matmul = lazy (merged (Apps.Matmul.graph (Apps.Matmul.build ())))
 let arf = lazy (merged (Apps.Arf.graph (Apps.Arf.build ())))
+let qrd = lazy (merged (Apps.Qrd.graph (Apps.Qrd.build ())))
 
 let test_res_mii () =
   (* MATMUL: 16 dotp / 4 lanes = 4, 4 merges on the IM unit = 4 *)
@@ -23,12 +24,34 @@ let test_matmul_exact_paper_row () =
     Alcotest.(check int) "II" 4 r.Sched.Modulo.ii;
     Alcotest.(check int) "reconfigs" 0 r.Sched.Modulo.reconfigurations;
     Alcotest.(check int) "actual" 4 r.Sched.Modulo.actual_ii;
+    Alcotest.(check int) "span" 11 r.Sched.Modulo.span;
     Alcotest.(check (float 1e-9)) "throughput" 0.25 r.Sched.Modulo.throughput;
     Alcotest.(check bool) "valid" true (Sched.Validate.modulo g Arch.default r = Ok ())
   | None -> Alcotest.fail "excluding timed out");
   match Sched.Modulo.solve_including ~budget_ms:20_000. g with
   | Some r -> Alcotest.(check int) "incl actual" 4 r.Sched.Modulo.actual_ii
   | None -> Alcotest.fail "including timed out"
+
+(* Table 3's excluding-reconfigurations rows for QRD and ARF, pinned:
+   (II, reconfigurations, actual II, span) of each kernel's minimum-II
+   kernel, which the validator accepts (MATMUL's row is pinned above).
+   Each solve takes milliseconds. *)
+let test_table3_excluding_rows () =
+  List.iter
+    (fun (name, g, row) ->
+      let g = Lazy.force g in
+      match Sched.Modulo.solve_excluding ~budget_ms:20_000. g with
+      | None -> Alcotest.failf "%s: no kernel" name
+      | Some r ->
+        Alcotest.(check (list int)) name row
+          [ r.Sched.Modulo.ii; r.Sched.Modulo.reconfigurations;
+            r.Sched.Modulo.actual_ii; r.Sched.Modulo.span ];
+        Alcotest.(check bool) (name ^ " valid") true
+          (Sched.Validate.modulo g Arch.default r = Ok ()))
+    [
+      ("QRD", qrd, [ 18; 11; 29; 210 ]);
+      ("ARF", arf, [ 7; 4; 11; 76 ]);
+    ]
 
 let test_arf_modes () =
   let g = Lazy.force arf in
@@ -129,4 +152,5 @@ let suite =
     Alcotest.test_case "reconfig lower bound" `Quick test_reconfig_lower_bound;
     Alcotest.test_case "throughput formula" `Quick test_throughput_formula;
     Alcotest.test_case "unrolled steady state" `Quick test_unrolled_consistency;
+    Alcotest.test_case "Table 3 excluding rows" `Quick test_table3_excluding_rows;
   ]

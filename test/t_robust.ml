@@ -198,8 +198,11 @@ let test_budget_zero_falls_back () =
 
 (* The mini preset has 2 lanes; DETECT's and sorted QRD's 4-lane matrix
    ops can never issue there.  That is a property of the problem: a
-   crash-free infeasibility proof (exit 3), and a fallback error that
-   names the op rather than a list scheduler running out of horizon. *)
+   crash-free infeasibility proof (exit 3), a fallback error that names
+   the op rather than a list scheduler running out of horizon, no modulo
+   kernel in either mode (not a Cumulative misuse escaping), and a
+   manual baseline that refuses the op instead of looking for a bundle
+   forever. *)
 let test_too_wide_op_is_infeasible () =
   List.iter
     (fun name ->
@@ -210,12 +213,23 @@ let test_too_wide_op_is_infeasible () =
       Alcotest.(check int) (name ^ " exit code") 3 (Sched.Solve.exit_code o);
       Alcotest.(check int) (name ^ " no crashes") 0
         (List.length o.Sched.Solve.crashes);
-      match Sched.Heuristic.run ~arch:Eit.Arch.mini g with
+      (match Sched.Heuristic.run ~arch:Eit.Arch.mini g with
       | Ok _ -> Alcotest.failf "%s: heuristic scheduled a too-wide op" name
       | Error e ->
         Alcotest.(check bool) (name ^ " names the op: " ^ e) true
           (String.starts_with ~prefix:"op " e
-          && String.ends_with ~suffix:"needs 4 lanes, the machine has 2" e))
+          && String.ends_with ~suffix:"needs 4 lanes, the machine has 2" e));
+      Alcotest.(check bool) (name ^ " modulo excluding") true
+        (Option.is_none
+           (Sched.Modulo.solve_excluding ~budget_ms:10_000. ~arch:Eit.Arch.mini g));
+      Alcotest.(check bool) (name ^ " modulo including") true
+        (Option.is_none
+           (Sched.Modulo.solve_including ~budget_ms:10_000. ~arch:Eit.Arch.mini g));
+      match Sched.Manual_baseline.run g Eit.Arch.mini with
+      | _ -> Alcotest.failf "%s: manual baseline bundled a too-wide op" name
+      | exception Invalid_argument e ->
+        Alcotest.(check (option string)) (name ^ " manual baseline names the op")
+          (Sched.Model.too_wide g Eit.Arch.mini) (Some e))
     [ "detect"; "qrd-sorted" ]
 
 (* QRD in 7 slots with no search time: the greedy finds no legal slot
