@@ -22,11 +22,12 @@ let blocked8 () =
 let blocked12 () =
   merged (Dsl.graph (Apps.Matmul.build_blocked ~k:3 ()).Apps.Matmul.bctx)
 
-(* blocked8 proves nothing within reach.  A node budget with no time
-   limit keeps its long search reproducible, so its counters gate like
-   a proof's (see [is_deterministic_row]).  blocked12 (612 ops) gets a
-   shorter one: its first dive alone is longer than 300 nodes, so the
-   row measures model build and propagation at scale. *)
+(* blocked8 is proven at its bound (46) in 456 nodes.  Its node budget,
+   with no time limit, caps the search should a change lose that proof,
+   so its counters stay reproducible and gate like a proof's (see
+   [is_deterministic_row]).  blocked12 (612 ops) gets a shorter one: its
+   first dive alone is longer than 300 nodes, so the row measures model
+   build and propagation at scale. *)
 let blocked8_nodes = 3_000
 let blocked12_nodes = 300
 
@@ -259,43 +260,66 @@ let fig8 () =
 (* Ablations: the design choices DESIGN.md calls out                   *)
 
 (* A1: search heuristics (§3.5) — what the phase-1 variable selection
-   buys on the QRD scheduling problem. *)
+   buys.  "node-order ties" is the default selection with its
+   critical-path tie-break taken out: ops that can start equally early
+   are tried in node order instead of by decreasing tail. *)
 let ablation_heuristics () =
-  header "Ablation A1: phase-1 variable selection heuristic (10 s budget each)";
+  header
+    "Ablation A1: phase-1 variable selection heuristic (10 s budget each, \
+     blocked8 3,000 nodes)";
   Format.printf "%-10s %-18s %-10s %-12s %-10s %-10s %-10s@." "kernel"
     "heuristic" "status" "makespan" "nodes" "failures" "time (ms)";
-  List.iter (fun (kernel, g) ->
-  List.iter
-    (fun (name, var_select) ->
-      let m = Sched.Model.build g Eit.Arch.default in
-      let phases =
-        match Sched.Model.phases m with
-        | [ p1; p2; p3 ] -> [ { p1 with Fd.Search.var_select }; p2; p3 ]
-        | other -> other
-      in
-      match
-        Fd.Search.minimize
-          ~budget:(Fd.Search.time_budget 10_000.)
-          m.Sched.Model.store phases ~objective:m.Sched.Model.makespan
-          ~on_solution:(fun () -> Sched.Model.extract m)
-      with
-      | Fd.Search.Solution (sch, st) | Fd.Search.Best (sch, st) ->
-        Format.printf "%-10s %-18s %-10s %-12d %-10d %-10d %-10.0f@." kernel
-          name
-          (if st.Fd.Search.optimal then "optimal" else "best")
-          sch.Sched.Schedule.makespan st.Fd.Search.nodes st.Fd.Search.failures
-          st.Fd.Search.time_ms
-      | Fd.Search.Unsat st | Fd.Search.Timeout st ->
-        Format.printf "%-10s %-18s %-10s %-12s %-10d %-10d %-10.0f@." kernel
-          name "none" "-" st.Fd.Search.nodes st.Fd.Search.failures
-          st.Fd.Search.time_ms)
+  let row (kernel, g, budget) (name, phase1) =
+    let m = Sched.Model.build g Eit.Arch.default in
+    let phases =
+      match Sched.Model.phases m with
+      | p1 :: rest -> phase1 m p1 :: rest
+      | [] -> []
+    in
+    match
+      Fd.Search.minimize ~budget m.Sched.Model.store phases
+        ~objective:m.Sched.Model.makespan
+        ~on_solution:(fun () -> Sched.Model.extract m)
+    with
+    | Fd.Search.Solution (sch, st) | Fd.Search.Best (sch, st) ->
+      Format.printf "%-10s %-18s %-10s %-12d %-10d %-10d %-10.0f@." kernel
+        name
+        (if st.Fd.Search.optimal then "optimal" else "best")
+        sch.Sched.Schedule.makespan st.Fd.Search.nodes st.Fd.Search.failures
+        st.Fd.Search.time_ms
+    | Fd.Search.Unsat st | Fd.Search.Timeout st ->
+      Format.printf "%-10s %-18s %-10s %-12s %-10d %-10d %-10.0f@." kernel
+        name "none" "-" st.Fd.Search.nodes st.Fd.Search.failures
+        st.Fd.Search.time_ms
+  in
+  let select var_select _ p1 = { p1 with Fd.Search.var_select } in
+  let node_order (m : Sched.Model.t) p1 =
+    let var i =
+      match m.Sched.Model.start.(i) with
+      | Sched.Model.Var v -> Some v
+      | Sched.Model.Offset _ | Sched.Model.Const _ -> None
+    in
+    { p1 with Fd.Search.vars = List.filter_map var (Ir.op_nodes m.Sched.Model.ir) }
+  in
+  let default = ("smallest_min", select Fd.Search.smallest_min) in
+  let heuristics =
     [
-      ("smallest_min", Fd.Search.smallest_min);
-      ("first_fail", Fd.Search.first_fail);
-      ("input_order", Fd.Search.input_order);
-      ("most_constrained", Fd.Search.most_constrained);
-    ])
-    [ ("QRD", kernel "qrd"); ("MATMUL", kernel "matmul") ]
+      default;
+      ("first_fail", select Fd.Search.first_fail);
+      ("input_order", select Fd.Search.input_order);
+      ("most_constrained", select Fd.Search.most_constrained);
+    ]
+  in
+  let ties = [ default; ("node-order ties", node_order) ] in
+  let ten_s = Fd.Search.time_budget 10_000. in
+  List.iter
+    (fun (problem, variants) -> List.iter (row problem) variants)
+    [
+      (("QRD", kernel "qrd", ten_s), heuristics);
+      (("MATMUL", kernel "matmul", ten_s), heuristics);
+      (("ARF", kernel "arf", ten_s), ties);
+      (("blocked8", blocked8 (), Fd.Search.node_budget blocked8_nodes), ties);
+    ]
 
 (* A2: integrated memory allocation on/off — the cost of the paper's
    central modelling decision. *)

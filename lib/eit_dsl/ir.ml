@@ -239,21 +239,22 @@ let node_latency g arch i =
   | Some op -> Eit.Arch.latency arch op
   | None -> 0
 
-let critical_path g arch =
+let heads_tails g arch =
   let n = size g in
-  let start = Array.make n 0 in
-  let finish = ref 0 in
+  let lat = node_latency g arch in
+  let order = topo_order g in
+  let head = Array.make n 0 and tail = Array.make n 0 in
   List.iter
     (fun i ->
-      let est =
-        List.fold_left
-          (fun acc p -> max acc (start.(p) + node_latency g arch p))
-          0 (preds g i)
-      in
-      start.(i) <- est;
-      finish := max !finish (est + node_latency g arch i))
-    (topo_order g);
-  !finish
+      List.iter (fun p -> head.(i) <- max head.(i) (head.(p) + lat p)) (preds g i))
+    order;
+  List.iter
+    (fun i ->
+      tail.(i) <- lat i + List.fold_left (fun acc s -> max acc tail.(s)) 0 (succs g i))
+    (List.rev order);
+  (head, tail)
+
+let critical_path g arch = Array.fold_left max 0 (snd (heads_tails g arch))
 
 let eval ?(inputs = []) g =
   let n = size g in

@@ -96,10 +96,20 @@ val topo_order : t -> int list
 
 val validate : t -> (unit, string) result
 
+val node_latency : t -> Eit.Arch.t -> int -> int
+(** 0 for data nodes, [Arch.latency] for operation nodes. *)
+
+val heads_tails : t -> Eit.Arch.t -> int array * int array
+(** Per node, over latency-weighted paths ({!node_latency}): its head,
+    the longest path into it, so its earliest start; and its tail, its
+    own latency plus the longest path after it, so the least it adds to
+    the makespan from its start.  The tail is the critical-path priority
+    of list scheduling: the lower bounds, the greedy and the CP search's
+    first phase all rank ops by it. *)
+
 val critical_path : t -> Eit.Arch.t -> int
-(** Length (in clock cycles) of the longest latency-weighted path: data
-    nodes weigh 0, operation nodes weigh [Arch.latency].  This is the
-    paper's |Cr.P|. *)
+(** Length (in clock cycles) of the longest latency-weighted path, the
+    largest tail.  This is the paper's |Cr.P|. *)
 
 val eval : ?inputs:(int * Eit.Value.t) list -> t -> (int * Eit.Value.t) list
 (** Reference evaluation: compute every data node's value from the input

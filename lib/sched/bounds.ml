@@ -54,32 +54,7 @@ let load_bound ~head ~tail ~cls ~need ~limit ops =
 
 let compute g arch =
   let n = Ir.size g in
-  let lat =
-    Array.init n (fun i ->
-        match (Ir.node g i).Ir.op with
-        | Some op -> Eit.Arch.latency arch op
-        | None -> 0)
-  in
-  (* head: the longest latency path into a node, so its earliest start;
-     tail: its own latency plus the longest path after it, so the least
-     it adds to the makespan from its start.  Data nodes weigh 0. *)
-  let order = Ir.topo_order g in
-  let head = Array.make n 0 and tail = Array.make n 0 in
-  List.iter
-    (fun i ->
-      List.iter
-        (fun p -> head.(i) <- max head.(i) (head.(p) + lat.(p)))
-        (Ir.preds g i))
-    order;
-  List.iter
-    (fun i ->
-      tail.(i) <-
-        lat.(i) + List.fold_left (fun acc s -> max acc tail.(s)) 0 (Ir.succs g i))
-    (List.rev order);
-  let critical_path = ref 0 in
-  for i = 0 to n - 1 do
-    critical_path := max !critical_path (head.(i) + tail.(i))
-  done;
+  let head, tail = Ir.heads_tails g arch in
   let ops rc =
     Array.of_list
       (List.filter
@@ -115,7 +90,7 @@ let compute g arch =
   in
   let scalar_load = unit_load Eit.Opcode.Scalar_accel in
   let im_load = unit_load Eit.Opcode.Index_merge in
-  let critical_path = !critical_path in
+  let critical_path = Array.fold_left max 0 tail in
   {
     critical_path;
     vector_load;

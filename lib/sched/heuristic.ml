@@ -2,19 +2,6 @@ open Eit_dsl
 
 let node_latency = Schedule.node_latency
 
-(* Critical-path priorities: latency-weighted longest path to a sink. *)
-let priorities g arch =
-  let n = Ir.size g in
-  let prio = Array.make n 0 in
-  List.iter
-    (fun i ->
-      let tail =
-        List.fold_left (fun acc s -> max acc prio.(s)) 0 (Ir.succs g i)
-      in
-      prio.(i) <- node_latency g arch i + tail)
-    (List.rev (Ir.topo_order g));
-  prio
-
 (* ---------------- phase 1: list scheduling ---------------- *)
 
 (* Vector-data operands an op reads at issue, and vector results it
@@ -27,7 +14,7 @@ let vector_writes g i =
 
 let schedule_times g arch =
   let n = Ir.size g in
-  let prio = priorities g arch in
+  let _, prio = Ir.heads_tails g arch in
   let start = Array.make n (-1) in
   List.iter (fun d -> if Ir.producer g d = None then start.(d) <- 0) (Ir.data_nodes g);
   let unscheduled = ref (Ir.op_nodes g) in

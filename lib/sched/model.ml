@@ -302,7 +302,12 @@ let own_var m i = match m.start.(i) with Var v -> Some v | Offset _ | Const _ ->
 
 let phases m =
   let g = m.ir in
-  let op_starts = List.filter_map (own_var m) (Ir.op_nodes g) in
+  let _, tail = Ir.heads_tails g m.arch in
+  (* smallest_min breaks ties by list position *)
+  let by_tail =
+    List.stable_sort (fun a b -> compare tail.(b) tail.(a)) (Ir.op_nodes g)
+  in
+  let op_starts = List.filter_map (own_var m) by_tail in
   let data_starts = List.filter_map (own_var m) (Ir.data_nodes g) in
   let slots = List.map snd m.slot in
   [

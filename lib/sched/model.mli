@@ -99,7 +99,9 @@ val start_values : start array -> int array
 val phases : t -> Fd.Search.phase list
 (** The paper's three search phases (§3.5): operation starts, then the
     data starts that are variables ([Var] in {!start}; eq. 4 fixes them
-    once their producers are), then slots. *)
+    once their producers are), then slots.  Phase 1 takes the op that
+    can start earliest; among ops tied on that start, the one with the
+    longest tail ({!Eit_dsl.Ir.heads_tails}), then the lowest node id. *)
 
 val extract : t -> Schedule.t
 (** Snapshot the current (fully assigned) store into a schedule. *)

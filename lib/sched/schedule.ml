@@ -11,10 +11,7 @@ type t = {
 let start_of t i = t.start.(i)
 let slot_of t i = List.assoc i t.slot
 
-let node_latency g arch i =
-  match (Ir.node g i).Ir.op with
-  | Some op -> Eit.Arch.latency arch op
-  | None -> 0
+let node_latency = Ir.node_latency
 
 let latency_of t i = node_latency t.ir t.arch i
 

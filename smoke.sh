@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end smokes over the built `eitc` binary: the fallback sweep,
 # a fallback that fails without a crash, trace, trace-analytics and
-# live-metrics smokes, the MATMUL bound guard, §4.3's figures (Table 2,
+# live-metrics smokes, the MATMUL and ARF node guards, §4.3's figures (Table 2,
 # the simulator cross-checks, utilization, `eitc modulo`), the
 # serve / cache / telemetry / postmortem / tail-keep smokes, and a guard
 # that `bench profile --path` leaves BENCH_solver.json, and any file
@@ -152,35 +152,42 @@ for row in lanes.busy bank-ports.reads; do
 done
 echo "smoke.sh: live metrics OK (simulate qrd --metrics: lanes.busy, bank-ports.reads)"
 
-# Bound guard: the head-body-tail resource bound puts MATMUL's lower
-# bound at its optimum (11), so the first incumbent closes the proof
-# and the solve is optimal in a few dozen nodes.  The previous bound
-# (10) needed a 12.6k-node search to prove 10 infeasible; a breach of
-# this ceiling means the bound quietly loosened.
-out=$("$EITC" schedule matmul) || {
-  echo "smoke.sh: matmul schedule failed" >&2
-  echo "$out" >&2
-  exit 1
+# Node guards: a kernel must be proven optimal within a node ceiling.
+# MATMUL: the head-body-tail resource bound puts its lower bound at its
+# optimum (11), so the first incumbent closes the proof in a few dozen
+# nodes; the previous bound (10) needed a 12.6k-node search to prove 10
+# infeasible, so a breach means the bound quietly loosened.  ARF: the
+# first search phase breaks ties between equally early ops by
+# critical-path tail, and proves 56 in 66 nodes; with ties by node
+# order it took 114, so a breach means that order was lost.
+node_guard() {
+  out=$("$EITC" schedule "$1") || {
+    echo "smoke.sh: $1 schedule failed" >&2
+    echo "$out" >&2
+    exit 1
+  }
+  case "$out" in
+  *"$1: optimal,"*) ;;
+  *)
+    echo "smoke.sh: $1 was not proven optimal" >&2
+    echo "$out" >&2
+    exit 1
+    ;;
+  esac
+  nodes=$(printf '%s\n' "$out" | sed -n 's/.* \([0-9][0-9]*\) nodes.*/\1/p')
+  if [ -z "$nodes" ]; then
+    echo "smoke.sh: $1 report line lacks a node count" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+  if [ "$nodes" -gt "$2" ]; then
+    echo "smoke.sh: $1 took $nodes nodes to prove optimality (ceiling $2)" >&2
+    exit 1
+  fi
+  echo "smoke.sh: node guard OK ($1 optimal in $nodes nodes <= $2)"
 }
-case "$out" in
-*"matmul: optimal,"*) ;;
-*)
-  echo "smoke.sh: matmul was not proven optimal" >&2
-  echo "$out" >&2
-  exit 1
-  ;;
-esac
-nodes=$(printf '%s\n' "$out" | sed -n 's/.* \([0-9][0-9]*\) nodes.*/\1/p')
-if [ -z "$nodes" ]; then
-  echo "smoke.sh: matmul report line lacks a node count" >&2
-  echo "$out" >&2
-  exit 1
-fi
-if [ "$nodes" -gt 100 ]; then
-  echo "smoke.sh: matmul took $nodes nodes to prove optimality (ceiling 100)" >&2
-  exit 1
-fi
-echo "smoke.sh: bound guard OK (matmul optimal in $nodes nodes <= 100)"
+node_guard matmul 100
+node_guard arf 80
 
 # §4.3's figures: Table 2's rows, the simulator cross-checks of every
 # overlapped and modulo program (`bench dynamic`), every utilization

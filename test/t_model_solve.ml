@@ -191,13 +191,13 @@ let test_trajectory_pins () =
   let proof = Fd.Search.time_budget 10_000. in
   pin "QRD" (merged (Apps.Qrd.graph (Apps.Qrd.build ()))) proof ~nodes:94
     ~failures:95 ~propagations:970 ~makespan:168 ~optimal:true;
-  pin "ARF" (merged (Apps.Arf.graph (Apps.Arf.build ()))) proof ~nodes:114
-    ~failures:115 ~propagations:2367 ~makespan:56 ~optimal:true;
+  pin "ARF" (merged (Apps.Arf.graph (Apps.Arf.build ()))) proof ~nodes:66
+    ~failures:67 ~propagations:783 ~makespan:56 ~optimal:true;
   pin "MATMUL" (merged (Apps.Matmul.graph (Apps.Matmul.build ()))) proof
     ~nodes:28 ~failures:29 ~propagations:303 ~makespan:11 ~optimal:true;
   let blocked8 = merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx) in
-  pin "BLOCKED8" blocked8 (Fd.Search.node_budget 3_000) ~nodes:3000 ~failures:2846
-    ~propagations:82775 ~makespan:58 ~optimal:false;
+  pin "BLOCKED8" blocked8 (Fd.Search.node_budget 3_000) ~nodes:456 ~failures:457
+    ~propagations:15984 ~makespan:46 ~optimal:true;
   (* and its Cumulative work, from the store's profile: when Cumulative
      re-filters may change, what its runs prune may not *)
   let m = Sched.Model.build ~memory:true blocked8 Arch.default in
@@ -212,9 +212,60 @@ let test_trajectory_pins () =
       (Fd.Store.profile m.Sched.Model.store)
   in
   Alcotest.(check (list int)) "BLOCKED8 cumulative: nodes, runs, prunes"
-    [ 3000; 14757; 17298 ]
+    [ 456; 523; 2080 ]
     [ a.Fd.Search.a_stats.Fd.Search.nodes; cumulative.Fd.Store.pr_runs;
       cumulative.Fd.Store.pr_prunes ]
+
+(* The same graph with its node ids renamed by a seeded permutation:
+   data nodes first, then ops, each group in shuffled order. *)
+let renumber seed g =
+  let rng = Random.State.make [| seed |] in
+  let shuffle l =
+    List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+  in
+  let b = Ir.builder () in
+  let ids = Array.make (Ir.size g) (-1) in
+  List.iter
+    (fun d ->
+      let n = Ir.node g d in
+      let kind = if n.Ir.cat = Ir.Vector_data then `Vector else `Scalar in
+      ids.(d) <- Ir.add_data b ~label:n.Ir.label ?value:n.Ir.value kind)
+    (shuffle (Ir.data_nodes g));
+  List.iter
+    (fun o ->
+      let n = Ir.node g o in
+      ids.(o) <-
+        Ir.add_op b ~label:n.Ir.label (Option.get n.Ir.op)
+          ~args:(List.map (fun a -> ids.(a)) (Ir.preds g o))
+          ~result:ids.(List.hd (Ir.succs g o)))
+    (shuffle (Ir.op_nodes g));
+  Ir.freeze b
+
+(* Phase 1 breaks ties between equally early ops by tail before node
+   order, so these kernels' proofs do not depend on how their graphs
+   are numbered: in DSL order and under 24 seeded renumberings, each is
+   optimal in the same number of nodes.  MATMUL and CORR are still
+   numbering-sensitive, since ops tied on start and tail fall to node
+   order: renumbered MATMUL often ends a 10 s search at 12 cycles, and
+   CORR takes 39 nodes instead of 25.  So is renumbered blocked8, at
+   60-63 cycles after 3,000 nodes. *)
+let test_numbering_robust () =
+  let module V = Vecsched_core.Vecsched in
+  List.iter
+    (fun (name, ms, nodes) ->
+      let raw = (List.assoc name V.kernels) () in
+      List.iter
+        (fun seed ->
+          let g = (V.compile (if seed = 0 then raw else renumber seed raw)).V.ir in
+          let o = Sched.Solve.run ~budget:(Fd.Search.time_budget 10_000.) g in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s, numbering %d: optimal, makespan, nodes" name seed)
+            [ 1; ms; nodes ]
+            [ Bool.to_int (o.Sched.Solve.status = Sched.Solve.Optimal); makespan o;
+              o.Sched.Solve.stats.Fd.Search.nodes ])
+        (List.init 25 Fun.id))
+    [ ("qrd", 168, 94); ("qrd-sorted", 168, 100); ("arf", 56, 66); ("fir", 29, 38);
+      ("detect", 49, 43) ]
 
 (* The read-port Cumulative is left out when the lane Cumulative
    (eq. 2) implies it (DESIGN.md §5).  Differential check: a model as
@@ -400,4 +451,5 @@ let suite =
     Alcotest.test_case "trajectory pins" `Quick test_trajectory_pins;
     Alcotest.test_case "read port: where the rule fires" `Quick test_read_port_rule;
     read_port_property;
+    Alcotest.test_case "proofs independent of node numbering" `Quick test_numbering_robust;
   ]

@@ -179,13 +179,19 @@ let check_blocked_values ~k ~seed =
 
 let test_blocked8_values () = ignore (check_blocked_values ~k:2 ~seed:2)
 
+(* Proven optimal at its lower bound (46 cycles, 456 nodes), then run
+   on the simulator. *)
 let test_blocked8_schedules_and_simulates () =
   let b = Apps.Matmul.build_blocked8 () in
   let g = merged (Dsl.graph b.Apps.Matmul.bctx) in
   Alcotest.(check bool) "stress-sized graph" true (Ir.size g > 200);
+  let bound = (Sched.Bounds.compute g Arch.default).Sched.Bounds.makespan in
+  Alcotest.(check int) "bound" 46 bound;
   let o = Sched.Solve.run ~budget:(Fd.Search.time_budget 30_000.) g in
+  Alcotest.(check bool) "optimal" true (o.Sched.Solve.status = Sched.Solve.Optimal);
   match o.Sched.Solve.schedule with
   | Some sch -> (
+    Alcotest.(check int) "makespan = bound" bound sch.Sched.Schedule.makespan;
     Alcotest.(check bool) "valid" true (Sched.Schedule.is_valid sch);
     match Sched.Codegen.run_and_check sch with
     | Ok () -> ()

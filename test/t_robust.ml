@@ -321,10 +321,11 @@ let test_chaos_sequential_crash_rescued () =
 
 let test_chaos_portfolio_survivors_deliver () =
   (* kill one of three portfolio workers mid-search: the survivors must
-     still return a validated schedule.  blocked8 never closes its
-     proof, so every worker searches until its node budget and worker 1
-     surely reaches its 50th propagator execution; a kernel proven at
-     the root could end the race before the kill fires. *)
+     still return a validated schedule.  blocked8's default worker
+     proves its bound only after 456 nodes, at about 35 propagator
+     executions a node, while worker 1 reaches its 50th execution
+     within its first nodes, so the kill fires before the race ends; a
+     kernel proven at the root could end it first. *)
   let g = merged (Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx) in
   let chaos = Fd.Chaos.create ~crash_at:[ (1, 50) ] ~seed:11 () in
   let o =

@@ -10,11 +10,13 @@ module V = Vecsched_core.Vecsched
 
 let qrd_ir () = (V.compile (Apps.Qrd.graph (Apps.Qrd.build ()))).V.ir
 
-(* A request that runs its whole budget: the blocked 8x8 MATMUL.  Its
-   lower bound (46) sits far below any schedule the search finds (58),
-   so no budget in this file ends in a proof. *)
-let blocked8 () =
-  let raw = Eit_dsl.Dsl.graph (Apps.Matmul.build_blocked8 ()).Apps.Matmul.bctx in
+(* A request that runs its whole budget and still returns a schedule:
+   MATMUL under a seeded renumbering.  In DSL order it is proven at its
+   bound (11) in 28 nodes; in this numbering (ties the first search
+   phase breaks by node order) a 10 s search ends at 12 without a
+   proof, so no budget in this file ends in a proof. *)
+let renumbered_matmul () =
+  let raw = T_model_solve.renumber 0 (Apps.Matmul.graph (Apps.Matmul.build ())) in
   S.Xml_text (V.Xml.to_string (V.compile raw).V.ir)
 
 (* Never let a broken service hang the test runner: poll with a hard
@@ -180,10 +182,10 @@ let test_overload_sheds () =
   with_service
     { base_config with S.pool = 1; queue = 1 }
     (fun svc ->
-      (* 8 back-to-back blocked8 solves at a 200 ms budget on a
+      (* 8 back-to-back unprovable solves at a 200 ms budget on a
          1-worker/1-slot service: at most one runs and one waits, so
          most are shed immediately with a typed verdict. *)
-      let slow = blocked8 () in
+      let slow = renumbered_matmul () in
       let tks =
         List.init 8 (fun i ->
             S.submit svc
@@ -214,9 +216,9 @@ let test_deadline_expires_in_queue () =
   with_service
     { base_config with S.pool = 1 }
     (fun svc ->
-      (* blocker: blocked8 spends its full 600 ms searching *)
+      (* blocker: spends its full 600 ms searching *)
       let blocker =
-        S.submit svc (S.request ~id:"blk" ~budget_ms:600. (blocked8 ()))
+        S.submit svc (S.request ~id:"blk" ~budget_ms:600. (renumbered_matmul ()))
       in
       let doomed =
         S.submit svc
@@ -832,7 +834,7 @@ let test_health_is_the_registry metrics () =
       ]
   in
   (* a burst on 1 worker and 1 queue slot: at most two are admitted *)
-  let slow = blocked8 () in
+  let slow = renumbered_matmul () in
   let burst =
     List.map await_or_fail
       (List.init 6 (fun i ->
