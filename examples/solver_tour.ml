@@ -1,40 +1,15 @@
-(* A tour of the fd constraint solver on classic problems.
+(* A tour of the fd constraint solver on two textbook problems.
 
-   The scheduler's substrate (lib/fd) is a general finite-domain solver;
-   this example uses it standalone on three textbook problems — the same
-   machinery (Cumulative, Diff2, branch & bound) that powers the paper's
-   model.
+   The scheduler's substrate (lib/fd) is a finite-domain solver; this
+   example uses it standalone with the two globals the paper's model
+   posts: Cumulative (eq. 2) on a job shop under branch & bound, and
+   Diff2 (eq. 11) on a square packing.
 
    Run with:  dune exec examples/solver_tour.exe *)
 
 open Fd
 
-(* --- 1. N-queens with the Hall-interval alldifferent ---------------- *)
-
-let queens n =
-  let s = Store.create () in
-  let cols = List.init n (fun i -> Store.interval_var s 0 (n - 1) ~name:(Printf.sprintf "q%d" i)) in
-  Alldiff.post s cols;
-  (* diagonals: q_i + i and q_i - i all different *)
-  let diag shift =
-    List.mapi
-      (fun i q ->
-        let d = Store.interval_var s (-n) (2 * n) in
-        Arith.eq_offset s q (shift * i) d;
-        d)
-      cols
-  in
-  Alldiff.post s (diag 1);
-  Alldiff.post s (diag (-1));
-  match
-    Search.solve s
-      [ Search.phase ~var_select:Search.first_fail ~val_select:Search.select_mid cols ]
-      ~on_solution:(fun () -> List.map Store.value cols)
-  with
-  | Search.Solution (sol, st) -> Some (sol, st)
-  | _ -> None
-
-(* --- 2. A small job shop with Cumulative ---------------------------- *)
+(* --- 1. A small job shop with Cumulative ---------------------------- *)
 
 let job_shop () =
   (* 6 tasks, durations and resource demands, capacity 3; chains:
@@ -68,7 +43,7 @@ let job_shop () =
   | Search.Solution ((sol, mk), _) -> Some (sol, mk)
   | _ -> None
 
-(* --- 3. Square packing with Diff2 ----------------------------------- *)
+(* --- 2. Square packing with Diff2 ----------------------------------- *)
 
 let packing () =
   (* pack squares of sizes 3, 2, 2, 1 into a 5x4 box *)
@@ -96,40 +71,14 @@ let packing () =
   | _ -> None
 
 let () =
-  (match queens 12 with
-  | Some (sol, st) ->
-    Format.printf "12-queens: %s  (%d nodes)@."
-      (String.concat " " (List.map string_of_int sol))
-      st.Search.nodes
-  | None -> Format.printf "12-queens: no solution?!@.");
   (match job_shop () with
   | Some (starts, mk) ->
     Format.printf "job shop: makespan %d, starts %s@." mk
       (String.concat " " (Array.to_list (Array.map string_of_int starts)))
   | None -> Format.printf "job shop: failed@.");
-  (match packing () with
+  match packing () with
   | Some placements ->
     Format.printf "packing: %s@."
       (String.concat ", "
          (List.map (fun (x, y, s) -> Printf.sprintf "%dx%d@(%d,%d)" s s x y) placements))
-  | None -> Format.printf "packing: failed@.");
-  (* and the same engine under a restart policy *)
-  let s = Store.create () in
-  let vars = List.init 8 (fun _ -> Store.interval_var s 0 10) in
-  Alldiff.post s vars;
-  let obj = Store.interval_var s 0 100 in
-  Arith.sum s vars obj;
-  match
-    Search.minimize_restarts ~base:512 s [ Search.phase vars ] ~objective:obj
-      ~on_solution:(fun () -> Store.vmin obj)
-  with
-  | Search.Solution (v, st) ->
-    Format.printf
-      "restart B&B: min sum of 8 distinct values in 0..10 = %d, proven (%d nodes)@."
-      v st.Search.nodes
-  | Search.Best (v, st) ->
-    Format.printf
-      "restart B&B: min sum of 8 distinct values in 0..10 = %d, best found \
-       within the restart caps (%d nodes)@."
-      v st.Search.nodes
-  | _ -> Format.printf "restart B&B: failed@."
+  | None -> Format.printf "packing: failed@."

@@ -18,5 +18,3 @@ let count_reconfigs_cyclic l =
   | first :: _ as ops ->
     let last = List.nth ops (List.length ops - 1) in
     count_switches ops + if Opcode.config_equal last first then 0 else 1
-
-let of_schedule ~cycle_op ~cycles = List.init cycles cycle_op

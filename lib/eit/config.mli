@@ -23,7 +23,3 @@ val count_reconfigs_cyclic : t list -> int
 
 val effective : t list -> Opcode.t list
 (** The sequence with idle cycles dropped. *)
-
-val of_schedule : cycle_op:(int -> Opcode.t option) -> cycles:int -> t list
-(** Sample a schedule: configuration at cycle [c] is the vector-core op
-    issued at [c] (if any). *)

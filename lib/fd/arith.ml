@@ -10,7 +10,6 @@ let leq_offset s x c y =
   ignore (post_now s ~name:"leq_offset" ~event:On_bounds ~watches:[ x; y ] prop);
   propagate s
 
-let leq s x y = leq_offset s x 0 y
 let lt s x y = leq_offset s x 1 y
 
 let eq_offset s x c y =
@@ -28,7 +27,6 @@ let eq_offset s x c y =
   ignore (post_now s ~name:"eq_offset" ~watches:[ x; y ] prop);
   propagate s
 
-let eq s x y = eq_offset s x 0 y
 
 let neq_offset s x c y =
   let prop st =
@@ -256,69 +254,6 @@ let max_of s ?offsets xs m =
   ignore (post_indexed s ~name:"max_of" ~size:(n + 1) ~watches prop);
   propagate s
 
-let min_of s xs m =
-  if xs = [] then invalid_arg "Arith.min_of: empty list";
-  let prop st =
-    let lb = List.fold_left (fun acc x -> Stdlib.min acc (vmin x)) max_int xs in
-    let ub = List.fold_left (fun acc x -> Stdlib.min acc (vmax x)) max_int xs in
-    remove_below st m lb;
-    remove_above st m ub;
-    List.iter (fun x -> remove_below st x (vmin m)) xs;
-    let candidates = List.filter (fun x -> vmin x <= vmax m) xs in
-    match candidates with
-    | [ x ] -> remove_above st x (vmax m)
-    | _ -> ()
-  in
-  ignore (post_now s ~name:"min_of" ~event:On_bounds ~watches:(m :: xs) prop);
-  propagate s
-
-let mul_const s c x y =
-  if c = 0 then begin
-    let prop st =
-      assign st y 0;
-      entail_now st
-    in
-    ignore (post_now s ~name:"mul_const0" ~watches:[ y ] prop)
-  end
-  else begin
-    let prop st =
-      let dy = if c > 0 then Dom.map_monotone (fun v -> c * v) (dom x)
-               else Dom.neg (Dom.map_monotone (fun v -> -c * v) (dom x)) in
-      update st y dy;
-      let dx =
-        Dom.filter (fun v -> v mod c = 0)
-          (if c > 0 then dom y else Dom.neg (dom y))
-      in
-      let dx = Dom.map_monotone (fun v -> v / abs c) dx in
-      update st x dx;
-      (* y = c*x with c <> 0 is a bijection, so one fixed side fixes the
-         other in the updates above *)
-      if is_fixed x then entail_now st
-    in
-    ignore (post_now s ~name:"mul_const" ~watches:[ x; y ] prop)
-  end;
-  propagate s
-
-(* Floor division towards negative infinity, matching slot/bank geometry
-   where all values are non-negative anyway. *)
-let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
-
-let div_const s x c q =
-  if c <= 0 then invalid_arg "Arith.div_const: divisor must be positive";
-  let prop st =
-    update st q (Dom.map_monotone (fun v -> fdiv v c) (dom x));
-    (* supported x values: those whose quotient is still in dom q *)
-    let dq = dom q in
-    let dx =
-      Dom.of_intervals
-        (List.map (fun (lo, hi) -> (lo * c, (hi * c) + c - 1)) (Dom.intervals dq))
-    in
-    update st x dx;
-    if is_fixed x then entail_now st
-  in
-  ignore (post_now s ~name:"div_const" ~watches:[ x; q ] prop);
-  propagate s
-
 let mod_const s x c r =
   if c <= 0 then invalid_arg "Arith.mod_const: modulus must be positive";
   let prop st =
@@ -339,6 +274,10 @@ let linear_bounds terms =
       if c >= 0 then (lo + (c * vmin x), hi + (c * vmax x))
       else (lo + (c * vmax x), hi + (c * vmin x)))
     (0, 0) terms
+
+(* Floor division towards negative infinity (OCaml's [/] truncates
+   towards zero). *)
+let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
 
 let linear_leq s terms k =
   let prop st =
@@ -370,12 +309,3 @@ let linear_eq s terms k =
 
 let sum s xs total =
   linear_eq s ((-1, total) :: List.map (fun x -> (1, x)) xs) 0
-
-let all_different s xs =
-  let rec pairs = function
-    | [] -> ()
-    | x :: rest ->
-      List.iter (fun y -> neq s x y) rest;
-      pairs rest
-  in
-  pairs xs

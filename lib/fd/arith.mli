@@ -12,13 +12,8 @@ val leq_offset : t -> var -> int -> var -> unit
 val lt : t -> var -> var -> unit
 (** [lt s x y] posts [x < y]. *)
 
-val leq : t -> var -> var -> unit
-
 val eq_offset : t -> var -> int -> var -> unit
 (** [eq_offset s x c y] posts [y = x + c]; domain consistent. *)
-
-val eq : t -> var -> var -> unit
-(** Domain-consistent equality. *)
 
 val neq : t -> var -> var -> unit
 (** Disequality: prunes when either side becomes fixed. *)
@@ -41,15 +36,6 @@ val max_of : t -> ?offsets:int list -> var list -> var -> unit
     [o_i] are [offsets] (all 0 when omitted).  [xs] must be non-empty.
     @raise Invalid_argument if [offsets] and [xs] differ in length. *)
 
-val min_of : t -> var list -> var -> unit
-
-val mul_const : t -> int -> var -> var -> unit
-(** [mul_const s c x y] posts [y = c * x] (any [c]); domain consistent. *)
-
-val div_const : t -> var -> int -> var -> unit
-(** [div_const s x c q] posts [q = x / c] (floor division, [c > 0]);
-    domain consistent. *)
-
 val mod_const : t -> var -> int -> var -> unit
 (** [mod_const s x c r] posts [r = x mod c] ([c > 0], [x >= 0]);
     domain consistent. *)
@@ -62,6 +48,3 @@ val linear_eq : t -> (int * var) list -> int -> unit
 
 val sum : t -> var list -> var -> unit
 (** [sum s xs total] posts [total = sum(xs)]. *)
-
-val all_different : t -> var list -> unit
-(** Pairwise disequality (value-based propagation). *)

@@ -172,23 +172,3 @@ let access s ~pages ~lines ~starts ~acc ~classes =
 let guarded_implies_eq s ~guard:(a, b) (p, q) (l, m) =
   access s ~pages:[| p; q |] ~lines:[| l; m |] ~starts:[| a; b |]
     ~acc:[| [| 0 |]; [| 1 |] |] ~classes:[| -1; -1 |]
-
-let same_guard_neq s ~guard:(a, b) x y =
-  let prop st =
-    if disjoint a b then entail_now st
-    else if is_fixed a && is_fixed b && value a = value b then begin
-      if is_fixed x then begin
-        remove_value st y (value x);
-        entail_now st
-      end
-      else if is_fixed y then begin
-        remove_value st x (value y);
-        entail_now st
-      end
-    end
-  in
-  ignore
-    (post_now_on s ~name:"same_guard_neq" ~priority:prio_channel
-       ~watches:[ (On_fix, a); (On_fix, b); (On_fix, x); (On_fix, y) ]
-       prop);
-  propagate s

@@ -57,7 +57,3 @@ val guarded_implies_eq :
     running at [a] and [b], that touch one datum each.  Inactive while
     [a] or [b] is open; behaves like {!implies_eq} once both are fixed
     and equal, until backtracking reopens them. *)
-
-val same_guard_neq :
-  t -> guard:(var * var) -> var -> var -> unit
-(** [same_guard_neq s ~guard:(a, b) x y] posts [a = b ==> x <> y]. *)

@@ -197,10 +197,6 @@ let equal_shift k a b =
   a.sz = b.sz
   && (a.sz = 0 || (a.lo + k = b.lo && a.hi + k = b.hi && equal_shift_ivs k a.ivs b.ivs))
 
-let union a b = normalize (a.ivs @ b.ivs)
-
-let diff a b = List.fold_left (fun acc (lo, hi) -> remove_interval lo hi acc) a b.ivs
-
 let shift k d =
   if d.sz = 0 then d
   else
@@ -210,24 +206,6 @@ let shift k d =
       hi = d.hi + k;
       sz = d.sz;
     }
-
-let neg d =
-  if d.sz = 0 then d
-  else
-    {
-      ivs = List.rev_map (fun (lo, hi) -> (-hi, -lo)) d.ivs;
-      lo = -d.hi;
-      hi = -d.lo;
-      sz = d.sz;
-    }
-
-let iter f d =
-  List.iter
-    (fun (lo, hi) ->
-      for v = lo to hi do
-        f v
-      done)
-    d.ivs
 
 let fold f acc d =
   List.fold_left
@@ -246,13 +224,6 @@ let rec first_reject p v hi rest =
     match rest with [] -> None | (lo, hi) :: rest -> first_reject p lo hi rest
   else if p v then first_reject p (v + 1) hi rest
   else Some v
-
-let for_all p d =
-  match d.ivs with
-  | [] -> true
-  | (lo, hi) :: rest -> Option.is_none (first_reject p lo hi rest)
-
-let exists p d = not (for_all (fun v -> not (p v)) d)
 
 (* Maximal runs of accepted values of [v..hi], newest first onto [acc];
    [start] is the first value of the open run when [in_run]. *)
@@ -301,17 +272,6 @@ let closest target d =
       d.ivs;
     !best
   end
-
-(* Exact image under a monotone map.  Interval endpoints alone are not
-   enough (e.g. x -> 2x tears holes into intervals), so enumerate values
-   but emit interval endpoints directly when f is gap-free there. *)
-let map_monotone f d =
-  normalize
-    (List.concat_map
-       (fun (lo, hi) ->
-         if f hi - f lo = hi - lo then [ (f lo, f hi) ] (* shift-like *)
-         else List.init (hi - lo + 1) (fun i -> (f (lo + i), f (lo + i))))
-       d.ivs)
 
 let check_invariant d =
   let rec go = function

@@ -88,9 +88,6 @@ val inter : t -> t -> t
     and [b] itself when [b] is a subset of [a]: an intersection that
     removes nothing allocates nothing. *)
 
-val union : t -> t -> t
-val diff : t -> t -> t
-
 val shift : int -> t -> t
 (** [shift k d] is [{v + k | v in d}]. *)
 
@@ -98,15 +95,9 @@ val equal_shift : int -> t -> t -> bool
 (** [equal_shift k a b] iff [b] equals [shift k a], without building
     it. *)
 
-val neg : t -> t
-(** [neg d] is [{-v | v in d}]. *)
-
 (** {1 Iteration} *)
 
-val iter : (int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-val for_all : (int -> bool) -> t -> bool
-val exists : (int -> bool) -> t -> bool
 val filter : (int -> bool) -> t -> t
 (** [filter p d] is [d] itself (physically, no allocation) when [p]
     accepts every value of [d]. *)
@@ -116,11 +107,6 @@ val meets : int -> int -> t -> bool
 
 val disjoint : t -> t -> bool
 (** [disjoint a b] iff [inter a b] is empty, without building it. *)
-
-val map_monotone : (int -> int) -> t -> t
-(** [map_monotone f d] is the exact image of [d] under a (non-strictly)
-    monotonically increasing function.  Shift-like stretches of [f] are
-    handled per-interval without enumeration. *)
 
 (** {1 Misc} *)
 

@@ -2,10 +2,6 @@ open Store
 
 type coords = { slot : var; bank : var; line : var; page : var }
 
-let line_of_slot ~banks k = k / banks
-let bank_of_slot ~banks k = k mod banks
-let page_of_slot ~banks ~page_size k = k mod banks / page_size
-
 (* The bank and line images of a slot domain, marked one byte per value
    into [banks_seen] and [lines_seen], straight from its intervals: an
    interval [lo, hi] covers lines [lo / banks .. hi / banks], and every
@@ -53,9 +49,9 @@ let of_slot s ~banks ~page_size slot =
   let line = coord ".line" line_ok (Dom.interval 0 (Bytes.length lines_seen - 1)) in
   let page = coord ".page" page_ok (Dom.interval 0 ((banks / page_size) - 1)) in
   let keep k =
-    Dom.mem (bank_of_slot ~banks k) (dom bank)
-    && Dom.mem (line_of_slot ~banks k) (dom line)
-    && Dom.mem (page_of_slot ~banks ~page_size k) (dom page)
+    Dom.mem (k mod banks) (dom bank)
+    && Dom.mem (k / banks) (dom line)
+    && Dom.mem (k mod banks / page_size) (dom page)
   in
   let prop st =
     (* slot -> coordinates *)

@@ -13,8 +13,3 @@ val of_slot : t -> banks:int -> page_size:int -> var -> coords
 (** [of_slot s ~banks ~page_size slot] creates [bank], [line] and [page]
     variables channeled (domain-consistently, in both directions) to
     [slot].  [banks] must be a positive multiple of [page_size]. *)
-
-val line_of_slot : banks:int -> int -> int
-val bank_of_slot : banks:int -> int -> int
-val page_of_slot : banks:int -> page_size:int -> int -> int
-(** Ground versions, shared with the memory checker. *)

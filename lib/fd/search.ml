@@ -123,16 +123,15 @@ let time_budget ms = { max_nodes = None; max_time_ms = Some ms }
 exception Found
 exception Out_of_budget
 
-(* [all] collects every solution (up to [limit]) instead of stopping at
-   the first; the store is always unwound to its entry level so callers
-   can reuse it (restarts, iterated bounds).
+(* The store is always unwound to its entry level so callers can reuse
+   it (restarts, iterated bounds).
 
    [bound_get]/[bound_put] connect this search to an external incumbent
    (the portfolio's shared atomic bound): the effective bound is the
    minimum of the local and external ones, and every improving solution
    is published through [bound_put]. *)
-let run ?(budget = no_budget) ?(deadline = Deadline.none) ?(all = false) ?limit
-    ?bound_get ?bound_put ?(tid = 0) store phases ~objective ~on_solution =
+let run ?(budget = no_budget) ?(deadline = Deadline.none) ?bound_get ?bound_put
+    ?(tid = 0) store phases ~objective ~on_solution =
   let t0 = Unix.gettimeofday () in
   (* With a trace sink attached, also clock propagator executions so the
      per-class profile carries cumulative time. *)
@@ -144,7 +143,6 @@ let run ?(budget = no_budget) ?(deadline = Deadline.none) ?(all = false) ?limit
   let steps0 = Store.propagation_steps store in
   let nodes = ref 0 and failures = ref 0 and solutions = ref 0 in
   let best : 'a option ref = ref None in
-  let collected : 'a list ref = ref [] in
   let bound : int option ref = ref None in
   let entry_level = Store.level store in
   let rts = List.map rt_of_phase phases in
@@ -186,25 +184,15 @@ let run ?(budget = no_budget) ?(deadline = Deadline.none) ?(all = false) ?limit
           (match objective with
           | Some obj -> [ ("objective", Obs.I (vmin obj)) ]
           | None -> []));
-    let snap = on_solution () in
-    best := Some snap;
-    if all then begin
-      collected := snap :: !collected;
-      match limit with
-      | Some l when !solutions >= l -> raise Found
-      | _ ->
-        (* keep enumerating by treating the solution as a failure *)
-        raise (Fail "solve_all: next")
-    end
-    else
-      match objective with
-      | Some obj ->
-        let v = vmin obj in
-        bound := Some v;
-        (match bound_put with Some put -> put v | None -> ());
-        (* Continue branch & bound by treating the solution as a failure. *)
-        raise (Fail "bnb: improve")
-      | None -> raise Found
+    best := Some (on_solution ());
+    match objective with
+    | Some obj ->
+      let v = vmin obj in
+      bound := Some v;
+      (match bound_put with Some put -> put v | None -> ());
+      (* Continue branch & bound by treating the solution as a failure. *)
+      raise (Fail "bnb: improve")
+    | None -> raise Found
   in
   let rec label = function
     | [] -> record_solution ()
@@ -293,24 +281,15 @@ let run ?(budget = no_budget) ?(deadline = Deadline.none) ?(all = false) ?limit
   in
   Store.set_poll store saved_poll;
   unwind ();
-  (outcome, List.rev !collected)
+  outcome
 
 let solve ?budget ?deadline ?tid store phases ~on_solution =
-  fst (run ?budget ?deadline ?tid store phases ~objective:None ~on_solution)
+  run ?budget ?deadline ?tid store phases ~objective:None ~on_solution
 
 let minimize ?budget ?deadline ?bound_get ?bound_put ?tid store phases
     ~objective ~on_solution =
-  fst (run ?budget ?deadline ?bound_get ?bound_put ?tid store phases
-         ~objective:(Some objective) ~on_solution)
-
-let solve_all ?budget ?deadline ?limit store phases ~on_solution =
-  match
-    run ?budget ?deadline ~all:true ?limit store phases ~objective:None
-      ~on_solution
-  with
-  | Solution (_, st), sols | Best (_, st), sols -> (sols, st)
-  | Unsat st, _ -> ([], st)
-  | Timeout st, _ -> ([], st)
+  run ?budget ?deadline ?bound_get ?bound_put ?tid store phases
+    ~objective:(Some objective) ~on_solution
 
 (* Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
 let luby i =
@@ -389,24 +368,24 @@ let minimize_restarts ?(base = 64) ?(max_restarts = 32) ?budget
         in
         pop_level store;
         match outcome with
-        | Solution ((sol, v), st), _ ->
+        | Solution ((sol, v), st) ->
           merge st;
           (* proven within this restart's bound: global optimum *)
           ignore v;
           Solution (sol, { !total with optimal = true })
-        | Best ((sol, v), st), _ ->
+        | Best ((sol, v), st) ->
           merge st;
           let better =
             match !best with Some (_, v0) -> v < v0 | None -> true
           in
           if better then best := Some (sol, v);
           go (run_idx + 1)
-        | Unsat st, _ ->
+        | Unsat st ->
           merge st;
           (match !best with
           | Some (sol, _) -> Solution (sol, { !total with optimal = true })
           | None -> Unsat { !total with optimal = true })
-        | Timeout st, _ ->
+        | Timeout st ->
           merge st;
           go (run_idx + 1)
       end

@@ -108,18 +108,6 @@ val minimize :
     and external bounds, re-read at every choice point, and improving
     solutions are published through [bound_put]. *)
 
-val solve_all :
-  ?budget:budget ->
-  ?deadline:Deadline.t ->
-  ?limit:int ->
-  Store.t ->
-  phase list ->
-  on_solution:(unit -> 'a) ->
-  'a list * stats
-(** Enumerate solutions (up to [limit]).  [stats.optimal] means the
-    enumeration is exhaustive.  The store is restored to its entry state
-    afterwards. *)
-
 val luby : int -> int
 (** The Luby restart sequence (1-indexed): 1 1 2 1 1 2 4 ... *)
 

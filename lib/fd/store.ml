@@ -114,10 +114,10 @@ and ring = {
    the propagation cost. *)
 let poll_period = 64
 
-(* Priority buckets: 0 = cheap arithmetic/reification, 1 = channeling and
-   table-style propagators, 2 = expensive globals (Cumulative, Alldiff,
-   Diff2).  Cheap propagators reach their fixpoint before any global
-   re-runs, so the globals see already-tightened bounds. *)
+(* Priority buckets: 0 = cheap arithmetic and Cumulative's timetable,
+   1 = channeling and the conditional access rules, 2 = the expensive
+   global Diff2.  Cheap propagators reach their fixpoint before any
+   global re-runs, so the globals see already-tightened bounds. *)
 let n_priorities = 3
 
 let prio_arith = 0

@@ -85,14 +85,15 @@ type event =
     {!On_bounds}: interior hole removals then never re-run it. *)
 
 val prio_arith : int
-(** Priority 0: cheap arithmetic / reification propagators, run first. *)
+(** Priority 0: cheap arithmetic propagators (and Cumulative's
+    timetable), run first. *)
 
 val prio_channel : int
-(** Priority 1: channeling, element, table-style propagators. *)
+(** Priority 1: channeling and the conditional access rules. *)
 
 val prio_global : int
-(** Highest priority index: expensive global constraints (Cumulative,
-    Alldiff, Diff2), run only once the cheap queues are empty. *)
+(** Highest priority index: the expensive global Diff2, run only once
+    the cheap queues are empty. *)
 
 val post :
   ?name:string ->

@@ -6,6 +6,7 @@ type t = {
   scalar_load : int;
   im_load : int;
   makespan : int;
+  tail : int array;
 }
 
 (* The single-resource head-body-tail bound for the ops [ops] of one
@@ -97,6 +98,7 @@ let compute g arch =
     scalar_load;
     im_load;
     makespan = max critical_path (max vector_load (max scalar_load im_load));
+    tail;
   }
 
 let gap t sched = sched.Schedule.makespan - t.makespan

@@ -21,6 +21,9 @@ type t = {
   scalar_load : int;
   im_load : int;
   makespan : int;      (** the max of all bounds *)
+  tail : int array;
+      (** per node, its tail ({!Ir.heads_tails}): the critical path is
+          the largest, and {!Model.phases} breaks start ties by it *)
 }
 
 val compute : Ir.t -> Eit.Arch.t -> t

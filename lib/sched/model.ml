@@ -12,6 +12,7 @@ type t = {
   life : (int * St.var) list;
   makespan : St.var;
   horizon : int;
+  tail : int array;
 }
 
 let latency_of = Schedule.node_latency
@@ -145,8 +146,10 @@ let build ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
      bound (critical path + per-resource loads) lets branch & bound prove
      optimality as soon as it matches, instead of exhausting the subtree
      below it. *)
-  let lb = (Bounds.compute g arch).Bounds.makespan in
-  let makespan = St.interval_var s ~name:"makespan" (min lb horizon) horizon in
+  let bounds = Bounds.compute g arch in
+  let makespan =
+    St.interval_var s ~name:"makespan" (min bounds.Bounds.makespan horizon) horizon
+  in
   let ops = Ir.op_nodes g in
   Fd.Arith.max_of s
     ~offsets:(List.map (latency_of g arch) ops)
@@ -296,16 +299,16 @@ let build ?(deadline = Fd.Deadline.none) ?(memory = true) g arch =
          vdata)
   end;
   St.propagate s;
-  { store = s; ir = g; arch; start; slot = !slot; life = !life; makespan; horizon }
+  { store = s; ir = g; arch; start; slot = !slot; life = !life; makespan; horizon;
+    tail = bounds.Bounds.tail }
 
 let own_var m i = match m.start.(i) with Var v -> Some v | Offset _ | Const _ -> None
 
 let phases m =
   let g = m.ir in
-  let _, tail = Ir.heads_tails g m.arch in
   (* smallest_min breaks ties by list position *)
   let by_tail =
-    List.stable_sort (fun a b -> compare tail.(b) tail.(a)) (Ir.op_nodes g)
+    List.stable_sort (fun a b -> compare m.tail.(b) m.tail.(a)) (Ir.op_nodes g)
   in
   let op_starts = List.filter_map (own_var m) by_tail in
   let data_starts = List.filter_map (own_var m) (Ir.data_nodes g) in

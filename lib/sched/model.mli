@@ -43,6 +43,7 @@ type t = {
   life : (int * Fd.Store.var) list;
   makespan : Fd.Store.var;
   horizon : int;
+  tail : int array;  (** per node, {!Bounds.t}'s tail, for {!phases} *)
 }
 
 val horizon_estimate : Ir.t -> Eit.Arch.t -> int
@@ -101,7 +102,8 @@ val phases : t -> Fd.Search.phase list
     data starts that are variables ([Var] in {!start}; eq. 4 fixes them
     once their producers are), then slots.  Phase 1 takes the op that
     can start earliest; among ops tied on that start, the one with the
-    longest tail ({!Eit_dsl.Ir.heads_tails}), then the lowest node id. *)
+    longest tail ({!Eit_dsl.Ir.heads_tails}, computed once by {!build}
+    for {!Bounds}), then the lowest node id. *)
 
 val extract : t -> Schedule.t
 (** Snapshot the current (fully assigned) store into a schedule. *)

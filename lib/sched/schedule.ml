@@ -9,7 +9,6 @@ type t = {
 }
 
 let start_of t i = t.start.(i)
-let slot_of t i = List.assoc i t.slot
 
 let node_latency = Ir.node_latency
 

@@ -19,8 +19,6 @@ type t = {
 }
 
 val start_of : t -> int -> int
-val slot_of : t -> int -> int
-(** @raise Not_found for nodes without a slot. *)
 
 val node_latency : Ir.t -> Eit.Arch.t -> int -> int
 (** 0 for data nodes, [Arch.latency] for ops. *)

@@ -53,11 +53,6 @@ let request_of_json ?default_id j =
       }
   | _ -> Error "request must be a JSON object"
 
-let request_of_line ?default_id line =
-  match J.parse line with
-  | Error e -> Error ("json: " ^ e)
-  | Ok j -> request_of_json ?default_id j
-
 (* A control line is distinguished by ["stats": true]; everything else
    is a solve request, so old clients keep working unchanged. *)
 type parsed = Request of Service.request | Stats of string

@@ -28,15 +28,13 @@
 val request_of_json :
   ?default_id:string -> Obs.Json.t -> (Service.request, string) result
 
-val request_of_line :
-  ?default_id:string -> string -> (Service.request, string) result
-
 type parsed =
   | Request of Service.request
   | Stats of string  (** the control line's id *)
 
 val parse_line : ?default_id:string -> string -> (parsed, string) result
-(** {!request_of_line} extended with the [stats] control form. *)
+(** One input line: a {!Request} ({!request_of_json} on the parsed
+    object), or the [stats] control form. *)
 
 val response_json : Service.response -> Obs.Json.t
 val response_line : Service.response -> string

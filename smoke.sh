@@ -3,9 +3,10 @@
 # a fallback that fails without a crash, trace, trace-analytics and
 # live-metrics smokes, the MATMUL and ARF node guards, §4.3's figures (Table 2,
 # the simulator cross-checks, utilization, `eitc modulo`), the
-# serve / cache / telemetry / postmortem / tail-keep smokes, and a guard
+# serve / cache / telemetry / postmortem / tail-keep smokes, a guard
 # that `bench profile --path` leaves BENCH_solver.json, and any file
-# that is not a report, alone.  `check.sh` runs this after the build
+# that is not a report, alone, and a run of seven of the examples, each
+# matched on its verification line.  `check.sh` runs this after the build
 # and the test suite; run it on its own to reach these checks while a
 # test fails.  Exits non-zero on any failure.
 set -e
@@ -510,3 +511,35 @@ cmp -s "$ptmp/notes.txt" "$ptmp/notes.orig" \
   || fail_prof "bench profile --path overwrote a file that is not a report"
 rm -rf "$ptmp"
 echo "smoke.sh: profile --path smoke OK (profiles in the given file, baseline and non-report untouched)"
+
+# Examples smoke: each example runs to exit 0 and prints its
+# verification line (the simulator or the solver agreeing with the
+# reference).  Each takes milliseconds; `mimo_pipeline` and
+# `throughput_study` take about half a minute each and stay out.
+dune build ./examples/quickstart.exe ./examples/custom_kernel.exe \
+  ./examples/memory_exploration.exe ./examples/detection_chain.exe \
+  ./examples/hand_coding.exe ./examples/streaming.exe \
+  ./examples/solver_tour.exe
+example() {
+  name=$1
+  expect=$2
+  out=$(_build/default/examples/"$name".exe 2>&1) && code=0 || code=$?
+  if [ "$code" -ne 0 ]; then
+    echo "smoke.sh: example $name exited $code" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+  if ! printf '%s\n' "$out" | grep -qF "$expect"; then
+    echo "smoke.sh: example $name did not print \"$expect\"" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+}
+example quickstart "simulation matches the reference evaluation"
+example custom_kernel "simulator agrees with the DSL evaluation"
+example memory_exploration "64 slots available: length 168 cc"
+example detection_chain "simulator matches reference back-substitution"
+example hand_coding "...and it verifies on the simulator."
+example streaming "120 results verified"
+example solver_tour "job shop: makespan 9"
+echo "smoke.sh: examples smoke OK (7 examples, exit 0, verification lines)"

@@ -1,5 +1,5 @@
-(* Makespan lower bounds, the Table constraint, and the tiny-graph
-   scheduling oracle (solver optimum = brute force). *)
+(* Makespan lower bounds and the tiny-graph scheduling oracle (solver
+   optimum = brute force). *)
 
 open Eit_dsl
 
@@ -69,39 +69,6 @@ let test_bounds_config_classes () =
   done;
   let b = Sched.Bounds.compute (Dsl.graph ctx) Eit.Arch.default in
   Alcotest.(check int) "two classes" 8 b.Sched.Bounds.vector_load
-
-(* ---------------- Table ---------------- *)
-
-let table_oracle =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"table = brute force" ~count:200
-       QCheck2.Gen.(
-         pair
-           (list_size (int_range 1 6) (array_size (return 3) (int_range 0 3)))
-           (list_repeat 3 (list_size (int_range 1 3) (int_range 0 3))))
-       (fun (rows, domains) ->
-         let domains = List.map (List.sort_uniq compare) domains in
-         let s = Fd.Store.create () in
-         let vars = List.map (fun d -> Fd.Store.new_var s (Fd.Dom.of_list d)) domains in
-         let expected =
-           T_arith.brute domains (fun vals ->
-               List.exists (fun row -> Array.to_list row = vals) rows)
-         in
-         match Fd.Table.post s vars rows with
-         | () -> T_arith.all_solutions s vars = expected
-         | exception Fd.Store.Fail _ -> expected = []))
-
-let test_table_gac () =
-  (* GAC: unsupported values disappear at the root *)
-  let s = Fd.Store.create () in
-  let x = Fd.Store.interval_var s 0 5 in
-  let y = Fd.Store.interval_var s 0 5 in
-  Fd.Table.post s [ x; y ] [ [| 1; 2 |]; [| 1; 4 |]; [| 3; 0 |] ];
-  Alcotest.(check (list int)) "x support" [ 1; 3 ] (Fd.Dom.to_list (Fd.Store.dom x));
-  Alcotest.(check (list int)) "y support" [ 0; 2; 4 ] (Fd.Dom.to_list (Fd.Store.dom y));
-  Fd.Store.assign s x 3;
-  Fd.Store.propagate s;
-  Alcotest.(check int) "y follows" 0 (Fd.Store.value y)
 
 (* ---------------- tiny-graph scheduling oracle ---------------- *)
 
@@ -303,8 +270,6 @@ let suite =
     Alcotest.test_case "bounds on kernels" `Slow test_bounds_kernels;
     Alcotest.test_case "bounds matmul structure" `Quick test_bounds_matmul_structure;
     Alcotest.test_case "bounds config classes" `Quick test_bounds_config_classes;
-    table_oracle;
-    Alcotest.test_case "table GAC" `Quick test_table_gac;
     scheduling_oracle;
     Alcotest.test_case "bounds close matmul on presets" `Quick
       test_bounds_close_matmul;

@@ -61,17 +61,6 @@ let test_access_classes () =
   Cond.guarded_implies_eq s ~guard:(a, b) (p, q) (l, m);
   Alcotest.(check int) "same class: l forced" 3 (Store.value l)
 
-let test_same_guard_neq () =
-  let s = Store.create () in
-  let a = Store.interval_var s 0 3 and b = Store.interval_var s 0 3 in
-  let x = Store.interval_var s 0 3 and y = Store.interval_var s 0 3 in
-  Cond.same_guard_neq s ~guard:(a, b) x y;
-  Store.assign s a 1;
-  Store.assign s b 1;
-  Store.assign s x 2;
-  Store.propagate s;
-  Alcotest.(check bool) "y <> 2" false (Dom.mem 2 (Store.dom y))
-
 (* geometry: slot <-> (bank, line, page), EIT parameters *)
 
 let test_geometry_forward () =
@@ -97,11 +86,12 @@ let test_geometry_backward () =
 
 (* Channeling on real slot domains: a union of random intervals (holes,
    partial and full lines) for the (banks, page_size) of every
-   [Eit.Arch.presets] entry.  The coordinates must start as the
-   brute-force images of the slot domain; narrowing one coordinate to a
-   random non-empty subset (or fixing the slot) must leave the slot at
-   exactly the brute-force preimage and every coordinate at exactly its
-   image of it.  One documented gap (see [Geometry.of_slot]): a slot
+   [Eit.Arch.presets] entry.  The coordinates must start as the images
+   of the slot domain under the memory checker's
+   [Eit.Mem.coords_of_slot]; narrowing one coordinate to a random
+   non-empty subset (or fixing the slot) must leave the slot at exactly
+   the brute-force preimage and every coordinate at exactly its image
+   of it.  One documented gap (see [Geometry.of_slot]): a slot
    fixed by the coordinates -> slot direction entails the propagator
    before the other coordinates follow it, so there they need only
    still hold the image. *)
@@ -126,8 +116,8 @@ let geometry_oracle =
        gen_geometry (fun (arch, ivs, coord, mask) ->
          let banks = arch.Eit.Arch.banks and page_size = arch.Eit.Arch.page_size in
          let fs =
-           [| Geometry.bank_of_slot ~banks; Geometry.line_of_slot ~banks;
-              Geometry.page_of_slot ~banks ~page_size |]
+           let c = Eit.Mem.coords_of_slot arch in
+           Eit.Mem.[| (fun k -> (c k).bank); (fun k -> (c k).line); (fun k -> (c k).page) |]
          in
          let image f slots = List.sort_uniq compare (List.map f slots) in
          let s = Store.create () in
@@ -168,21 +158,14 @@ let geometry_oracle =
                 else Dom.to_list d = img)
               vars fs))
 
-let test_ground_helpers () =
-  Alcotest.(check int) "line" 3 (Geometry.line_of_slot ~banks:16 55);
-  Alcotest.(check int) "bank" 7 (Geometry.bank_of_slot ~banks:16 55);
-  Alcotest.(check int) "page" 1 (Geometry.page_of_slot ~banks:16 ~page_size:4 55)
-
 let suite =
   [
     Alcotest.test_case "implies_eq forward" `Quick test_implies_eq_forward;
     Alcotest.test_case "implies_eq contrapositive" `Quick test_implies_eq_contrapositive;
     Alcotest.test_case "guarded inactive" `Quick test_guarded_inactive;
     Alcotest.test_case "guarded active" `Quick test_guarded_active;
-    Alcotest.test_case "same_guard_neq" `Quick test_same_guard_neq;
     Alcotest.test_case "access classes" `Quick test_access_classes;
     Alcotest.test_case "geometry forward" `Quick test_geometry_forward;
     Alcotest.test_case "geometry backward" `Quick test_geometry_backward;
-    Alcotest.test_case "geometry helpers" `Quick test_ground_helpers;
     geometry_oracle;
   ]

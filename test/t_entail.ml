@@ -2,8 +2,8 @@
    change the fixpoint, and backtracking past the entailment point must
    revive it.
 
-   Two oracles on random models (arithmetic, conditional, reified and
-   cumulative constraints under a random narrow/push/pop script):
+   Two oracles on random models (arithmetic, conditional and cumulative
+   constraints under a random narrow/push/pop script):
 
    - A/B: the same script on a store with entailment disabled
      ([Store.set_entail s false]) must fail at the same step and reach
@@ -26,15 +26,13 @@ let post_constraint s vars (kind, args) =
   let n = Array.length vars in
   let v i = vars.(List.nth args i mod n) in
   let c i = (List.nth args i mod 5) - 2 in
-  match kind mod 9 with
+  match kind mod 7 with
   | 0 -> Arith.leq_offset s (v 0) (c 2) (v 1)
   | 1 -> Arith.neq_offset s (v 0) (c 2) (v 1)
   | 2 -> Arith.plus s (v 0) (v 1) (v 2)
   | 3 -> Arith.max_of s [ v 0; v 1; v 2 ] (v 3)
   | 4 -> Cond.implies_eq s (v 0, v 1) (v 2, v 3)
   | 5 -> Cond.guarded_implies_eq s ~guard:(v 0, v 1) (v 2, v 3) (v 4, v 5)
-  | 6 -> Reif.leq_iff s (v 0) (v 1) (v 2)
-  | 7 -> Reif.eq_iff s (v 0) (v 1) (v 2)
   | _ ->
     Cumulative.post s
       ~starts:[| v 0; v 1; v 2 |]
@@ -88,7 +86,7 @@ let gen_case =
     let* doms = list_repeat n (list_size (int_range 1 5) (int_range 0 8)) in
     let* ncons = int_range 1 5 in
     let* cons =
-      list_repeat ncons (pair (int_range 0 8) (list_repeat 6 (int_range 0 97)))
+      list_repeat ncons (pair (int_range 0 6) (list_repeat 6 (int_range 0 97)))
     in
     let* steps =
       list_size (int_range 0 14)

@@ -155,7 +155,7 @@ let test_profile_rows_match_store () =
   let open Fd in
   let s = Store.create () in
   let vars = List.init 6 (fun _ -> Store.interval_var s 0 5) in
-  Arith.all_different s vars;
+  Arith.neq_classes s ~classes:(Array.init 6 Fun.id) (Array.of_list vars);
   let obj = Store.interval_var s 0 30 in
   Arith.max_of s vars obj;
   let live = Obs.Analyze.create () in

@@ -1,5 +1,5 @@
 (* Search engine: optimality proofs against brute force, budgets,
-   heuristics, branch & bound monotonicity. *)
+   heuristics, branch & bound monotonicity, Luby restarts. *)
 
 open Fd
 
@@ -20,7 +20,7 @@ let test_unsat_proof () =
   let s = Store.create () in
   let x = Store.interval_var s 0 1 and y = Store.interval_var s 0 1 in
   let z = Store.interval_var s 0 1 in
-  Arith.all_different s [ x; y; z ];
+  Arith.neq_classes s ~classes:(Array.init 3 Fun.id) [| x; y; z |];
   match Search.solve s [ Search.phase [ x; y; z ] ] ~on_solution:(fun () -> ()) with
   | Search.Unsat stats -> Alcotest.(check bool) "proof" true stats.Search.optimal
   | _ -> Alcotest.fail "expected unsat"
@@ -28,7 +28,7 @@ let test_unsat_proof () =
 let test_node_budget () =
   let s = Store.create () in
   let vars = List.init 10 (fun _ -> Store.interval_var s 0 9) in
-  Arith.all_different s vars;
+  Arith.neq_classes s ~classes:(Array.init 10 Fun.id) (Array.of_list vars);
   (* force exhaustive exploration with an unsatisfiable objective *)
   let obj = Store.interval_var s 0 100 in
   Arith.max_of s vars obj;
@@ -235,6 +235,40 @@ let test_portfolio_no_worse () =
       ("MATMUL", kernel_graph (Apps.Matmul.build ()) Apps.Matmul.graph, 300);
     ]
 
+let test_luby () =
+  Alcotest.(check (list int)) "prefix"
+    [ 1; 1; 2; 1; 1; 2; 4; 1; 1; 2; 1; 1; 2; 4; 8 ]
+    (List.init 15 (fun i -> Search.luby (i + 1)))
+
+let test_minimize_restarts () =
+  (* same optimum as plain minimize on a small problem *)
+  let build () =
+    let s = Store.create () in
+    let vars = List.init 5 (fun _ -> Store.interval_var s 0 8) in
+    Arith.neq_classes s ~classes:(Array.init 5 Fun.id) (Array.of_list vars);
+    let obj = Store.interval_var s 0 100 in
+    Arith.sum s vars obj;
+    (s, vars, obj)
+  in
+  let s1, v1, o1 = build () in
+  let plain =
+    match
+      Search.minimize s1 [ Search.phase v1 ] ~objective:o1 ~on_solution:(fun () ->
+          Store.vmin o1)
+    with
+    | Search.Solution (v, _) -> v
+    | _ -> Alcotest.fail "plain failed"
+  in
+  let s2, v2, o2 = build () in
+  match
+    Search.minimize_restarts ~base:16 s2 [ Search.phase v2 ] ~objective:o2
+      ~on_solution:(fun () -> Store.vmin o2)
+  with
+  | Search.Solution (v, st) ->
+    Alcotest.(check int) "same optimum" plain v;
+    Alcotest.(check bool) "proof" true st.Search.optimal
+  | _ -> Alcotest.fail "restarts failed"
+
 let suite =
   [
     Alcotest.test_case "first solution" `Quick test_first_solution;
@@ -248,4 +282,6 @@ let suite =
     Alcotest.test_case "kernel optima preserved" `Slow test_kernel_optima;
     Alcotest.test_case "portfolio no worse than sequential" `Slow
       test_portfolio_no_worse;
+    Alcotest.test_case "luby sequence" `Quick test_luby;
+    Alcotest.test_case "minimize with restarts" `Quick test_minimize_restarts;
   ]

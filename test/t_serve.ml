@@ -403,27 +403,29 @@ let test_wire_requests () =
   (* every solve is sequential: an old client's "parallel" member is
      ignored like any other unknown member, and the line still parses *)
   (match
-     W.request_of_line
+     W.parse_line
        {|{"id":"x","kernel":"qrd","slots":16,"arch":"eit","budget_ms":50,"deadline_ms":2000,"parallel":2,"retries":3}|}
    with
-  | Ok r ->
+  | Ok (W.Request r) ->
     Alcotest.(check string) "id" "x" r.S.id;
     Alcotest.(check bool) "workload" true (r.S.workload = S.Kernel "qrd");
     Alcotest.(check (option int)) "slots" (Some 16) r.S.slots;
     Alcotest.(check (option string)) "arch" (Some "eit") r.S.preset;
     Alcotest.(check (option int)) "retries" (Some 3) r.S.retries
+  | Ok (W.Stats _) -> Alcotest.fail "request parsed as a stats line"
   | Error e -> Alcotest.failf "parse failed: %s" e);
-  (match W.request_of_line ~default_id:"line-7" {|{"xml":"<graph/>"}|} with
-  | Ok r -> Alcotest.(check string) "default id" "line-7" r.S.id
+  (match W.parse_line ~default_id:"line-7" {|{"xml":"<graph/>"}|} with
+  | Ok (W.Request r) -> Alcotest.(check string) "default id" "line-7" r.S.id
+  | Ok (W.Stats _) -> Alcotest.fail "request parsed as a stats line"
   | Error e -> Alcotest.failf "parse failed: %s" e);
   (* exactly one workload key *)
-  (match W.request_of_line {|{"id":"y","kernel":"qrd","xml":"<graph/>"}|} with
+  (match W.parse_line {|{"id":"y","kernel":"qrd","xml":"<graph/>"}|} with
   | Ok _ -> Alcotest.fail "two workloads accepted"
   | Error _ -> ());
-  (match W.request_of_line {|{"id":"z"}|} with
+  (match W.parse_line {|{"id":"z"}|} with
   | Ok _ -> Alcotest.fail "no workload accepted"
   | Error _ -> ());
-  (match W.request_of_line "{not json" with
+  (match W.parse_line "{not json" with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error e -> Alcotest.(check bool) "json error" true (String.length e > 0));
   let el = W.error_line ~id:"line-3" "boom" in
